@@ -9,8 +9,10 @@ interchange with external producers.  Run reports are JSON with sorted
 keys; identical config and seed reproduce them byte-for-byte except for
 the single isolated ``timestamp`` field.
 
-Exit codes: 0 success/converged, 2 not converged or failed checks,
-3 invalid config or malformed input, 4 expression error.
+Exit codes: 0 success/converged, 2 not converged or failed checks
+(including a failed internal consistency check, such as the gauge
+assertion under a wrong periods declaration), 3 invalid config or
+malformed input, 4 expression error.
 """
 
 from __future__ import annotations
@@ -727,6 +729,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except RuntimeError as err:
+        # a failed internal consistency check: the gauge assertion of a
+        # wrong periods declaration, or disagreeing residual assemblies
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 def _expr_source(args) -> str | None:

@@ -16,6 +16,7 @@ called across threads freely.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "backward_diff",
     "laplacian",
     "laplacian_symbol",
+    "h1_riesz_map",
     "mean",
     "split_mean",
     "solve_linear_poisson",
@@ -249,6 +251,27 @@ def laplacian_symbol(spec: GridSpec) -> np.ndarray:
         shape[axis] = count
         lam = lam + lam_axis.reshape(shape)
     return lam
+
+
+def h1_riesz_map(spec: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The map G -> (I - laplacian)^-1 G on node values of shape ``spec.shape``.
+
+    Since the stencil Laplacian is the backward difference of the forward
+    difference, h1_inner(z, v) = l2_inner(G, v) for every v exactly when
+    (I - laplacian) z = G: the map turns an L2 gradient into the gradient
+    in the discrete H1 product.  It is diagonal in the DFT basis, with
+    multiplier 1 / (1 - laplacian_symbol) in (0, 1]; the zero mode's
+    multiplier is 1, so the mean passes through unchanged.  The divisor is
+    built once per call of this function, so a solve builds the map once.
+    """
+    divisor = (1.0 - laplacian_symbol(spec))[..., np.newaxis]
+    node_axes = tuple(range(spec.p))
+
+    def riesz(values: np.ndarray) -> np.ndarray:
+        zhat = np.fft.fftn(values, axes=node_axes) / divisor
+        return np.real(np.fft.ifftn(zhat, axes=node_axes))
+
+    return riesz
 
 
 def solve_linear_poisson(f: Field) -> Field:

@@ -1,7 +1,13 @@
 """Action minimization by descent with lattice-shift canonicalization.
 
 The minimizer runs gradient descent or Polak-Ribiere+ nonlinear conjugate
-gradient with Armijo backtracking on the discrete action.  When the
+gradient with Armijo backtracking on the discrete action, in the discrete
+H1 metric of the paper's direct method: the search direction is built from
+the H1 gradient z = (I - laplacian)^-1 G of the L2 gradient G, one DFT pair
+per iteration (Neuberger's Sobolev gradient).  Its unit step is admissible
+at every grid size, where the L2 gradient's step shrinks like h^2, so the
+iteration count does not grow as the grid is refined.  The stopping test
+and the certificate stay the L2 residual |G|.  When the
 potential is spatially periodic with periods P_i, each accepted iterate is
 canonicalized: integer multiples of P_i are added per component so the
 field mean lands in the fundamental cell [0, P_i).  The shift is a gauge
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ActionValue, action, action_gradient
-from .grid import Field, GridSpec, l2_norm, mean, split_mean
+from .grid import Field, GridSpec, h1_riesz_map, l2_norm, mean, split_mean
 from .grid import _reduce
 from .potential import Potential
 from .verify import wirtinger_constant, wirtinger_floor
@@ -205,6 +211,13 @@ def minimize(
     """Descend the action from ``init``; returns the final field and the
     full per-iteration report.
 
+    Both methods search along the H1 gradient z = (I - laplacian)^-1 G:
+    ``gd`` along -z, ``ncg`` along the preconditioned Polak-Ribiere+
+    direction d = -z + beta d_prev with
+    beta = max(0, <G, z - z_prev> / <G_prev, z_prev>), restarting along -z
+    when d is not a descent direction.  Inner products are discrete L2, so
+    the Armijo slope is <G, d>.
+
     Statuses: ``converged`` means the L2 residual norm reached
     cfg.tol_residual; ``stalled`` means five consecutive accepted steps each
     improved the action by less than cfg.tol_action in relative terms before
@@ -238,26 +251,23 @@ def minimize(
         report.status = "converged"
         return u, report
 
+    riesz = h1_riesz_map(spec)
+    z = riesz(grad.values)
+    grad_z = _inner(spec, grad.values, z)
     direction: np.ndarray | None = None
-    grad_prev: Field | None = None
-    grad_sq = _inner(spec, grad.values, grad.values)
     stagnant = 0
 
     for it in range(1, cfg.max_iters + 1):
         if cfg.method == "ncg" and direction is not None:
-            prev_sq = _inner(spec, grad_prev.values, grad_prev.values)
-            beta = max(
-                0.0,
-                _inner(spec, grad.values, grad.values - grad_prev.values) / prev_sq,
-            )
-            cand_dir = -grad.values + beta * direction
+            beta = max(0.0, _inner(spec, grad.values, z - z_prev) / grad_z_prev)
+            cand_dir = -z + beta * direction
             slope = _inner(spec, grad.values, cand_dir)
             if slope >= 0.0:  # not a descent direction: restart steepest
-                cand_dir = -grad.values
-                slope = -grad_sq
+                cand_dir = -z
+                slope = -grad_z
         else:
-            cand_dir = -grad.values
-            slope = -grad_sq
+            cand_dir = -z
+            slope = -grad_z
 
         do_shift = canonical and it % cfg.canonicalize_every == 0
         step = cfg.initial_step
@@ -279,11 +289,12 @@ def minimize(
         u, a_new, shifts, gauge = accepted
         scale = max(abs(a_val.total), abs(a_new.total))
         rel_decrease = (a_val.total - a_new.total) / scale if scale > 0.0 else 0.0
-        grad_prev = grad
+        z_prev, grad_z_prev = z, grad_z
         direction = cand_dir
         a_val = a_new
         grad = action_gradient(u, pot)
-        grad_sq = _inner(spec, grad.values, grad.values)
+        z = riesz(grad.values)
+        grad_z = _inner(spec, grad.values, z)
         residual = l2_norm(grad)
         report.iterations.append(_record(it, a_val, residual, u, step, shifts, gauge))
 

@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+# the two assemblies were measured to differ by at most 0.6 eps of the
+# stencil scale (random fields and DFT-oracle solutions, p = 1, 2,
+# N = 16 ... 512), so 16 eps leaves a margin of more than 25
+_ASSEMBLY_TOL = 16.0 * float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     l2: float
@@ -57,8 +63,11 @@ def el_residual(u: Field, pot: Potential) -> tuple[Field, ResidualReport]:
     The residual is assembled independently of action_gradient: the
     Laplacian as the backward difference of the forward difference rather
     than the direct stencil, and grad F by a fresh potential evaluation.
-    The identity R = -action_gradient(u) is then asserted to 1e-13 as a
-    cross-check of the two assemblies.
+    The identity R = -action_gradient(u) is then asserted as a cross-check
+    of the two assemblies, to 16 ulp of the size of the terms they sum:
+    each assembly rounds in proportion to its stencil terms, about
+    4 max|u| / h_alpha^2 per axis, and to grad F, not to the residual,
+    which is tiny at a solution.
     """
     spec = u.spec
     lap = np.zeros_like(u.values)
@@ -68,10 +77,16 @@ def el_residual(u: Field, pot: Potential) -> tuple[Field, ResidualReport]:
     residual = Field(spec, lap - grad_f)
     grad = action_gradient(u, pot)
     mismatch = float(np.max(np.abs(residual.values + grad.values)))
-    scale = 1.0 + float(np.max(np.abs(grad.values)))
-    if mismatch > 1e-13 * scale:
+    u_max = float(np.max(np.abs(u.values)))
+    scale = (
+        1.0
+        + float(np.max(np.abs(grad_f)))
+        + sum(4.0 * u_max / h**2 for h in spec.spacings)
+    )
+    if mismatch > _ASSEMBLY_TOL * scale:
         raise RuntimeError(
-            f"residual/gradient assemblies disagree: {mismatch:.3e} > 1e-13 * {scale:.3e}"
+            f"residual/gradient assemblies disagree: "
+            f"{mismatch:.3e} > {_ASSEMBLY_TOL:.3e} * {scale:.3e}"
         )
     return residual, ResidualReport(
         l2=l2_norm(residual), linf=float(np.max(np.abs(residual.values)))

@@ -184,6 +184,20 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["iterations"][0]["mean"][0] == pytest.approx(0.6, rel=1e-12)
 
+    def test_wrong_periods_exit_2_without_traceback(self, tmp_path, capsys):
+        # the sampled periodicity check only warns without --strict; the
+        # solver's gauge assertion then fails at the first lattice shift
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            potential={"kind": "expr", "expr": "1 + x1^2", "periods": [1.0]},
+            init={"kind": "constant", "value": 1.5},
+        )
+        assert main(["--quiet", "solve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: lattice shift changed the action" in err
+        assert "Traceback" not in err
+
     def test_not_converged_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(
@@ -306,6 +320,25 @@ class TestResidualCommand:
         bad = tmp_path / "bad.csv"
         write_field_csv(bad, Field.zeros(other))
         assert main(["--quiet", "residual", str(bad), str(cfg)]) == 3
+
+    @pytest.mark.parametrize("nodes", [128, 256])
+    def test_oracle_solution_certifies_on_fine_grids(self, tmp_path, nodes):
+        # the stencil terms of a fine grid are ~1e5 times the residual
+        spec = GridSpec((1.0, 1.0), (nodes, nodes), n=1)
+        t = node_coordinates(spec)
+        f = np.sin(TWO_PI * t[..., 0]) + 0.5 * np.cos(TWO_PI * (t[..., 0] + 2.0 * t[..., 1]))
+        rhs, forcing, solution = (tmp_path / name for name in ("rhs.csv", "f.csv", "u.csv"))
+        write_field_csv(rhs, Field(spec, f))
+        write_field_csv(forcing, Field(spec, -f))
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 2, "n": 1, "extents": [1.0, 1.0], "nodes": [nodes, nodes]},
+            potential={"kind": "linear", "forcing_csv": str(forcing)},
+        )
+        oracle = ["--quiet", "oracle-linear", str(rhs), str(cfg), "--output", str(solution)]
+        assert main(oracle) == 0
+        assert main(["--quiet", "residual", str(solution), str(cfg)]) == 0
 
     def test_closed_import_checked_and_certified(self, tmp_path):
         cfg = tmp_path / "c.json"

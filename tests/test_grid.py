@@ -16,7 +16,7 @@ from poisson_grad import (
     solve_linear_poisson,
     split_mean,
 )
-from poisson_grad.grid import backward_diff, laplacian_symbol
+from poisson_grad.grid import backward_diff, h1_riesz_map, laplacian_symbol
 
 from helpers import gaussian_field, random_field
 
@@ -240,6 +240,28 @@ class TestLinearPoisson:
         lam = laplacian_symbol(GridSpec((1.0, 1.0), (8, 8)))
         assert lam[0, 0] == 0.0
         assert np.all(lam <= 0.0)
+
+
+class TestH1Riesz:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec((1.0,), (16,), n=1),
+            GridSpec((2.0,), (12,), n=2),
+            GridSpec((1.0, 2.0), (16, 12), n=1),
+            GridSpec((1.0, 1.0), (8, 8), n=2),
+        ],
+    )
+    def test_inverts_identity_minus_laplacian(self, spec):
+        rng = np.random.default_rng(spec.node_count)
+        g = Field(spec, 1.5 + rng.standard_normal(spec.shape))
+        z = Field(spec, h1_riesz_map(spec)(g.values))
+        back = z.values - laplacian(z).values
+        npt.assert_allclose(back, g.values, rtol=0, atol=1e-12)
+        npt.assert_allclose(mean(z), mean(g), rtol=0, atol=1e-14)
+        # the discrete H1 Riesz identity behind the solver's direction
+        v = gaussian_field(spec, rng)
+        assert h1_inner(z, v) == pytest.approx(l2_inner(g, v), rel=1e-12)
 
 
 class TestOperatorIdentities:

@@ -6,6 +6,7 @@ import pytest
 
 from poisson_grad import (
     CosineLattice,
+    ExpressionPotential,
     Field,
     GridSpec,
     LinearForcing,
@@ -24,6 +25,16 @@ from poisson_grad import (
 from poisson_grad.solver import IterationRecord, RunReport, SolverConfig
 
 TWO_PI = 2.0 * np.pi
+
+# the potential of configs/expression_well.json
+WELL_EXPR = (
+    "0.1 + (1 - cos(x1)) + 0.5*(1 - cos(2*pi*x2/3)) + 0.2*sin(2*pi*t1)*sin(x1)"
+)
+WELL_PERIODS = (TWO_PI, 3.0)
+
+
+def well_potential():
+    return ExpressionPotential(WELL_EXPR, 1, 2, periods=WELL_PERIODS)
 
 
 class TestSolverConfig:
@@ -148,13 +159,14 @@ class TestMinimize:
         npt.assert_array_equal(final.values, 0.5)
 
     def test_max_iters_status(self):
+        # not a quadratic: there (I - laplacian)^-1 times the Hessian is the
+        # identity, and one unit H1 step lands on the minimizer
         spec = GridSpec((1.0,), (16,), n=1)
-        pot = ShiftedQuadratic((2.0,), floor=1.0, p=1)
+        pot = CosineLattice([1.0], [TWO_PI], floor=0.1, p=1)
         _, report = minimize(
             pot,
-            random_init(spec, None, seed=1),
-            SolverConfig(method="gd", max_iters=3, tol_residual=1e-14,
-                         canonicalize_every=0),
+            random_init(spec, pot.periods, seed=1),
+            SolverConfig(method="gd", max_iters=3, tol_residual=1e-14),
         )
         assert report.status == "max_iters"
         assert report.final.index == 3
@@ -229,6 +241,51 @@ class TestMinimize:
             runs.append(report)
         assert runs[0].status == runs[1].status
         assert runs[0].iterations == runs[1].iterations
+
+
+class TestH1Descent:
+    """The H1 search direction makes iteration counts independent of the
+    grid; an L2 direction needs O(N^2) iterations on these problems."""
+
+    @pytest.mark.parametrize("nodes", [16, 64, 256])
+    def test_expression_well_iterations_flat_in_n(self, nodes):
+        spec = GridSpec((1.0,), (nodes,), n=2)
+        init = random_init(spec, WELL_PERIODS, seed=7)
+        _, report = minimize(well_potential(), init, SolverConfig(tol_residual=1e-6))
+        assert report.status == "converged"
+        assert report.final.index <= 40
+
+    @pytest.mark.parametrize("nodes", [24, 128])
+    def test_modulated_cosine_iterations_flat_in_n(self, nodes):
+        spec = GridSpec((1.0, 1.0), (nodes, nodes), n=1)
+        pot = CosineLattice(
+            [1.0], [TWO_PI], floor=0.1, modulation=0.5, mod_axis=0, mod_extent=1.0, p=2
+        )
+        _, report = minimize(pot, Field.constant(spec, 0.6), SolverConfig(tol_residual=1e-6))
+        assert report.status == "converged"
+        assert report.final.index <= 40
+        assert check_minimizing_bounds(report, spec).all_passed
+
+    def test_mesh_refinement_second_order(self):
+        # u_N against every other node of u_2N: the gap shrinks like h^2
+        periods = np.asarray(WELL_PERIODS)
+        fields = {}
+        for nodes in (16, 32, 64, 128, 256):
+            spec = GridSpec((1.0,), (nodes,), n=2)
+            final, report = minimize(
+                well_potential(),
+                Field.constant(spec, (1.0, 1.0)),
+                SolverConfig(tol_residual=1e-8),
+            )
+            assert report.status == "converged"
+            fields[nodes] = final.values
+        gaps = []
+        for nodes in (16, 32, 64, 128):
+            diff = fields[nodes] - fields[2 * nodes][::2]
+            diff -= periods * np.round(diff / periods)
+            gaps.append(np.max(np.abs(diff)))
+        ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+        assert all(3.5 <= r <= 4.5 for r in ratios), ratios
 
 
 class TestCheckMinimizingBounds:

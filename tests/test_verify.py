@@ -14,10 +14,12 @@ from poisson_grad import (
     laplacian,
     minimize,
     node_coordinates,
+    solve_linear_poisson,
     split_mean,
     wirtinger_check,
     wirtinger_constant,
 )
+import poisson_grad.verify as verify_module
 from poisson_grad.solver import SolverConfig
 
 from helpers import gaussian_field
@@ -50,6 +52,25 @@ class TestElResidual:
         g = action_gradient(u, pot)
         scale = 1.0 + np.max(np.abs(g.values))
         assert np.max(np.abs(residual.values + g.values)) <= 1e-13 * scale
+
+    def test_assembly_error_still_raises(self, monkeypatch):
+        spec = GridSpec((1.0, 1.0), (64, 64), n=1)
+        t = node_coordinates(spec)
+        f = np.sin(TWO_PI * t[..., 0]) * np.cos(TWO_PI * t[..., 1])
+        pot = LinearForcing(Field(spec, -f))
+        u = solve_linear_poisson(Field(spec, f))
+        el_residual(u, pot)
+        stencil = sum(4.0 * np.max(np.abs(u.values)) / h**2 for h in spec.spacings)
+        scale = 1.0 + np.max(np.abs(f)) + stencil
+
+        def skewed(field, potential):
+            g = action_gradient(field, potential).values.copy()
+            g[3, 5, 0] += 1e-9 * scale
+            return Field(field.spec, g)
+
+        monkeypatch.setattr(verify_module, "action_gradient", skewed)
+        with pytest.raises(RuntimeError, match="assemblies disagree"):
+            el_residual(u, pot)
 
     def test_converged_solve_satisfies_tolerance(self):
         spec = GridSpec((1.0,), (32,), n=1)
