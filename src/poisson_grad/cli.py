@@ -22,6 +22,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .action import PotentialDomainError
 from .expr import ExprError, ExpressionPotential, line_col
-from .grid import Field, GridSpec, l2_norm, mean, solve_linear_poisson
+from .grid import Field, GridSpec, l2_norm, lattice_coordinates, mean, solve_linear_poisson
 from .potential import (
     CheckReport,
     CosineLattice,
@@ -320,16 +321,23 @@ def _header(spec: GridSpec) -> str:
 
 
 def write_field_csv(path: str | Path, field: Field, closed: bool = False) -> None:
-    """Write a field as CSV; 17 significant digits round-trip float64 exactly."""
+    """Write a field as CSV; 17 significant digits round-trip float64 exactly.
+
+    The node coordinates and values form one ``(rows, p + n)`` table that a
+    single ``%`` over a whole-file template formats.
+    """
     spec = field.spec
     values = field.closed_values() if closed else field.values
     shape = values.shape[:-1]
-    lines = [_header(spec)]
-    for idx in np.ndindex(*shape):
-        coords = [k * h for k, h in zip(idx, spec.spacings)]
-        row = list(coords) + [values[idx + (i,)] for i in range(spec.n)]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.concatenate([lattice_coordinates(spec.spacings, shape), values], axis=-1)
+    row = ",".join(["%.17g"] * (spec.p + spec.n)) + "\n"
+    template = _header(spec) + "\n" + row * math.prod(shape)
+    Path(path).write_text(template % tuple(table.ravel().tolist()))
+
+
+# whitespace-only lines, which numpy's parser would read as one-cell rows;
+# anchoring on the newline keeps the scan a literal search
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|$)")
 
 
 def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray, bool]:
@@ -338,25 +346,32 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     Returns ``(Field, False)`` for the open form (N_alpha rows per axis) or
     ``(values, True)`` for the closed form (N_alpha + 1 rows per axis, wrap
     faces duplicated).  Node order, column count, and node coordinates are
-    all validated; any mismatch raises FormatError.
+    all validated; any mismatch raises FormatError.  Blank lines and spaces
+    around cells are ignored; cells are plain decimal or exponent floats.
     """
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise FormatError(f"cannot read field CSV {path}: {err}") from err
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _BLANK_LINE.sub("", text).lstrip().splitlines()
     if not lines or lines[0].strip() != _header(spec):
         raise FormatError(
             f"field CSV {path} must start with header {_header(spec)!r}"
         )
+    rows = lines[1:]
+    if not any(rows):
+        raise FormatError(f"field CSV {path} has no data rows")
     try:
-        data = np.array(
-            [[float(cell) for cell in ln.split(",")] for ln in lines[1:]],
+        data = np.loadtxt(
+            rows,
             dtype=np.float64,
+            delimiter=",",
+            comments=None,
+            ndmin=2,
         )
     except ValueError as err:
         raise FormatError(f"field CSV {path} has a malformed row: {err}") from err
-    if data.ndim != 2 or data.shape[1] != spec.p + spec.n:
+    if data.shape[1] != spec.p + spec.n:
         raise FormatError(
             f"field CSV {path} must have {spec.p + spec.n} columns"
         )
@@ -374,12 +389,7 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
             f"(open) or {closed_rows} (closed) for grid {spec.nodes}"
         )
     coords = data[:, : spec.p].reshape(shape + (spec.p,))
-    expected = np.stack(
-        np.meshgrid(
-            *(h * np.arange(k) for h, k in zip(spec.spacings, shape)), indexing="ij"
-        ),
-        axis=-1,
-    )
+    expected = lattice_coordinates(spec.spacings, shape)
     tol = 1e-9 * (1.0 + max(spec.extents))
     if np.max(np.abs(coords - expected)) > tol:
         raise FormatError(
@@ -506,11 +516,6 @@ def _requested_checks(cfg: dict):
     return names
 
 
-def _positivity_floor(pot: Potential, sampler: SampleSpec) -> float:
-    report = check_positivity(pot, sampler)
-    return 0.0 if report.passed else min(0.0, report.worst)
-
-
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     threads = threads_cap()
@@ -535,9 +540,13 @@ def cmd_solve(args) -> int:
             return EXIT_NOT_CONVERGED
 
     final, report = minimize(pot, init, solver_cfg)
-    audit = check_minimizing_bounds(
-        report, spec, f_floor=_positivity_floor(pot, sampler)
-    )
+    # the sampler is seeded, so a positivity report from run_checks is the
+    # one a fresh check would return
+    positivity = next((c for c in checks if c.name == "positivity"), None)
+    if positivity is None:
+        positivity = check_positivity(pot, sampler)
+    f_floor = 0.0 if positivity.passed else min(0.0, positivity.worst)
+    audit = check_minimizing_bounds(report, spec, f_floor=f_floor)
     cert = certify(final, pot, solver_cfg.tol_residual)
 
     out = cfg.get("output", {})
@@ -621,7 +630,7 @@ def cmd_residual(args) -> int:
         cert = certify(field, pot, tol, closed=closed_values)
     else:
         field = loaded
-        cert = certify(field, pot, tol, closed=boundary_data(field))
+        cert = certify(field, pot, tol, closed=field.closed_values())
     _say(
         args,
         f"residual_l2={cert.residual_l2:.6e} residual_linf={cert.residual_linf:.6e} "
@@ -642,11 +651,6 @@ def cmd_residual(args) -> int:
                 f"(threshold {cert.boundary.threshold:.3e})",
             )
     return EXIT_OK if cert.residual_ok else EXIT_NOT_CONVERGED
-
-
-def boundary_data(field: Field) -> np.ndarray:
-    """Closed export of an internal field (for self-certification)."""
-    return field.closed_values()
 
 
 def cmd_oracle_linear(args) -> int:

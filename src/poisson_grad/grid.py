@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Field",
+    "lattice_coordinates",
     "node_coordinates",
     "l2_inner",
     "l2_norm",
@@ -156,11 +157,20 @@ class Field:
         return f"Field(nodes={self.spec.nodes}, n={self.spec.n})"
 
 
+def lattice_coordinates(spacings, shape) -> np.ndarray:
+    """Coordinates t^alpha_k = k * h_alpha for 0 <= k < shape[alpha].
+
+    Returns an array of shape ``(*shape, p)``.  ``shape`` is ``spec.nodes``
+    for the lattice itself or ``N_alpha + 1`` per axis for the closed form,
+    whose extra node on each axis is the wrap face.
+    """
+    axes = [h * np.arange(k) for h, k in zip(spacings, shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def node_coordinates(spec: GridSpec) -> np.ndarray:
     """Node coordinate array t^alpha_k = k * h_alpha, shape ``(*nodes, p)``."""
-    axes = [h * np.arange(k) for h, k in zip(spec.spacings, spec.nodes)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
+    return lattice_coordinates(spec.spacings, spec.nodes)
 
 
 def _require_same_spec(u: Field, v: Field) -> None:

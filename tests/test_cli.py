@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from poisson_grad import Field, GridSpec, laplacian, node_coordinates
+from poisson_grad import Field, GridSpec, cli, laplacian, node_coordinates
 from poisson_grad.cli import (
     FormatError,
     main,
@@ -42,6 +43,31 @@ def write_config(path, **overrides):
             cfg[key] = value
     path.write_text(json.dumps(cfg))
     return cfg
+
+
+def reference_csv(spec, values):
+    """The field CSV format spelled out one node and one cell at a time."""
+    header = [f"t{a + 1}" for a in range(spec.p)] + [f"u{i + 1}" for i in range(spec.n)]
+    lines = [",".join(header)]
+    for idx in np.ndindex(*values.shape[:-1]):
+        row = [k * h for k, h in zip(idx, spec.spacings)] + [float(v) for v in values[idx]]
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# signed zero, the smallest subnormal, extreme exponents, and values that
+# only round-trip with all 17 significant digits
+GOLDEN_VALUES = [
+    -0.0,
+    5e-324,
+    1e300,
+    -1e300,
+    0.1 + 0.2,
+    1.0 / 3.0,
+    float(np.nextafter(1.0, 2.0)),
+    -2.2250738585072014e-308,
+    123456789.12345678,
+]
 
 
 class TestConfigValidation:
@@ -133,6 +159,69 @@ class TestFieldCsv:
         with pytest.raises(FormatError, match="coordinates"):
             read_field_csv(path, spec)
 
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize(
+        "extents, nodes, n",
+        [
+            ((1.0,), (7,), 3),
+            ((1.0, 1.3), (5, 4), 2),
+            ((0.7, 3.0, TWO_PI), (3, 4, 3), 1),
+        ],
+    )
+    def test_bytes_match_per_node_reference(self, tmp_path, extents, nodes, n, closed):
+        spec = GridSpec(extents, nodes, n=n)
+        values = np.random.default_rng(len(nodes)).standard_normal(spec.shape)
+        values.reshape(-1)[: len(GOLDEN_VALUES)] = GOLDEN_VALUES
+        field = Field(spec, values)
+        path = tmp_path / "f.csv"
+        write_field_csv(path, field, closed=closed)
+        expected = reference_csv(spec, field.closed_values() if closed else field.values)
+        assert path.read_bytes() == expected.encode()
+        cells = set(expected.replace("\n", ",").split(","))
+        assert {
+            "-0",
+            "4.9406564584124654e-324",
+            "1.0000000000000001e+300",
+            "0.30000000000000004",
+            "1.0000000000000002",
+        } <= cells
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,1\n0.25,x\n0.5,1\n0.75,1\n",  # non-numeric cell
+            "0,1\n0.25\n0.5,1\n0.75,1\n",  # ragged row
+            "0,1\n0.25,1,1\n0.5,1\n0.75,1\n",  # ragged row
+            "0,1\n0.25,\n0.5,1\n0.75,1\n",  # empty cell
+            "0,1\n#0.25,1\n0.5,1\n0.75,1\n",  # no comment syntax
+            "0,1\n0.25,1_000\n0.5,1\n0.75,1\n",  # Python-only literal
+        ],
+    )
+    def test_malformed_row_rejected(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_text("t1,u1\n" + body)
+        with pytest.raises(FormatError, match="malformed"):
+            read_field_csv(path, GridSpec((1.0,), (4,), n=1))
+
+    @pytest.mark.parametrize("text", ["t1,u1\n", "t1,u1", "\nt1,u1\n  \n\n"])
+    def test_header_only_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="no data rows"):
+                read_field_csv(path, GridSpec((1.0,), (4,), n=1))
+
+    def test_crlf_blank_lines_and_padded_cells_accepted(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(
+            b"\r\n t1,u1 \r\n 0 , 1 \r\n   \r\n0.25,\t2\r\n\r\n"
+            b"0.5 ,3e0\n \t \n0.75, +4.\n  "
+        )
+        field, closed = read_field_csv(path, GridSpec((1.0,), (4,), n=1))
+        assert not closed
+        npt.assert_array_equal(field.values[:, 0], [1.0, 2.0, 3.0, 4.0])
+
 
 class TestSolveCommand:
     def test_pendulum_end_to_end(self, tmp_path):
@@ -197,6 +286,21 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "error: lattice shift changed the action" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("names", [list(cli.CHECK_NAMES), ["periodicity"]])
+    def test_positivity_sampled_once_per_solve(self, tmp_path, monkeypatch, names):
+        calls = []
+        sampled = cli.check_positivity
+
+        def counted(pot, sampler):
+            calls.append(sampler)
+            return sampled(pot, sampler)
+
+        monkeypatch.setattr(cli, "check_positivity", counted)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, checks={"names": names, "samples": 500, "seed": 1})
+        assert main(["--quiet", "solve", str(cfg)]) == 0
+        assert len(calls) == 1
 
     def test_not_converged_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"

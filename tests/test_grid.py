@@ -16,7 +16,12 @@ from poisson_grad import (
     solve_linear_poisson,
     split_mean,
 )
-from poisson_grad.grid import backward_diff, h1_riesz_map, laplacian_symbol
+from poisson_grad.grid import (
+    backward_diff,
+    h1_riesz_map,
+    laplacian_symbol,
+    lattice_coordinates,
+)
 
 from helpers import gaussian_field, random_field
 
@@ -38,6 +43,14 @@ class TestGridSpec:
         assert spec.cell_volume == 0.25
         assert spec.volume == 6.0
         assert spec.shape == (4, 6, 2)
+
+    def test_closed_lattice_extends_node_coordinates(self):
+        spec = GridSpec((0.1, 2.7), (3, 17))
+        closed = lattice_coordinates(spec.spacings, (4, 18))
+        assert closed.shape == (4, 18, 2)
+        npt.assert_array_equal(closed[:3, :17], node_coordinates(spec))
+        assert closed[3, 17, 0] == 3 * spec.spacings[0]
+        assert closed[3, 17, 1] == 17 * spec.spacings[1]
 
     def test_spacing_times_nodes_recovers_extent(self):
         spec = GridSpec((0.1, 2.7), (3, 17))
