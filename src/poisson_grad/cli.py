@@ -346,8 +346,9 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     Returns ``(Field, False)`` for the open form (N_alpha rows per axis) or
     ``(values, True)`` for the closed form (N_alpha + 1 rows per axis, wrap
     faces duplicated).  Node order, column count, and node coordinates are
-    all validated; any mismatch raises FormatError.  Blank lines and spaces
-    around cells are ignored; cells are plain decimal or exponent floats.
+    all validated, and every cell must be finite; any mismatch raises
+    FormatError.  Blank lines and spaces around cells are ignored; cells are
+    plain decimal or exponent floats.
     """
     try:
         text = Path(path).read_text()
@@ -375,6 +376,10 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
         raise FormatError(
             f"field CSV {path} must have {spec.p + spec.n} columns"
         )
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0]) + 1
+        raise FormatError(f"field CSV {path} has a non-finite cell in data row {row}")
     open_rows = spec.node_count
     closed_rows = math.prod(k + 1 for k in spec.nodes)
     if data.shape[0] == open_rows:
@@ -650,7 +655,7 @@ def cmd_residual(args) -> int:
                 f"quotient={ax.quotient_mismatch:.3e} "
                 f"(threshold {cert.boundary.threshold:.3e})",
             )
-    return EXIT_OK if cert.residual_ok else EXIT_NOT_CONVERGED
+    return EXIT_OK if cert.residual_ok and cert.boundary.passed else EXIT_NOT_CONVERGED
 
 
 def cmd_oracle_linear(args) -> int:

@@ -5,10 +5,11 @@ variables t1..tp, x1..xn, the constant pi, the operators + - * / ^ and the
 functions sin, cos, exp, sqrt.  Precedence, tightest first: ^ (right
 associative), unary minus, * /, + - (left associative).
 
-Evaluation runs forward-mode on dual numbers whose payloads are numpy
-arrays, so one pass over a grid batch yields F and the exact gradient
-grad_x F simultaneously.  Only x-derivatives are propagated; t enters as a
-constant for each evaluation.  Every failure mode is a positioned
+One tree walker evaluates F alone or, forward-mode on dual numbers whose
+payloads are numpy arrays, F and the exact gradient grad_x F in the same
+pass over a grid batch.  Only x-derivatives are propagated; t enters as a
+constant for each evaluation, and tangents that are structurally zero
+(constants, t-only subtrees) are skipped.  Every failure mode is a positioned
 ExprError: lexical, syntactic, unknown identifier, or a numeric domain
 error pointing at the offending AST node.
 """
@@ -280,116 +281,109 @@ class Dual:
         self.partials = partials
 
 
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.flatnonzero(np.asarray(mask).ravel())[0])
+def _scale(tangent, slope):
+    """Tangent times a value-shaped slope; None (structurally zero) stays None."""
+    return None if tangent is None else tangent * np.asarray(slope)[..., np.newaxis]
 
 
-def _require_finite(node: Node, value: np.ndarray) -> None:
-    bad = ~np.isfinite(value)
-    if np.any(bad):
-        raise EvalDomainError("non-finite result", node.pos, _first_bad(bad))
+def _sum(da, db, subtract: bool = False):
+    """da + db, or da - db, where None is a structurally zero tangent."""
+    if db is None:
+        return da
+    if da is None:
+        return -db if subtract else db
+    return da - db if subtract else da + db
 
 
 class _Evaluator:
-    """Shared tree walker; with_partials=False skips tangent arithmetic."""
+    """One tree walker for F and, with partials, grad_x F.
+
+    A node evaluates to a pair (value, tangent).  Values keep the shape of
+    what they depend on: a constant is a float, t_i is t[..., i] and x_i is
+    x[..., i], so constant and t-only subtrees never reach the batch shape.
+    A tangent is None when it is structurally zero (always, without
+    partials), else an array broadcastable to (*value.shape, n).  A domain
+    error broadcasts its mask to the batch, to report the flat index of the
+    first offending batch element.
+    """
 
     def __init__(self, t: np.ndarray, x: np.ndarray, with_partials: bool):
-        t = np.asarray(t, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        self.batch = np.broadcast_shapes(t.shape[:-1], x.shape[:-1])
-        self.t = t
-        self.x = x
-        self.n = x.shape[-1]
-        self.with_partials = with_partials
+        self.t = np.asarray(t, dtype=np.float64)
+        self.x = np.asarray(x, dtype=np.float64)
+        self.batch = np.broadcast_shapes(self.t.shape[:-1], self.x.shape[:-1])
+        self.eye = np.eye(self.x.shape[-1]) if with_partials else None
 
-    def lift(self, value, partials=None) -> Dual:
-        value = np.broadcast_to(np.asarray(value, dtype=np.float64), self.batch)
-        if not self.with_partials:
-            return Dual(value, None)
-        if partials is None:
-            partials = np.zeros(self.batch + (self.n,))
-        return Dual(value, partials)
+    def check(self, bad, message: str, node: Node) -> None:
+        if np.any(bad):
+            element = int(np.flatnonzero(np.broadcast_to(bad, self.batch))[0])
+            raise EvalDomainError(message, node.pos, element)
 
-    def run(self, node: Node) -> Dual:
-        if isinstance(node, Const):
-            return self.lift(np.full(self.batch, node.value))
-        if isinstance(node, Var):
-            if node.kind == "t":
-                return self.lift(self.t[..., node.index])
-            value = np.broadcast_to(self.x[..., node.index], self.batch)
-            if not self.with_partials:
-                return Dual(value, None)
-            partials = np.zeros(self.batch + (self.n,))
-            partials[..., node.index] = 1.0
-            return Dual(value, partials)
-        if isinstance(node, Neg):
-            a = self.run(node.arg)
-            return Dual(-a.value, -a.partials if self.with_partials else None)
-        if isinstance(node, Call):
-            return self.call(node)
-        if isinstance(node, BinOp):
-            return self.binop(node)
-        raise TypeError(f"not an AST node: {node!r}")  # pragma: no cover
+    def full(self, value) -> np.ndarray:
+        if isinstance(value, np.ndarray) and value.shape == self.batch:
+            return value
+        return np.broadcast_to(value, self.batch)
 
-    def chain(self, value, slope, arg: Dual) -> Dual:
-        if not self.with_partials:
-            return Dual(value, None)
-        return Dual(value, np.asarray(slope)[..., np.newaxis] * arg.partials)
+    def run(self, node: Node):
+        return self.RULES[type(node)](self, node)
 
-    def call(self, node: Call) -> Dual:
-        a = self.run(node.arg)
+    def const(self, node: Const):
+        return float(node.value), None
+
+    def var(self, node: Var):
+        if node.kind == "t":
+            return self.t[..., node.index], None
+        return self.x[..., node.index], None if self.eye is None else self.eye[node.index]
+
+    def neg(self, node: Neg):
+        a, da = self.run(node.arg)
+        return -a, None if da is None else -da
+
+    def exp(self, node: Node, arg):
+        with np.errstate(over="ignore"):
+            value = np.exp(arg)
+        self.check(~np.isfinite(value), "non-finite result", node)
+        return value
+
+    def call(self, node: Call):
+        a, da = self.run(node.arg)
         if node.fn == "sin":
-            return self.chain(np.sin(a.value), np.cos(a.value), a)
+            return np.sin(a), None if da is None else _scale(da, np.cos(a))
         if node.fn == "cos":
-            return self.chain(np.cos(a.value), -np.sin(a.value), a)
+            return np.cos(a), None if da is None else _scale(da, -np.sin(a))
         if node.fn == "exp":
-            with np.errstate(over="ignore"):
-                value = np.exp(a.value)
-            _require_finite(node, value)
-            return self.chain(value, value, a)
+            value = self.exp(node, a)
+            return value, _scale(da, value)
         # sqrt
-        neg = a.value < 0.0
-        if np.any(neg):
-            raise EvalDomainError("sqrt of a negative value", node.pos, _first_bad(neg))
-        value = np.sqrt(a.value)
-        if not self.with_partials:
-            return Dual(value, None)
-        zero = a.value == 0.0
-        if np.any(zero) and np.any(a.partials[zero] != 0.0):
-            raise EvalDomainError("sqrt is not differentiable at zero", node.pos, _first_bad(zero))
+        self.check(a < 0.0, "sqrt of a negative value", node)
+        value = np.sqrt(a)
+        if da is None:
+            return value, None
+        zero = a == 0.0
+        if np.any(zero) and np.any(np.broadcast_to(da, np.shape(a) + da.shape[-1:])[zero] != 0.0):
+            self.check(zero, "sqrt is not differentiable at zero", node)
         with np.errstate(divide="ignore"):
             slope = np.where(zero, 0.0, 0.5 / np.where(zero, 1.0, value))
-        return self.chain(value, slope, a)
+        return value, _scale(da, slope)
 
-    def binop(self, node: BinOp) -> Dual:
+    @staticmethod
+    def product(a, da, b, db):
+        return a * b, _sum(_scale(da, b), _scale(db, a))
+
+    def binop(self, node: BinOp):
         if node.op == "^":
             return self.power(node)
-        a = self.run(node.left)
-        b = self.run(node.right)
-        wp = self.with_partials
+        a, da = self.run(node.left)
+        b, db = self.run(node.right)
         if node.op == "+":
-            return Dual(a.value + b.value, a.partials + b.partials if wp else None)
+            return a + b, _sum(da, db)
         if node.op == "-":
-            return Dual(a.value - b.value, a.partials - b.partials if wp else None)
+            return a - b, _sum(da, db, subtract=True)
         if node.op == "*":
-            value = a.value * b.value
-            if not wp:
-                return Dual(value, None)
-            return Dual(
-                value,
-                a.partials * b.value[..., np.newaxis] + b.partials * a.value[..., np.newaxis],
-            )
+            return self.product(a, da, b, db)
         # division
-        zero = b.value == 0.0
-        if np.any(zero):
-            raise EvalDomainError("division by zero", node.pos, _first_bad(zero))
-        value = a.value / b.value
-        if not wp:
-            return Dual(value, None)
-        partials = (
-            a.partials * b.value[..., np.newaxis] - b.partials * a.value[..., np.newaxis]
-        ) / (b.value**2)[..., np.newaxis]
-        return Dual(value, partials)
+        self.check(b == 0.0, "division by zero", node)
+        numerator = _sum(_scale(da, b), _scale(db, a), subtract=True)
+        return a / b, None if numerator is None else numerator / np.square(b)[..., np.newaxis]
 
     @staticmethod
     def _const_int(node: Node) -> int | None:
@@ -401,59 +395,34 @@ class _Evaluator:
             return sign * int(node.value)
         return None
 
-    def power(self, node: BinOp) -> Dual:
-        base = self.run(node.left)
+    def power(self, node: BinOp):
+        base, dbase = self.run(node.left)
         k = self._const_int(node.right)
         if k is not None:
-            return self.int_power(node, base, k)
-        expo = self.run(node.right)
-        nonpos = base.value <= 0.0
-        if np.any(nonpos):
-            raise EvalDomainError(
-                "'^' with a non-integer exponent needs a positive base",
-                node.pos,
-                _first_bad(nonpos),
-            )
-        # a^b = exp(b log a), propagated through the existing primitives
-        log_base = self.chain(np.log(base.value), 1.0 / base.value, base)
-        if self.with_partials:
-            inner = Dual(
-                expo.value * log_base.value,
-                expo.partials * log_base.value[..., np.newaxis]
-                + log_base.partials * expo.value[..., np.newaxis],
-            )
-        else:
-            inner = Dual(expo.value * log_base.value, None)
-        with np.errstate(over="ignore"):
-            value = np.exp(inner.value)
-        _require_finite(node, value)
-        return self.chain(value, value, inner)
+            return self.int_power(node, base, dbase, k)
+        expo, dexpo = self.run(node.right)
+        self.check(base <= 0.0, "'^' with a non-integer exponent needs a positive base", node)
+        # a^b = exp(b log a)
+        log_base = np.log(base)
+        dlog = None if dbase is None else _scale(dbase, 1.0 / base)
+        inner, dinner = self.product(expo, dexpo, log_base, dlog)
+        value = self.exp(node, inner)
+        return value, _scale(dinner, value)
 
-    def int_power(self, node: BinOp, base: Dual, k: int) -> Dual:
+    def int_power(self, node: BinOp, base, dbase, k: int):
         if k == 0:
-            return self.lift(np.ones(self.batch))
+            return 1.0, None
         if k < 0:
-            zero = base.value == 0.0
-            if np.any(zero):
-                raise EvalDomainError(
-                    "zero base with a negative exponent", node.pos, _first_bad(zero)
-                )
-        out = base
+            self.check(base == 0.0, "zero base with a negative exponent", node)
+        out, dout = base, dbase
         for _ in range(abs(k) - 1):
-            if self.with_partials:
-                out = Dual(
-                    out.value * base.value,
-                    out.partials * base.value[..., np.newaxis]
-                    + base.partials * out.value[..., np.newaxis],
-                )
-            else:
-                out = Dual(out.value * base.value, None)
-        if k < 0:
-            value = 1.0 / out.value
-            if not self.with_partials:
-                return Dual(value, None)
-            return Dual(value, -out.partials * (value**2)[..., np.newaxis])
-        return out
+            out, dout = self.product(out, dout, base, dbase)
+        if k > 0:
+            return out, dout
+        value = np.divide(1.0, out)
+        return value, None if dout is None else -dout * np.square(value)[..., np.newaxis]
+
+    RULES = {Const: const, Var: var, Neg: neg, Call: call, BinOp: binop}
 
 
 def eval_dual(ast: Node, t: np.ndarray, x: np.ndarray) -> Dual:
@@ -461,14 +430,24 @@ def eval_dual(ast: Node, t: np.ndarray, x: np.ndarray) -> Dual:
 
     ``t`` has shape (..., p) and ``x`` shape (..., n); the result carries
     ``value`` with the broadcast batch shape and ``partials`` with a
-    trailing component axis.
+    trailing component axis, zeros where F does not depend on x.
     """
-    return _Evaluator(t, x, with_partials=True).run(ast)
+    ev = _Evaluator(t, x, with_partials=True)
+    value, tangent = ev.run(ast)
+    shape = ev.batch + ev.eye.shape[-1:]
+    if tangent is None:
+        partials = np.zeros(shape)
+    elif tangent.shape != shape:
+        partials = np.broadcast_to(tangent, shape).copy()
+    else:
+        partials = tangent
+    return Dual(ev.full(value), partials)
 
 
 def eval_value(ast: Node, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate F only (cheaper than eval_dual inside line searches)."""
-    return _Evaluator(t, x, with_partials=False).run(ast).value
+    ev = _Evaluator(t, x, with_partials=False)
+    return ev.full(ev.run(ast)[0])
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

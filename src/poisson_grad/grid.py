@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class GridSpec:
     def node_count(self) -> int:
         return math.prod(self.nodes)
 
+    @cached_property
+    def _node_coordinates(self) -> np.ndarray:
+        coords = lattice_coordinates(self.spacings, self.nodes)
+        coords.setflags(write=False)
+        return coords
+
 
 class Field:
     """Immutable grid sample of a map u: nodes -> R^n.
@@ -169,8 +176,12 @@ def lattice_coordinates(spacings, shape) -> np.ndarray:
 
 
 def node_coordinates(spec: GridSpec) -> np.ndarray:
-    """Node coordinate array t^alpha_k = k * h_alpha, shape ``(*nodes, p)``."""
-    return lattice_coordinates(spec.spacings, spec.nodes)
+    """Node coordinate array t^alpha_k = k * h_alpha, shape ``(*nodes, p)``.
+
+    Built on the first call for a GridSpec and returned read-only to every
+    later call, so the potential evaluations of a solve share one array.
+    """
+    return spec._node_coordinates
 
 
 def _require_same_spec(u: Field, v: Field) -> None:

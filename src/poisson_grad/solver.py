@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import ActionValue, action, action_gradient
+from .action import ActionValue, PotentialDomainError, action, action_gradient
 from .grid import Field, GridSpec, h1_riesz_map, l2_norm, mean, split_mean
 from .grid import _reduce
 from .potential import Potential
@@ -205,6 +205,23 @@ def _canonical_trial(
     return shifted, priced, shifts, dev
 
 
+def _price_trial(
+    values: np.ndarray, spec: GridSpec, pot: Potential, periods, do_shift: bool
+) -> tuple[Field, ActionValue, np.ndarray | None, float | None] | None:
+    """Price a trial point, canonicalized when ``do_shift``; None when its
+    values overflow or F fails there, which the line search rejects like an
+    Armijo failure.  A failed gauge assertion still raises."""
+    if not np.all(np.isfinite(values)):
+        return None
+    cand = Field(spec, values)
+    try:
+        if do_shift:
+            return _canonical_trial(cand, pot, periods)
+        return cand, action(cand, pot), None, None
+    except PotentialDomainError:
+        return None
+
+
 def minimize(
     pot: Potential, init: Field, cfg: SolverConfig
 ) -> tuple[Field, RunReport]:
@@ -224,7 +241,10 @@ def minimize(
     the residual test was met (near a strictly positive minimum the action
     gap falls below float resolution around residual ~ sqrt(eps), so tight
     residual targets on such problems end here); ``max_iters`` and
-    ``line_search_failed`` are what they say.  Canonicalization runs at the
+    ``line_search_failed`` are what they say.  A trial point whose values
+    overflow or where F leaves its domain counts as an Armijo rejection; a
+    PotentialDomainError at the initial point or in the gradient at an
+    accepted point still propagates.  Canonicalization runs at the
     configured cadence whenever the potential declares periods; without
     periods there is no lattice gauge to fix and the cadence is ignored.
     """
@@ -273,13 +293,10 @@ def minimize(
         step = cfg.initial_step
         accepted = None
         while step >= _MIN_STEP:
-            cand = Field(spec, u.values + step * cand_dir)
-            if do_shift:
-                cand, a_new, shifts, gauge = _canonical_trial(cand, pot, periods)
-            else:
-                a_new, shifts, gauge = action(cand, pot), None, None
-            if a_new.total <= a_val.total + cfg.armijo_c1 * step * slope:
-                accepted = (cand, a_new, shifts, gauge)
+            trial = _price_trial(u.values + step * cand_dir, spec, pot, periods, do_shift)
+            armijo = a_val.total + cfg.armijo_c1 * step * slope
+            if trial is not None and trial[1].total <= armijo:
+                accepted = trial
                 break
             step *= cfg.backtrack_factor
         if accepted is None:

@@ -203,6 +203,19 @@ class TestFieldCsv:
         with pytest.raises(FormatError, match="malformed"):
             read_field_csv(path, GridSpec((1.0,), (4,), n=1))
 
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell, closed):
+        spec = GridSpec((1.0,), (4,), n=1)
+        path = tmp_path / "f.csv"
+        write_field_csv(path, Field.zeros(spec), closed=closed)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].split(",")[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        row = 5 if closed else 4
+        with pytest.raises(FormatError, match=f"non-finite cell in data row {row}"):
+            read_field_csv(path, spec)
+
     @pytest.mark.parametrize("text", ["t1,u1\n", "t1,u1", "\nt1,u1\n  \n\n"])
     def test_header_only_rejected_without_warning(self, tmp_path, text):
         path = tmp_path / "f.csv"
@@ -286,6 +299,33 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "error: lattice shift changed the action" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("initial_step", [1.0, 100.0])
+    def test_trial_outside_domain_backtracks(self, tmp_path, initial_step):
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [16]},
+            potential={"kind": "expr", "expr": "exp(x1^2)"},
+            init={"kind": "constant", "value": 2.0},
+            solver={"tol_residual": 1e-6, "initial_step": initial_step},
+            checks={"names": ["positivity"], "samples": 100},
+        )
+        assert main(["--quiet", "solve", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "converged"
+
+    def test_domain_error_at_start_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [16]},
+            potential={"kind": "expr", "expr": "exp(x1^2)"},
+            init={"kind": "constant", "value": 30.0},
+            checks={"names": ["positivity"], "samples": 100},
+        )
+        assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert "non-finite result (offset 0) at node (0,)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("names", [list(cli.CHECK_NAMES), ["periodicity"]])
     def test_positivity_sampled_once_per_solve(self, tmp_path, monkeypatch, names):
@@ -451,6 +491,28 @@ class TestResidualCommand:
         closed = tmp_path / "closed.csv"
         write_field_csv(closed, Field.zeros(spec), closed=True)
         assert main(["--quiet", "residual", str(closed), str(cfg)]) == 0
+
+    @pytest.mark.parametrize("wrap, code", [("5", 2), ("nan", 3)])
+    def test_closed_wrap_face_must_match(self, tmp_path, capsys, wrap, code):
+        # the zero field is a critical point of this quadratic, so only the
+        # wrap-face row decides
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "quadratic", "center": [0.0]},
+        )
+        spec = GridSpec((1.0,), (8,), n=1)
+        closed = tmp_path / "closed.csv"
+        write_field_csv(closed, Field.zeros(spec), closed=True)
+        closed.write_text(closed.read_text().replace("1,0\n", f"1,{wrap}\n"))
+        assert main(["residual", str(closed), str(cfg)]) == code
+        out = capsys.readouterr()
+        if code == 2:
+            assert "residual_l2=0.000000e+00" in out.out
+            assert "boundary axis 0: value=5.000e+00" in out.out
+        else:
+            assert "non-finite cell in data row 9" in out.err
 
 
 class TestOracleLinear:

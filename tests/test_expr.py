@@ -157,6 +157,16 @@ class TestEval:
             eval_value(ast, np.zeros((4, 0)), x)
         assert err.value.element == 2
 
+    def test_sqrt_at_zero_needs_a_zero_tangent(self):
+        t = np.zeros((4, 1))
+        x = np.array([[1.0], [4.0], [0.0], [9.0]])
+        npt.assert_array_equal(eval_value(parse("sqrt(x1)", 1, 1), t, x), [1.0, 2.0, 0.0, 3.0])
+        with pytest.raises(EvalDomainError, match="not differentiable at zero") as err:
+            eval_dual(parse("sqrt(x1) + t1", 1, 1), t, x)
+        assert err.value.element == 2
+        d = eval_dual(parse("sqrt(x1^2) + sqrt(t1)", 1, 1), t, x)
+        npt.assert_array_equal(d.partials[:, 0], [1.0, 1.0, 0.0, 1.0])
+
     def test_negative_integer_power(self):
         d = eval_dual(parse("x1^-2", 0, 1), np.zeros(0), np.array([2.0]))
         assert d.value == pytest.approx(0.25)
@@ -180,10 +190,65 @@ class TestEval:
 
     def test_value_and_dual_paths_agree(self):
         rng = np.random.default_rng(3)
-        for ast in expression_corpus(25, seed=17, p=2, n=2):
+        for ast in expression_corpus(200, seed=17, p=2, n=2):
             t = rng.uniform(0.1, 1.9, (5, 2))
             x = rng.uniform(0.1, 1.9, (5, 2))
             npt.assert_array_equal(eval_value(ast, t, x), eval_dual(ast, t, x).value)
+
+    @pytest.mark.parametrize(
+        "source, message, bad_t",
+        [
+            ("sqrt(t1 - 0.5)*x1", "sqrt of a negative value", 0.25),
+            ("x1 + 1/(t1 - 0.25)", "division by zero", 0.25),
+            ("x1 * t1^-1", "zero base with a negative exponent", 0.0),
+            ("exp(1000*(t1 - 0.95)) + x1", "non-finite result", 1.7),
+        ],
+    )
+    @pytest.mark.parametrize("evaluate", [eval_value, eval_dual])
+    def test_x_free_domain_error_reports_batch_element(self, source, message, bad_t, evaluate):
+        # t varies along the first batch axis only, x along the second, so
+        # the offending t row is the batch element (1, 0) = flat index 4
+        ast = parse(source, 1, 1)
+        t = np.array([[[0.75]], [[bad_t]], [[0.9]]])
+        x = np.linspace(1.0, 2.0, 4).reshape(1, 4, 1)
+        with pytest.raises(EvalDomainError, match=message) as err:
+            evaluate(ast, t, x)
+        assert err.value.element == 4
+
+    @pytest.mark.parametrize("source", ["2*pi", "3", "sin(t2) + t1^2", "t1 / (2 + cos(t2))"])
+    def test_x_free_expressions_fill_the_batch(self, source):
+        ast = parse(source, 2, 2)
+        t = np.array([[[0.1, 0.2]], [[0.3, 0.4]], [[0.5, 0.6]]])
+        x = np.ones((1, 4, 2))
+        value = eval_value(ast, t, x)
+        d = eval_dual(ast, t, x)
+        assert value.shape == d.value.shape == (3, 4)
+        npt.assert_array_equal(d.value, value)
+        npt.assert_array_equal(value, np.broadcast_to(value[:, :1], (3, 4)))
+        assert d.partials.shape == (3, 4, 2)
+        npt.assert_array_equal(d.partials, 0.0)
+
+    def test_x_only_partials_fill_the_batch(self):
+        d = eval_dual(parse("x1 - 2*x2", 1, 2), np.zeros((3, 1, 1)), np.ones((1, 4, 2)))
+        assert d.value.shape == (3, 4)
+        npt.assert_array_equal(d.partials, np.broadcast_to([1.0, -2.0], (3, 4, 2)))
+
+    def test_mixed_expression_matches_central_differences(self):
+        ast = parse("t1*x1 + sin(t2) - 3/x2", 2, 2)
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.1, 1.9, (6, 2))
+        x = rng.uniform(0.5, 1.9, (6, 2))
+        d = eval_dual(ast, t, x)
+        npt.assert_allclose(d.value, t[:, 0] * x[:, 0] + np.sin(t[:, 1]) - 3 / x[:, 1])
+        step = 1e-6
+        for i in range(2):
+            hi, lo = x.copy(), x.copy()
+            hi[:, i] += step
+            lo[:, i] -= step
+            fd = (eval_value(ast, t, hi) - eval_value(ast, t, lo)) / (2 * step)
+            npt.assert_allclose(d.partials[:, i], fd, rtol=1e-7)
+        npt.assert_allclose(d.partials[:, 0], t[:, 0], rtol=0, atol=0)
+        npt.assert_allclose(d.partials[:, 1], 3 / x[:, 1] ** 2, rtol=1e-15)
 
 
 class TestPretty:

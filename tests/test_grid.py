@@ -52,6 +52,19 @@ class TestGridSpec:
         assert closed[3, 17, 0] == 3 * spec.spacings[0]
         assert closed[3, 17, 1] == 17 * spec.spacings[1]
 
+    def test_node_coordinates_built_once_and_read_only(self):
+        spec = GridSpec((0.1, 2.7), (3, 17))
+        coords = node_coordinates(spec)
+        assert node_coordinates(spec) is coords
+        assert not coords.flags.writeable
+        with pytest.raises(ValueError):
+            coords[0, 0, 0] = 1.0
+        npt.assert_array_equal(coords, lattice_coordinates(spec.spacings, spec.nodes))
+        # the cache is per spec and does not enter equality or hashing
+        twin = GridSpec((0.1, 2.7), (3, 17))
+        assert twin == spec and hash(twin) == hash(spec)
+        npt.assert_array_equal(node_coordinates(twin), coords)
+
     def test_spacing_times_nodes_recovers_extent(self):
         spec = GridSpec((0.1, 2.7), (3, 17))
         for h, k, t in zip(spec.spacings, spec.nodes, spec.extents):

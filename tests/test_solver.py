@@ -22,6 +22,7 @@ from poisson_grad import (
     split_mean,
     wirtinger_constant,
 )
+from poisson_grad.action import PotentialDomainError
 from poisson_grad.solver import IterationRecord, RunReport, SolverConfig
 
 TWO_PI = 2.0 * np.pi
@@ -194,6 +195,38 @@ class TestMinimize:
         )
         assert report.status == "line_search_failed"
         npt.assert_array_equal(final.values, 1.0)
+
+    @pytest.mark.parametrize("initial_step", [1.0, 100.0])
+    def test_trial_outside_domain_is_rejected(self, initial_step):
+        # the first H1 step from u = 2 is about 218, where exp(x1^2)
+        # overflows; the line search backtracks instead of aborting
+        spec = GridSpec((1.0,), (16,), n=1)
+        pot = ExpressionPotential("exp(x1^2)", 1, 1)
+        cfg = SolverConfig(tol_residual=1e-6, initial_step=initial_step)
+        final, report = minimize(pot, Field.constant(spec, 2.0), cfg)
+        assert report.converged
+        assert report.final.index <= 25
+        assert report.iterations[1].step < 1.0
+        assert report.final.action_total == pytest.approx(1.0, abs=1e-9)
+
+    def test_domain_error_at_initial_point_raises(self):
+        spec = GridSpec((1.0,), (16,), n=1)
+        pot = ExpressionPotential("exp(x1^2)", 1, 1)
+        with pytest.raises(PotentialDomainError, match="non-finite result") as err:
+            minimize(pot, Field.constant(spec, 30.0), SolverConfig())
+        assert err.value.node_index == (0,)
+
+    def test_gradient_failure_at_accepted_point_raises(self):
+        class GradientFailsNearCenter(ShiftedQuadratic):
+            def gradient(self, t, x):
+                if np.any(np.asarray(x) < 0.5):
+                    raise ValueError("gradient undefined")
+                return super().gradient(t, x)
+
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = GradientFailsNearCenter([0.0], p=1)
+        with pytest.raises(PotentialDomainError, match="gradient undefined"):
+            minimize(pot, Field.constant(spec, 1.0), SolverConfig())
 
     def test_gauge_deviation_recorded_on_shifts(self):
         spec = GridSpec((1.0,), (16,), n=1)
