@@ -24,12 +24,12 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .action import PotentialDomainError
 from .expr import ExprError, ExpressionPotential, line_col
 from .grid import Field, GridSpec, l2_norm, lattice_coordinates, mean, solve_linear_poisson
 from .potential import (
@@ -87,22 +87,12 @@ _SECTIONS = {
         "growth",
     },
     "init": {"kind", "value", "seed", "path"},
-    "solver": {
-        "method",
-        "max_iters",
-        "tol_residual",
-        "tol_action",
-        "armijo_c1",
-        "backtrack_factor",
-        "initial_step",
-        "canonicalize_every",
-        "rng_seed",
-    },
+    "solver": {f.name for f in fields(SolverConfig)},
     "output": {"field_csv", "closed_csv", "report_json"},
     "checks": {"names", "samples", "seed", "x_radius"},
 }
 
-_GROWTH_KEYS = {"m", "g_max", "a0", "a_slope", "b_max"}
+_GROWTH_KEYS = {f.name for f in fields(GrowthEnvelope)}
 
 
 def load_config(path: str | Path) -> dict:
@@ -732,9 +722,6 @@ def main(argv=None) -> int:
         else:
             print(f"expression error: {err}", file=sys.stderr)
         return EXIT_BAD_EXPR
-    except (ConfigError, FormatError, PotentialDomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -8,11 +8,12 @@ per iteration (Neuberger's Sobolev gradient).  Its unit step is admissible
 at every grid size, where the L2 gradient's step shrinks like h^2, so the
 iteration count does not grow as the grid is refined.  The stopping test
 and the certificate stay the L2 residual |G|.  When the
-potential is spatially periodic with periods P_i, each accepted iterate is
-canonicalized: integer multiples of P_i are added per component so the
-field mean lands in the fundamental cell [0, P_i).  The shift is a gauge
-move - it cannot change the action - so descent is unaffected while the
-iterate sequence stays bounded; the solver asserts the gauge invariance
+potential is spatially periodic with periods P_i, the start and each
+accepted iterate are canonicalized: integer multiples of P_i are added per
+component so the field mean lands in the fundamental cell [0, P_i).  The
+shift is a gauge move - it cannot change the action - so descent is
+unaffected while the iterate sequence stays bounded; line-search trial
+points are priced unshifted, and the solver asserts the gauge invariance
 numerically at every shift.
 
 Every accepted iterate is recorded with the quantities needed to audit the
@@ -63,7 +64,6 @@ class SolverConfig:
     armijo_c1: float = 1e-4
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
-    canonicalize_every: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -81,8 +81,6 @@ class SolverConfig:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if not self.initial_step > 0.0:
             raise ValueError("initial_step must be positive")
-        if self.canonicalize_every < 0:
-            raise ValueError("canonicalize_every must be >= 0 (0 disables)")
 
 
 @dataclass(frozen=True)
@@ -187,39 +185,38 @@ def _record(
     )
 
 
-def _canonical_trial(
-    cand: Field, pot: Potential, periods
-) -> tuple[Field, ActionValue, np.ndarray, float | None]:
-    """Canonicalize a trial point and price it; asserts gauge invariance."""
-    shifted, shifts = canonicalize(cand, periods)
-    if not shifts.any():
-        return shifted, action(shifted, pot), shifts, None
-    raw = action(cand, pot).total
-    priced = action(shifted, pot)
-    dev = abs(priced.total - raw)
-    if dev > 1e-12 * (1.0 + abs(raw)):
-        raise RuntimeError(
-            f"lattice shift changed the action by {dev:.3e}; "
-            "potential is not periodic with the declared periods"
-        )
-    return shifted, priced, shifts, dev
-
-
 def _price_trial(
-    values: np.ndarray, spec: GridSpec, pot: Potential, periods, do_shift: bool
-) -> tuple[Field, ActionValue, np.ndarray | None, float | None] | None:
-    """Price a trial point, canonicalized when ``do_shift``; None when its
-    values overflow or F fails there, which the line search rejects like an
-    Armijo failure.  A failed gauge assertion still raises."""
+    values: np.ndarray, spec: GridSpec, pot: Potential
+) -> tuple[Field, ActionValue] | None:
+    """Price a trial point; None when its values overflow or F fails there,
+    which the line search rejects like an Armijo failure."""
     if not np.all(np.isfinite(values)):
         return None
     cand = Field(spec, values)
     try:
-        if do_shift:
-            return _canonical_trial(cand, pot, periods)
-        return cand, action(cand, pot), None, None
+        return cand, action(cand, pot)
     except PotentialDomainError:
         return None
+
+
+def _canonical(
+    u: Field, priced: ActionValue, pot: Potential, periods
+) -> tuple[Field, ActionValue, np.ndarray | None, float | None]:
+    """Canonicalize an accepted point whose action is ``priced``; a shifted
+    field is priced again and must keep that action (gauge invariance)."""
+    if periods is None:
+        return u, priced, None, None
+    shifted, shifts = canonicalize(u, periods)
+    if not shifts.any():
+        return u, priced, shifts, None
+    repriced = action(shifted, pot)
+    dev = abs(repriced.total - priced.total)
+    if dev > 1e-12 * (1.0 + abs(priced.total)):
+        raise RuntimeError(
+            f"lattice shift changed the action by {dev:.3e}; "
+            "potential is not periodic with the declared periods"
+        )
+    return shifted, repriced, shifts, dev
 
 
 def minimize(
@@ -244,21 +241,14 @@ def minimize(
     ``line_search_failed`` are what they say.  A trial point whose values
     overflow or where F leaves its domain counts as an Armijo rejection; a
     PotentialDomainError at the initial point or in the gradient at an
-    accepted point still propagates.  Canonicalization runs at the
-    configured cadence whenever the potential declares periods; without
-    periods there is no lattice gauge to fix and the cadence is ignored.
+    accepted point still propagates.  Whenever the potential declares
+    periods, the initial point and every accepted iterate are canonicalized;
+    trial points are priced as they are, without a shift.
     """
     spec = init.spec
-    canonical = cfg.canonicalize_every > 0 and pot.periods is not None
     periods = None if pot.periods is None else np.asarray(pot.periods, dtype=np.float64)
 
-    u = init
-    shifts0 = None
-    gauge0 = None
-    if canonical:
-        u, a_val, shifts0, gauge0 = _canonical_trial(init, pot, periods)
-    else:
-        a_val = action(u, pot)
+    u, a_val, shifts0, gauge0 = _canonical(init, action(init, pot), pot, periods)
     grad = action_gradient(u, pot)
     residual = l2_norm(grad)
 
@@ -289,11 +279,10 @@ def minimize(
             cand_dir = -z
             slope = -grad_z
 
-        do_shift = canonical and it % cfg.canonicalize_every == 0
         step = cfg.initial_step
         accepted = None
         while step >= _MIN_STEP:
-            trial = _price_trial(u.values + step * cand_dir, spec, pot, periods, do_shift)
+            trial = _price_trial(u.values + step * cand_dir, spec, pot)
             armijo = a_val.total + cfg.armijo_c1 * step * slope
             if trial is not None and trial[1].total <= armijo:
                 accepted = trial
@@ -303,7 +292,7 @@ def minimize(
             report.status = "line_search_failed"
             return u, report
 
-        u, a_new, shifts, gauge = accepted
+        u, a_new, shifts, gauge = _canonical(*accepted, pot, periods)
         scale = max(abs(a_val.total), abs(a_new.total))
         rel_decrease = (a_val.total - a_new.total) / scale if scale > 0.0 else 0.0
         z_prev, grad_z_prev = z, grad_z

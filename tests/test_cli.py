@@ -92,6 +92,22 @@ class TestConfigValidation:
         write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8], "spacing": 0.1})
         assert main(["solve", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"solver": {"canonicalize_every": 1}}, "solver.canonicalize_every"),
+            (
+                {"potential": {"kind": "expr", "expr": "1", "growth": {"slope": 1.0}}},
+                "potential.growth.slope",
+            ),
+        ],
+    )
+    def test_unknown_solver_or_growth_key(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **section)
+        assert main(["solve", str(cfg)]) == 3
+        assert f"error: unknown config key {key}\n" in capsys.readouterr().err
+
     def test_too_few_nodes(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [2]})

@@ -49,7 +49,6 @@ class TestSolverConfig:
             dict(armijo_c1=1.0),
             dict(backtrack_factor=0.0),
             dict(initial_step=0.0),
-            dict(canonicalize_every=-1),
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -112,8 +111,7 @@ class TestMinimize:
         spec = GridSpec((1.0, 1.0), (16, 16), n=2)
         pot = ShiftedQuadratic((1.0, 2.0), floor=1.0, p=2)
         init = random_init(spec, None, seed=3)
-        cfg = SolverConfig(method="ncg", max_iters=20000, tol_residual=1e-7,
-                           canonicalize_every=0)
+        cfg = SolverConfig(method="ncg", max_iters=20000, tol_residual=1e-7)
         final, report = minimize(pot, init, cfg)
         assert report.status in ("converged", "stalled")
         assert np.max(np.abs(final.values - np.array([1.0, 2.0]))) <= 1e-6
@@ -152,9 +150,7 @@ class TestMinimize:
     def test_immediate_convergence_at_critical_point(self):
         spec = GridSpec((1.0,), (16,), n=2)
         pot = ShiftedQuadratic((0.5, 0.5), floor=1.0, p=1)
-        final, report = minimize(
-            pot, Field.constant(spec, (0.5, 0.5)), SolverConfig(canonicalize_every=0)
-        )
+        final, report = minimize(pot, Field.constant(spec, (0.5, 0.5)), SolverConfig())
         assert report.status == "converged"
         assert len(report.iterations) == 1
         npt.assert_array_equal(final.values, 0.5)
@@ -227,6 +223,41 @@ class TestMinimize:
         pot = GradientFailsNearCenter([0.0], p=1)
         with pytest.raises(PotentialDomainError, match="gradient undefined"):
             minimize(pot, Field.constant(spec, 1.0), SolverConfig())
+
+    def test_each_trial_priced_once(self, monkeypatch):
+        # F is evaluated once for the start, once per line-search trial and
+        # once more per shifted record, for the gauge assertion
+        spec = GridSpec((1.0,), (12,), n=2)
+        pot = well_potential()
+        calls = []
+        value = pot.value
+
+        def counting_value(t, x):
+            calls.append(1)
+            return value(t, x)
+
+        monkeypatch.setattr(pot, "value", counting_value)
+        cfg = SolverConfig(tol_residual=1e-6)
+        _, report = minimize(pot, random_init(spec, pot.periods, seed=7), cfg)
+        assert report.converged
+        trials = sum(
+            1 + round(math.log(cfg.initial_step / r.step, 1.0 / cfg.backtrack_factor))
+            for r in report.iterations[1:]
+        )
+        shifted = sum(any(r.shifts) for r in report.iterations)
+        assert shifted > 0
+        assert len(calls) == 1 + trials + shifted
+
+    def test_gauge_failure_after_start_raises(self):
+        # the start 0.5 lies inside the declared cell [0, 1); the first
+        # accepted iterate, at the minimizer -0.3, has a negative mean, and
+        # its shift by +1 changes the action of this non-periodic F
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = ExpressionPotential("1 + (x1 + 0.3)^2", 1, 1, periods=[1.0])
+        init = Field.constant(spec, 0.5)
+        assert not canonicalize(init, pot.periods)[1].any()
+        with pytest.raises(RuntimeError, match="lattice shift changed the action"):
+            minimize(pot, init, SolverConfig())
 
     def test_gauge_deviation_recorded_on_shifts(self):
         spec = GridSpec((1.0,), (16,), n=1)
@@ -326,9 +357,7 @@ class TestCheckMinimizingBounds:
         spec = GridSpec((1.0,), (16,), n=1)
         pot = ShiftedQuadratic((0.7,), floor=1.0, p=1)
         init = random_init(spec, None, seed=2)
-        _, report = minimize(
-            pot, init, SolverConfig(max_iters=5000, canonicalize_every=0)
-        )
+        _, report = minimize(pot, init, SolverConfig(max_iters=5000))
         return spec, pot, report
 
     def test_quadratic_run_passes_with_floor(self):
