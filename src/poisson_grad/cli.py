@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
-import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +54,6 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_CONFIG = 3
 EXIT_BAD_EXPR = 4
-
-THREADS_ENV = "POISSON_GRAD_THREADS"
 
 CHECK_NAMES = ("periodicity", "positivity", "gradient_growth", "grad_consistency")
 
@@ -143,6 +141,16 @@ def _floats(value, path: str) -> list[float]:
         raise ConfigError(f"{path} must contain numbers: {err}") from err
 
 
+def _periods(pot: dict, spec: GridSpec, required: bool) -> list[float] | None:
+    """potential.periods as grid.n floats; None when optional and absent."""
+    if not required and pot.get("periods") is None:
+        return None
+    periods = _floats(_need(pot, "periods", "potential.periods"), "potential.periods")
+    if len(periods) != spec.n:
+        raise ConfigError(f"potential.periods must have length grid.n = {spec.n}")
+    return periods
+
+
 def build_grid(cfg: dict) -> GridSpec:
     g = cfg["grid"]
     p = int(_need(g, "p", "grid.p"))
@@ -172,17 +180,13 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
     pot = cfg["potential"]
     kind = _need(pot, "kind", "potential.kind")
     if kind == "cosine":
-        periods = _floats(_need(pot, "periods", "potential.periods"), "potential.periods")
-        if len(periods) != spec.n:
-            raise ConfigError(f"potential.periods must have length grid.n = {spec.n}")
+        periods = _periods(pot, spec, required=True)
         amplitudes = _floats(
             pot.get("amplitudes", [1.0] * spec.n), "potential.amplitudes"
         )
         if len(amplitudes) != spec.n:
             raise ConfigError(f"potential.amplitudes must have length grid.n = {spec.n}")
         axis = int(pot.get("modulation_axis", 0))
-        if not 0 <= axis < spec.p:
-            raise ConfigError(f"potential.modulation_axis out of range for p = {spec.p}")
         try:
             return CosineLattice(
                 amplitudes,
@@ -190,7 +194,9 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
                 floor=float(pot.get("floor", 0.1)),
                 modulation=float(pot.get("modulation", 0.0)),
                 mod_axis=axis,
-                mod_extent=spec.extents[axis],
+                # an axis outside 0..p-1 is CosineLattice's to reject; the
+                # modulo keeps this lookup from raising IndexError first
+                mod_extent=spec.extents[axis % spec.p],
                 p=spec.p,
             )
         except ValueError as err:
@@ -203,13 +209,10 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             quad = ShiftedQuadratic(center, floor=float(pot.get("floor", 1.0)), p=spec.p)
         except ValueError as err:
             raise ConfigError(f"invalid quadratic potential: {err}") from err
-        declared = pot.get("periods")
+        declared = _periods(pot, spec, required=False)
         if declared is not None:
             # a periodicity *claim*, not a property: the check command will
             # falsify it by sampling
-            declared = _floats(declared, "potential.periods")
-            if len(declared) != spec.n:
-                raise ConfigError(f"potential.periods must have length grid.n = {spec.n}")
             quad.periods = np.asarray(declared)
         return quad
     if kind == "linear":
@@ -222,17 +225,12 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         return LinearForcing(forcing)
     if kind == "expr":
         source = _need(pot, "expr", "potential.expr")
-        periods = pot.get("periods")
-        if periods is not None:
-            periods = _floats(periods, "potential.periods")
-            if len(periods) != spec.n:
-                raise ConfigError(f"potential.periods must have length grid.n = {spec.n}")
         growth = pot.get("growth")
         return ExpressionPotential(
             source,
             spec.p,
             spec.n,
-            periods=periods,
+            periods=_periods(pot, spec, required=False),
             positivity_claim=bool(pot.get("positive", False)),
             growth=None if growth is None else _growth_from(growth),
         )
@@ -278,27 +276,20 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
 
 def build_sampler(cfg: dict, spec: GridSpec) -> SampleSpec:
     checks = cfg.get("checks", {})
-    return SampleSpec(
-        count=int(checks.get("samples", 1000)),
-        seed=int(checks.get("seed", 0)),
-        t_extents=spec.extents,
-        x_radius=float(checks.get("x_radius", 8.0)),
-    )
-
-
-def threads_cap() -> int | None:
-    """Validated POISSON_GRAD_THREADS value; evaluation itself is a single
-    vectorized process, so any cap >= 1 is trivially honored."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
+    samples = checks.get("samples", 1000)
+    x_radius = checks.get("x_radius", 8.0)
     try:
-        cap = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from err
-    if cap < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
+        return SampleSpec(
+            count=int(samples),
+            seed=int(checks.get("seed", 0)),
+            t_extents=spec.extents,
+            x_radius=float(x_radius),
+        )
+    except (TypeError, ValueError) as err:
+        raise ConfigError(
+            f"invalid sampling plan checks.samples = {samples!r}, "
+            f"checks.x_radius = {x_radius!r}: {err}"
+        ) from err
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +396,6 @@ def _finite_or_none(x: float | None) -> float | None:
     return float(x)
 
 
-def _check_dict(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "passed": report.passed,
-        "samples": report.samples,
-        "worst": _finite_or_none(report.worst),
-        "threshold": report.threshold,
-        "detail": report.detail,
-    }
-
-
 def _audit_dict(audit) -> dict:
     def one(result):
         return {
@@ -433,33 +413,15 @@ def _audit_dict(audit) -> dict:
     }
 
 
-def _certificate_dict(cert) -> dict:
-    out = {
-        "residual_l2": cert.residual_l2,
-        "residual_linf": cert.residual_linf,
-        "residual_tol": cert.residual_tol,
-        "residual_ok": cert.residual_ok,
-        "wirtinger": {
-            "lhs": cert.wirtinger.lhs,
-            "rhs": cert.wirtinger.rhs,
-            "constant": cert.wirtinger.constant,
-            "passed": cert.wirtinger.passed,
-        },
-    }
-    if cert.boundary is not None:
-        out["boundary"] = {
-            "threshold": cert.boundary.threshold,
-            "passed": cert.boundary.passed,
-            "axes": [
-                {
-                    "axis": ax.axis,
-                    "value_mismatch": ax.value_mismatch,
-                    "quotient_mismatch": ax.quotient_mismatch,
-                }
-                for ax in cert.boundary.axes
-            ],
-        }
-    return out
+# the keys of the last iteration record that the report's ``final`` repeats
+_FINAL_KEYS = (
+    "action_total",
+    "action_kinetic",
+    "action_potential",
+    "residual_l2",
+    "mean",
+    "tilde_norm",
+)
 
 
 def write_report(path: str | Path, payload: dict) -> None:
@@ -478,7 +440,8 @@ def _say(args, message: str) -> None:
 def run_checks(
     pot: Potential, sampler: SampleSpec, names
 ) -> tuple[list[CheckReport], list[str]]:
-    """Run the requested hypothesis checks; unrunnable ones become notes."""
+    """Run the requested hypothesis checks, named from CHECK_NAMES;
+    unrunnable ones become notes."""
     reports: list[CheckReport] = []
     notes: list[str] = []
     for name in names:
@@ -496,8 +459,6 @@ def run_checks(
             reports.append(check_gradient_growth(pot, pot.growth, sampler))
         elif name == "grad_consistency":
             reports.append(check_grad_consistency(pot, sampler))
-        else:
-            raise ConfigError(f"unknown check name {name!r}")
     return reports, notes
 
 
@@ -513,7 +474,6 @@ def _requested_checks(cfg: dict):
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    threads = threads_cap()
     spec = build_grid(cfg)
     pot = build_potential(cfg, spec)
     sampler = build_sampler(cfg, spec)
@@ -558,28 +518,24 @@ def cmd_solve(args) -> int:
         write_field_csv(closed_path, final, closed=True)
         _say(args, f"wrote closed field to {closed_path}")
 
+    # solve certifies the open field, which has no wrap faces to match
+    certificate = asdict(cert)
+    del certificate["boundary"]
+    iterations = [r.to_dict() for r in report.iterations]
     payload = {
-        "schema": "poisson-grad-report-v1",
+        "schema": "poisson-grad-report-v2",
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": "solve",
         "config": cfg,
         "seed": args.seed,
-        "threads": threads,
-        "checks": [_check_dict(c) for c in checks],
+        "checks": [{**asdict(c), "worst": _finite_or_none(c.worst)} for c in checks],
         "check_notes": notes,
         "status": report.status,
-        "iterations": [r.to_dict() for r in report.iterations],
-        "final": {
-            "action_total": report.final.action_total,
-            "action_kinetic": report.final.action_kinetic,
-            "action_potential": report.final.action_potential,
-            "residual_l2": report.final.residual_l2,
-            "mean": list(report.final.mean),
-            "tilde_norm": report.final.tilde_norm,
-        },
+        "iterations": iterations,
+        "final": {key: iterations[-1][key] for key in _FINAL_KEYS},
         "bound_audit": _audit_dict(audit),
-        "certificate": _certificate_dict(cert),
+        "certificate": certificate,
         "assumptions": {
             "potential_term_weak_lower_semicontinuity": (
                 "assumed; has no finite-grid test"
@@ -670,6 +626,7 @@ def cmd_oracle_linear(args) -> int:
 # ---------------------------------------------------------------------------
 # entry points
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poisson-grad",

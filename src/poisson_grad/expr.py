@@ -17,6 +17,7 @@ error pointing at the offending AST node.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+
+# ASCII digits only: str.isdigit also accepts superscripts and other
+# scripts' digits, which float() and int() then reject or silently convert
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_VARIABLE = re.compile(r"[tx][1-9][0-9]*")
 
 
 class ExprError(ValueError):
@@ -86,27 +92,13 @@ def tokenize(source: str) -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
-            j = i + 1
-            while j < size and source[j].isdigit():
-                j += 1
-            if j < size and source[j] == "." and j + 1 < size and source[j + 1].isdigit():
-                j += 1
-                while j < size and source[j].isdigit():
-                    j += 1
-            if j < size and source[j] in "eE":
-                k = j + 1
-                if k < size and source[k] in "+-":
-                    k += 1
-                if k < size and source[k].isdigit():
-                    j = k + 1
-                    while j < size and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+        number = _NUMBER.match(source, i)
+        if number:
+            text = number.group()
             if not math.isfinite(float(text)):
                 raise ExprError(f"number literal {text!r} overflows", i)
             tokens.append(Token("number", text, i))
-            i = j
+            i = number.end()
             continue
         if c.isalpha() or c == "_":
             j = i + 1
@@ -245,7 +237,7 @@ class _Parser:
                 raise ExprError(f"{name} takes a single argument", self.cur.pos)
             self.expect("rparen", "')'")
             return Call(name, arg, pos=tok.pos)
-        if len(name) >= 2 and name[0] in "tx" and name[1] != "0" and name[1:].isdigit():
+        if _VARIABLE.fullmatch(name):
             index = int(name[1:])
             bound = self.p if name[0] == "t" else self.n
             if index > bound:

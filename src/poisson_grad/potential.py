@@ -70,6 +70,12 @@ class SampleSpec:
     t_extents: tuple[float, ...] = (1.0,)
     x_radius: float = 8.0
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.x_radius) and self.x_radius > 0.0):
+            raise ValueError(f"x_radius must be finite and positive, got {self.x_radius}")
+
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
         t = rng.uniform(0.0, 1.0, size=(self.count, len(self.t_extents)))

@@ -27,11 +27,11 @@ against any report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .action import ActionValue, PotentialDomainError, action, action_gradient
+from .action import ActionValue, action, action_gradient
 from .grid import Field, GridSpec, h1_riesz_map, l2_norm, mean, split_mean
 from .grid import _reduce
 from .potential import Potential
@@ -98,19 +98,10 @@ class IterationRecord:
     gauge_dev: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "iter": self.index,
-            "action_total": self.action_total,
-            "action_kinetic": self.action_kinetic,
-            "action_potential": self.action_potential,
-            "residual_l2": self.residual_l2,
-            "du_norm_sq": self.du_norm_sq,
-            "mean": list(self.mean),
-            "tilde_norm": self.tilde_norm,
-            "step": self.step,
-            "shifts": None if self.shifts is None else list(self.shifts),
-            "gauge_dev": self.gauge_dev,
-        }
+        """The fields by name, shallow, with ``index`` keyed as ``iter``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["iter"] = out.pop("index")
+        return out
 
 
 @dataclass
@@ -188,14 +179,13 @@ def _record(
 def _price_trial(
     values: np.ndarray, spec: GridSpec, pot: Potential
 ) -> tuple[Field, ActionValue] | None:
-    """Price a trial point; None when its values overflow or F fails there,
-    which the line search rejects like an Armijo failure."""
-    if not np.all(np.isfinite(values)):
-        return None
-    cand = Field(spec, values)
+    """Price a trial point; None when its values or their differences
+    overflow or F fails there, which the line search rejects like an Armijo
+    failure."""
     try:
+        cand = Field(spec, values)
         return cand, action(cand, pot)
-    except PotentialDomainError:
+    except ValueError:
         return None
 
 
@@ -238,12 +228,12 @@ def minimize(
     the residual test was met (near a strictly positive minimum the action
     gap falls below float resolution around residual ~ sqrt(eps), so tight
     residual targets on such problems end here); ``max_iters`` and
-    ``line_search_failed`` are what they say.  A trial point whose values
-    overflow or where F leaves its domain counts as an Armijo rejection; a
-    PotentialDomainError at the initial point or in the gradient at an
-    accepted point still propagates.  Whenever the potential declares
-    periods, the initial point and every accepted iterate are canonicalized;
-    trial points are priced as they are, without a shift.
+    ``line_search_failed`` are what they say.  A trial point whose values or
+    differences overflow or where F leaves its domain counts as an Armijo
+    rejection; a PotentialDomainError at the initial point or in the
+    gradient at an accepted point still propagates.  Whenever the potential
+    declares periods, the initial point and every accepted iterate are
+    canonicalized; trial points are priced as they are, without a shift.
     """
     spec = init.spec
     periods = None if pot.periods is None else np.asarray(pot.periods, dtype=np.float64)

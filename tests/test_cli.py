@@ -135,6 +135,41 @@ class TestConfigValidation:
         write_config(cfg, checks={"names": ["positivity", "convexity"]})
         assert main(["solve", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "source, column", [("1 + x1²", 5), ("2²", 2), ("٣*x1", 1), ("x١", 1)]
+    )
+    def test_non_ascii_digits_are_expression_errors(self, tmp_path, capsys, source, column):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={"kind": "expr", "expr": source})
+        assert main(["solve", str(cfg)]) == 4
+        assert f"expression error at line 1, column {column}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "checks, key",
+        [
+            ({"x_radius": math.nan}, "checks.x_radius = nan"),
+            ({"x_radius": 0.0}, "checks.x_radius = 0.0"),
+            ({"samples": 0}, "checks.samples = 0"),
+            ({"samples": -5}, "checks.samples = -5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_invalid_sampling_plan_exits_3(self, tmp_path, capsys, checks, key, command):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, checks=checks)
+        assert main(["--quiet", command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid sampling plan") and key in err
+
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_modulation_axis_out_of_range(self, tmp_path, capsys, axis):
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg)
+        body["potential"].update(modulation=0.5, modulation_axis=axis)
+        cfg.write_text(json.dumps(body))
+        assert main(["--quiet", "check", str(cfg)]) == 3
+        assert f"mod_axis {axis} out of range for p=2" in capsys.readouterr().err
+
 
 class TestFieldCsv:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -330,6 +365,23 @@ class TestSolveCommand:
         assert main(["--quiet", "solve", str(cfg)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "converged"
+
+    def test_trial_with_overflowing_differences_rejected(self, tmp_path):
+        # the first trial's values are finite, but their differences
+        # overflow; the line search backtracks instead of aborting
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            init={"kind": "random", "seed": 5},
+            solver={"initial_step": 1e308, "max_iters": 1},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["--quiet", "solve", str(cfg)]) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "max_iters"
+        assert 0.0 < report["final"]["action_total"] < report["iterations"][0]["action_total"]
 
     def test_domain_error_at_start_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -557,17 +609,57 @@ class TestOracleLinear:
         assert main(["--quiet", "oracle-linear", str(rhs_path), str(cfg)]) == 3
 
 
-class TestThreadsEnv:
-    def test_invalid_cap_rejected(self, tmp_path, monkeypatch):
+class TestReportSchema:
+    def test_solve_report_key_sets(self, tmp_path):
+        # a quadratic declares no periods, so the mean-in-cell audit reports
+        # a non-finite margin as null; half steps stop the run at max_iters
         cfg = tmp_path / "c.json"
-        write_config(cfg)
-        monkeypatch.setenv("POISSON_GRAD_THREADS", "zero")
-        assert main(["--quiet", "solve", str(cfg)]) == 3
-
-    def test_valid_cap_recorded(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "c.json"
-        write_config(cfg)
-        monkeypatch.setenv("POISSON_GRAD_THREADS", "2")
-        assert main(["--quiet", "solve", str(cfg)]) == 0
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 2, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "quadratic", "center": [1.0, -1.0]},
+            init={"kind": "random", "seed": 3},
+            solver={"method": "gd", "initial_step": 0.5, "max_iters": 2},
+        )
+        assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["threads"] == 2
+        assert report["schema"] == "poisson-grad-report-v2"
+        assert set(report) == {
+            "schema", "version", "timestamp", "command", "config", "seed",
+            "checks", "check_notes", "status", "iterations", "final",
+            "bound_audit", "certificate", "assumptions",
+        }
+        assert set(report["iterations"][0]) == {
+            "iter", "action_total", "action_kinetic", "action_potential",
+            "residual_l2", "du_norm_sq", "mean", "tilde_norm", "step",
+            "shifts", "gauge_dev",
+        }
+        last = report["iterations"][-1]
+        assert last["iter"] == 2
+        assert report["final"] == {
+            key: last[key]
+            for key in (
+                "action_total", "action_kinetic", "action_potential",
+                "residual_l2", "mean", "tilde_norm",
+            )
+        }
+        assert set(report["checks"][0]) == {
+            "name", "passed", "samples", "worst", "threshold", "detail",
+        }
+        assert set(report["bound_audit"]) == {
+            "energy_descent", "wirtinger", "mean_in_cell", "f_floor", "all_passed",
+        }
+        assert set(report["bound_audit"]["mean_in_cell"]) == {
+            "passed", "worst_margin", "note",
+        }
+        assert report["bound_audit"]["mean_in_cell"]["worst_margin"] is None
+        assert set(report["certificate"]) == {
+            "residual_l2", "residual_linf", "residual_tol", "residual_ok", "wirtinger",
+        }
+        assert set(report["certificate"]["wirtinger"]) == {
+            "lhs", "rhs", "constant", "passed",
+        }
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()

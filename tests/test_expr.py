@@ -97,6 +97,12 @@ class TestParse:
             ("", 0),
             ("sin 3", 4),
             ("sin(1, 2)", 5),
+            # digits are ASCII only: float() and int() reject a superscript,
+            # and would read the Arabic-Indic digits as 3 and 1
+            ("1 + x1²", 4),
+            ("2²", 1),
+            ("٣*x1", 0),
+            ("x١", 0),
         ],
     )
     def test_syntax_errors_are_positioned(self, source, pos):

@@ -215,3 +215,11 @@ class TestSampleSpec:
         assert t1.shape == (17, 2) and x1.shape == (17, 4)
         assert np.all(t1[:, 0] < 1.0) and np.all(t1[:, 1] < 2.0)
         assert np.all(np.abs(x1) <= 3.0)
+
+    @pytest.mark.parametrize(
+        "kw", [{"count": 0}, {"count": -3}, {"x_radius": 0.0}, {"x_radius": -1.0},
+               {"x_radius": np.nan}, {"x_radius": np.inf}]
+    )
+    def test_invalid_plan_rejected(self, kw):
+        with pytest.raises(ValueError):
+            SampleSpec(**kw)

@@ -205,6 +205,17 @@ class TestMinimize:
         assert report.iterations[1].step < 1.0
         assert report.final.action_total == pytest.approx(1.0, abs=1e-9)
 
+    def test_trial_with_overflowing_differences_is_rejected(self):
+        # the first trial's values are finite but their forward differences
+        # overflow, which the Field of differences refuses
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = CosineLattice([1.0], [TWO_PI], floor=0.1, p=1)
+        cfg = SolverConfig(initial_step=1e308, max_iters=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, report = minimize(pot, random_init(spec, pot.periods, seed=5), cfg)
+        assert report.status == "max_iters"
+        assert report.final.action_total < report.initial_action
+
     def test_domain_error_at_initial_point_raises(self):
         spec = GridSpec((1.0,), (16,), n=1)
         pot = ExpressionPotential("exp(x1^2)", 1, 1)
