@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
-import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -132,13 +132,25 @@ def _need(section: dict, key: str, path: str):
     return section[key]
 
 
+def _number(value, path: str, integral: bool = False) -> float | int:
+    """A JSON number as float, or as int for an ``integral`` key (``8.0``
+    reads as 8); anything else raises ConfigError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {json.dumps(value)}")
+    if not integral:
+        try:
+            return float(value)
+        except OverflowError as err:
+            raise ConfigError(f"{path} is out of range: {err}") from err
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _floats(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path} must be a non-empty array of numbers")
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path} must contain numbers: {err}") from err
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _periods(pot: dict, spec: GridSpec, required: bool) -> list[float] | None:
@@ -153,8 +165,8 @@ def _periods(pot: dict, spec: GridSpec, required: bool) -> list[float] | None:
 
 def build_grid(cfg: dict) -> GridSpec:
     g = cfg["grid"]
-    p = int(_need(g, "p", "grid.p"))
-    n = int(_need(g, "n", "grid.n"))
+    p = _number(_need(g, "p", "grid.p"), "grid.p", integral=True)
+    n = _number(_need(g, "n", "grid.n"), "grid.n", integral=True)
     extents = _floats(_need(g, "extents", "grid.extents"), "grid.extents")
     nodes = _need(g, "nodes", "grid.nodes")
     if not isinstance(nodes, (list, tuple)):
@@ -163,15 +175,19 @@ def build_grid(cfg: dict) -> GridSpec:
         raise ConfigError(
             f"grid.extents and grid.nodes must have length grid.p = {p}"
         )
+    nodes = tuple(
+        _number(k, f"grid.nodes[{a}]", integral=True) for a, k in enumerate(nodes)
+    )
     try:
-        return GridSpec(tuple(extents), tuple(int(k) for k in nodes), n=n)
+        return GridSpec(tuple(extents), nodes, n=n)
     except ValueError as err:
         raise ConfigError(f"invalid grid: {err}") from err
 
 
 def _growth_from(cfg_growth: dict) -> GrowthEnvelope:
+    bounds = {k: _number(v, f"potential.growth.{k}") for k, v in cfg_growth.items()}
     try:
-        return GrowthEnvelope(**{k: float(v) for k, v in cfg_growth.items()})
+        return GrowthEnvelope(**bounds)
     except ValueError as err:
         raise ConfigError(f"invalid potential.growth: {err}") from err
 
@@ -186,13 +202,17 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         )
         if len(amplitudes) != spec.n:
             raise ConfigError(f"potential.amplitudes must have length grid.n = {spec.n}")
-        axis = int(pot.get("modulation_axis", 0))
+        axis = _number(
+            pot.get("modulation_axis", 0), "potential.modulation_axis", integral=True
+        )
+        floor = _number(pot.get("floor", 0.1), "potential.floor")
+        modulation = _number(pot.get("modulation", 0.0), "potential.modulation")
         try:
             return CosineLattice(
                 amplitudes,
                 periods,
-                floor=float(pot.get("floor", 0.1)),
-                modulation=float(pot.get("modulation", 0.0)),
+                floor=floor,
+                modulation=modulation,
                 mod_axis=axis,
                 # an axis outside 0..p-1 is CosineLattice's to reject; the
                 # modulo keeps this lookup from raising IndexError first
@@ -205,8 +225,9 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         center = _floats(_need(pot, "center", "potential.center"), "potential.center")
         if len(center) != spec.n:
             raise ConfigError(f"potential.center must have length grid.n = {spec.n}")
+        floor = _number(pot.get("floor", 1.0), "potential.floor")
         try:
-            quad = ShiftedQuadratic(center, floor=float(pot.get("floor", 1.0)), p=spec.p)
+            quad = ShiftedQuadratic(center, floor=floor, p=spec.p)
         except ValueError as err:
             raise ConfigError(f"invalid quadratic potential: {err}") from err
         declared = _periods(pot, spec, required=False)
@@ -241,6 +262,8 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
 
 def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:
     s = dict(cfg.get("solver", {}))
+    if "max_iters" in s:
+        s["max_iters"] = _number(s["max_iters"], "solver.max_iters", integral=True)
     if seed_override is not None:
         s["rng_seed"] = seed_override
     try:
@@ -259,9 +282,14 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
             raise ConfigError(f"init.value must be a scalar or length {spec.n}")
         return Field.constant(spec, vec if vec.size == spec.n else vec[0])
     if kind == "random":
-        seed = int(init.get("seed", cfg.get("solver", {}).get("rng_seed", 0)))
         if seed_override is not None:
             seed = seed_override
+        elif "seed" in init:
+            seed = _number(init["seed"], "init.seed", integral=True)
+        else:
+            seed = _number(
+                cfg.get("solver", {}).get("rng_seed", 0), "solver.rng_seed", integral=True
+            )
         return random_init(spec, periods=pot.periods, seed=seed)
     if kind == "csv":
         path = _need(init, "path", "init.path")
@@ -276,16 +304,14 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
 
 def build_sampler(cfg: dict, spec: GridSpec) -> SampleSpec:
     checks = cfg.get("checks", {})
-    samples = checks.get("samples", 1000)
-    x_radius = checks.get("x_radius", 8.0)
+    samples = _number(checks.get("samples", 1000), "checks.samples", integral=True)
+    x_radius = _number(checks.get("x_radius", 8.0), "checks.x_radius")
+    seed = _number(checks.get("seed", 0), "checks.seed", integral=True)
     try:
         return SampleSpec(
-            count=int(samples),
-            seed=int(checks.get("seed", 0)),
-            t_extents=spec.extents,
-            x_radius=float(x_radius),
+            count=samples, seed=seed, t_extents=spec.extents, x_radius=x_radius
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(
             f"invalid sampling plan checks.samples = {samples!r}, "
             f"checks.x_radius = {x_radius!r}: {err}"
@@ -301,24 +327,29 @@ def _header(spec: GridSpec) -> str:
     )
 
 
+# rows the field CSV writer formats per `%`; it bounds the text held at
+# once, so the writer's memory follows the field, not the file
+_BLOCK_ROWS = 4096
+
+
 def write_field_csv(path: str | Path, field: Field, closed: bool = False) -> None:
     """Write a field as CSV; 17 significant digits round-trip float64 exactly.
 
-    The node coordinates and values form one ``(rows, p + n)`` table that a
-    single ``%`` over a whole-file template formats.
+    The node coordinates and values form one ``(rows, p + n)`` table, written
+    in blocks of ``_BLOCK_ROWS`` rows that one ``%`` each formats.
     """
     spec = field.spec
     values = field.closed_values() if closed else field.values
     shape = values.shape[:-1]
-    table = np.concatenate([lattice_coordinates(spec.spacings, shape), values], axis=-1)
+    table = np.concatenate(
+        [lattice_coordinates(spec.spacings, shape), values], axis=-1
+    ).reshape(-1, spec.p + spec.n)
     row = ",".join(["%.17g"] * (spec.p + spec.n)) + "\n"
-    template = _header(spec) + "\n" + row * math.prod(shape)
-    Path(path).write_text(template % tuple(table.ravel().tolist()))
-
-
-# whitespace-only lines, which numpy's parser would read as one-cell rows;
-# anchoring on the newline keeps the scan a literal search
-_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|$)")
+    with open(path, "w") as fh:
+        fh.write(_header(spec) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray, bool]:
@@ -332,27 +363,31 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     plain decimal or exponent floats.
     """
     try:
-        text = Path(path).read_text()
+        fh = open(path)
     except OSError as err:
         raise FormatError(f"cannot read field CSV {path}: {err}") from err
-    lines = _BLANK_LINE.sub("", text).lstrip().splitlines()
-    if not lines or lines[0].strip() != _header(spec):
-        raise FormatError(
-            f"field CSV {path} must start with header {_header(spec)!r}"
-        )
-    rows = lines[1:]
-    if not any(rows):
-        raise FormatError(f"field CSV {path} has no data rows")
-    try:
-        data = np.loadtxt(
-            rows,
-            dtype=np.float64,
-            delimiter=",",
-            comments=None,
-            ndmin=2,
-        )
-    except ValueError as err:
-        raise FormatError(f"field CSV {path} has a malformed row: {err}") from err
+    with fh:
+        # whitespace-only lines, which numpy's parser would read as one-cell
+        # rows, are dropped as the lines stream past
+        lines = itertools.filterfalse(str.isspace, fh)
+        if next(lines, "").strip() != _header(spec):
+            raise FormatError(
+                f"field CSV {path} must start with header {_header(spec)!r}"
+            )
+        # a header-only file must fail here: loadtxt would warn on no rows
+        first = next(lines, None)
+        if first is None:
+            raise FormatError(f"field CSV {path} has no data rows")
+        try:
+            data = np.loadtxt(
+                itertools.chain([first], lines),
+                dtype=np.float64,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            )
+        except ValueError as err:
+            raise FormatError(f"field CSV {path} has a malformed row: {err}") from err
     if data.shape[1] != spec.p + spec.n:
         raise FormatError(
             f"field CSV {path} must have {spec.p + spec.n} columns"

@@ -27,6 +27,7 @@ against any report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -69,6 +70,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in ("gd", "ncg"):
             raise ValueError(f"method must be 'gd' or 'ncg', got {self.method!r}")
+        integral = isinstance(self.max_iters, numbers.Integral)
+        if not integral or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol_residual > 0.0:
@@ -271,13 +275,16 @@ def minimize(
 
         step = cfg.initial_step
         accepted = None
-        while step >= _MIN_STEP:
-            trial = _price_trial(u.values + step * cand_dir, spec, pot)
-            armijo = a_val.total + cfg.armijo_c1 * step * slope
-            if trial is not None and trial[1].total <= armijo:
-                accepted = trial
-                break
-            step *= cfg.backtrack_factor
+        # a trial that overflows or leaves F's domain is rejected below, so
+        # numpy's warnings about it would only report a rejection
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while step >= _MIN_STEP:
+                trial = _price_trial(u.values + step * cand_dir, spec, pot)
+                armijo = a_val.total + cfg.armijo_c1 * step * slope
+                if trial is not None and trial[1].total <= armijo:
+                    accepted = trial
+                    break
+                step *= cfg.backtrack_factor
         if accepted is None:
             report.status = "line_search_failed"
             return u, report

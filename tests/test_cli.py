@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,6 +171,44 @@ class TestConfigValidation:
         assert main(["--quiet", "check", str(cfg)]) == 3
         assert f"mod_axis {axis} out of range for p=2" in capsys.readouterr().err
 
+    GRID_1D = {"p": 1, "n": 1, "extents": [1.0], "nodes": [16]}
+
+    @pytest.mark.parametrize(
+        "section, update, message, command",
+        [
+            ("grid", {"p": None}, "grid.p must be a number, got null", "check"),
+            ("grid", {"n": None}, "grid.n must be a number, got null", "check"),
+            ("grid", {"nodes": [None]}, "grid.nodes[0] must be a number, got null", "check"),
+            ("grid", {"nodes": [8.5]}, "grid.nodes[0] must be an integer, got 8.5", "check"),
+            ("grid", {"p": 1.7}, "grid.p must be an integer, got 1.7", "check"),
+            (
+                "potential",
+                {"modulation_axis": None},
+                "potential.modulation_axis must be a number, got null",
+                "check",
+            ),
+            ("potential", {"floor": None}, "potential.floor must be a number, got null", "check"),
+            (
+                "potential",
+                {"floor": 10**400},
+                "potential.floor is out of range: int too large to convert to float",
+                "check",
+            ),
+            ("checks", {"seed": None}, "checks.seed must be a number, got null", "check"),
+            ("init", {"kind": "random", "seed": None}, "init.seed must be a number, got null", "solve"),
+            ("solver", {"max_iters": 10.5}, "solver.max_iters must be an integer, got 10.5", "solve"),
+        ],
+    )
+    def test_mistyped_number_exits_3_naming_key(
+        self, tmp_path, capsys, section, update, message, command
+    ):
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body[section].update(update)
+        cfg.write_text(json.dumps(body))
+        assert main(["--quiet", command, str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestFieldCsv:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -286,6 +325,55 @@ class TestFieldCsv:
         assert not closed
         npt.assert_array_equal(field.values[:, 0], [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize(
+        "extents, nodes, n",
+        [((1.0,), (13,), 2), ((1.0, 1.3), (3, 5), 2), ((0.7, 3.0, TWO_PI), (3, 3, 4), 1)],
+    )
+    def test_blocks_match_per_node_reference(
+        self, tmp_path, monkeypatch, extents, nodes, n, closed
+    ):
+        # every block size from 1 to rows + 1, so the row count is k*B - 1,
+        # k*B and k*B + 1 for some block size B and each k that fits
+        spec = GridSpec(extents, nodes, n=n)
+        values = np.random.default_rng(len(nodes)).standard_normal(spec.shape)
+        values.reshape(-1)[: len(GOLDEN_VALUES)] = GOLDEN_VALUES
+        field = Field(spec, values)
+        table = field.closed_values() if closed else field.values
+        expected = reference_csv(spec, table).encode()
+        rows = math.prod(table.shape[:-1])
+        path = tmp_path / "f.csv"
+        for block in range(1, rows + 2):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+            write_field_csv(path, field, closed=closed)
+            assert path.read_bytes() == expected, block
+            back, was_closed = read_field_csv(path, spec)
+            assert was_closed == closed
+            npt.assert_array_equal(back if closed else back.values, table)
+
+    def test_io_memory_follows_field_size(self, tmp_path):
+        # a whole-file text costs about 16x the field's bytes in each
+        # direction; the block writer stays near 3x, the streamed reader
+        # near 5x (the parsed table alone is 2x)
+        spec = GridSpec((1.0, 1.0), (256, 256), n=2)
+        field = gaussian_field(spec, np.random.default_rng(2))
+        path = tmp_path / "f.csv"
+        bound = 8 * field.values.nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            write_field_csv(path, field)
+            written = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            back, _ = read_field_csv(path, spec)
+            read = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(back.values, field.values)
+        assert written <= bound and read <= bound, (written, read, bound)
+
 
 class TestSolveCommand:
     def test_pendulum_end_to_end(self, tmp_path):
@@ -368,7 +456,8 @@ class TestSolveCommand:
 
     def test_trial_with_overflowing_differences_rejected(self, tmp_path):
         # the first trial's values are finite, but their differences
-        # overflow; the line search backtracks instead of aborting
+        # overflow; the line search backtracks instead of aborting, and
+        # numpy does not warn about the points it rejects
         cfg = tmp_path / "c.json"
         write_config(
             cfg,
@@ -377,7 +466,7 @@ class TestSolveCommand:
             solver={"initial_step": 1e308, "max_iters": 1},
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "max_iters"

@@ -49,6 +49,7 @@ class TestSolverConfig:
             dict(armijo_c1=1.0),
             dict(backtrack_factor=0.0),
             dict(initial_step=0.0),
+            dict(max_iters=10.5),
         ],
     )
     def test_invalid_rejected(self, kw):
