@@ -5,18 +5,21 @@ variables t1..tp, x1..xn, the constant pi, the operators + - * / ^ and the
 functions sin, cos, exp, sqrt.  Precedence, tightest first: ^ (right
 associative), unary minus, * /, + - (left associative).
 
-One tree walker evaluates F alone or, forward-mode on dual numbers whose
-payloads are numpy arrays, F and the exact gradient grad_x F in the same
-pass over a grid batch.  Only x-derivatives are propagated; t enters as a
-constant for each evaluation, and tangents that are structurally zero
-(constants, t-only subtrees) are skipped.  Every failure mode is a positioned
-ExprError: lexical, syntactic, unknown identifier, or a numeric domain
-error pointing at the offending AST node.
+Each AST compiles once into two straight-line programs over numpy arrays:
+one evaluates F, the other F and, forward-mode, the exact gradient grad_x F,
+both over a whole grid batch.  Only x-derivatives are propagated, one
+component at a time; t enters as a constant for each evaluation, and
+tangent components that are structurally zero (constants, t-only subtrees,
+components a subtree does not depend on) cost nothing.  Every failure mode
+is a positioned ExprError: lexical, syntactic, unknown identifier, or a
+numeric domain error pointing at the offending AST node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -36,6 +39,7 @@ __all__ = [
     "Call",
     "parse",
     "Dual",
+    "Program",
     "eval_dual",
     "eval_value",
     "pretty",
@@ -273,173 +277,352 @@ class Dual:
         self.partials = partials
 
 
-def _scale(tangent, slope):
-    """Tangent times a value-shaped slope; None (structurally zero) stays None."""
-    return None if tangent is None else tangent * np.asarray(slope)[..., np.newaxis]
+# ---------------------------------------------------------------------------
+# compilation
+#
+# An AST compiles once into a straight-line program: a list of steps, each
+# one numpy operation (or one domain check) on earlier registers.  Registers
+# 0 and 1 hold t and x; each later register holds a folded constant or the
+# result of one step.  The value+gradient program also carries each node's
+# tangent, one register per x-component, or None when that component is
+# structurally zero and so costs nothing.  Every value and tangent is
+# computed by the same numpy operations, in the same order, as a recursive
+# evaluation of the tree would; identical steps are emitted once, a step on
+# constants only is folded, and the exact identities 1 * s = s and
+# -(-a) = a save a step.
+
+_T, _X = 0, 1  # registers of t and x
+_ONE = np.float64(1.0)  # seed tangent of x_i
 
 
-def _sum(da, db, subtract: bool = False):
-    """da + db, or da - db, where None is a structurally zero tangent."""
-    if db is None:
-        return da
-    if da is None:
-        return -db if subtract else db
-    return da - db if subtract else da + db
+class _Domain(Exception):
+    """A failed domain check; the root turns it into a located EvalDomainError."""
+
+    def __init__(self, bad, message: str, pos: int):
+        super().__init__(message)
+        self.bad = bad
+        self.message = message
+        self.pos = pos
+
+    def located(self, t: np.ndarray, x: np.ndarray) -> EvalDomainError:
+        batch = np.broadcast_shapes(t.shape[:-1], x.shape[:-1])
+        element = int(np.flatnonzero(np.broadcast_to(self.bad, batch))[0])
+        return EvalDomainError(self.message, self.pos, element)
 
 
-class _Evaluator:
-    """One tree walker for F and, with partials, grad_x F.
+def _any(mask) -> bool:
+    return mask if mask is True or mask is False else bool(mask.any())
 
-    A node evaluates to a pair (value, tangent).  Values keep the shape of
-    what they depend on: a constant is a float, t_i is t[..., i] and x_i is
-    x[..., i], so constant and t-only subtrees never reach the batch shape.
-    A tangent is None when it is structurally zero (always, without
-    partials), else an array broadcastable to (*value.shape, n).  A domain
-    error broadcasts its mask to the batch, to report the flat index of the
-    first offending batch element.
-    """
 
-    def __init__(self, t: np.ndarray, x: np.ndarray, with_partials: bool):
-        self.t = np.asarray(t, dtype=np.float64)
-        self.x = np.asarray(x, dtype=np.float64)
-        self.batch = np.broadcast_shapes(self.t.shape[:-1], self.x.shape[:-1])
-        self.eye = np.eye(self.x.shape[-1]) if with_partials else None
+def _check(bad, message: str, pos: int) -> None:
+    if _any(bad):
+        raise _Domain(bad, message, pos)
 
-    def check(self, bad, message: str, node: Node) -> None:
-        if np.any(bad):
-            element = int(np.flatnonzero(np.broadcast_to(bad, self.batch))[0])
-            raise EvalDomainError(message, node.pos, element)
 
-    def full(self, value) -> np.ndarray:
-        if isinstance(value, np.ndarray) and value.shape == self.batch:
-            return value
-        return np.broadcast_to(value, self.batch)
+# steps: the leading arguments are fixed at compile time, the others are registers
 
-    def run(self, node: Node):
+def _component(i: int, a):
+    return a[..., i]
+
+
+def _exp(pos: int, a):
+    with np.errstate(over="ignore"):
+        value = np.exp(a)
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise _Domain(~finite, "non-finite result", pos)
+    return value
+
+
+def _sqrt(pos: int, a):
+    _check(a < 0.0, "sqrt of a negative value", pos)
+    return np.sqrt(a)
+
+
+def _sqrt_tangent_check(pos: int, a, d) -> None:
+    """A tangent component that is nonzero where the sqrt argument is zero."""
+    zero = a == 0.0
+    if _any(zero) and _any(np.broadcast_to(d, np.shape(a))[zero] != 0.0):
+        _check(zero, "sqrt is not differentiable at zero", pos)
+
+
+def _sqrt_slope(a, value):
+    # where a > 0 the square root is positive, so nothing divides by zero
+    zero = a == 0.0
+    return np.where(zero, 0.0, 0.5 / np.where(zero, 1.0, value))
+
+
+def _quotient(pos: int, a, b):
+    _check(b == 0.0, "division by zero", pos)
+    return a / b
+
+
+def _nonzero_base(pos: int, base) -> None:
+    _check(base == 0.0, "zero base with a negative exponent", pos)
+
+
+def _positive_base(pos: int, base) -> None:
+    _check(base <= 0.0, "'^' with a non-integer exponent needs a positive base", pos)
+
+
+def _const_int(node: Node) -> int | None:
+    sign = 1
+    while isinstance(node, Neg):
+        sign = -sign
+        node = node.arg
+    if isinstance(node, Const) and float(node.value).is_integer() and abs(node.value) <= 128:
+        return sign * int(node.value)
+    return None
+
+
+class _Builder:
+    """Emits the steps of an expression and of its tangent in n components."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.steps: list = [None, None]  # per register: (fn, fixed, args), None if known
+        self.known: dict[int, object] = {}  # register -> folded constant
+        self.memo: dict = {}
+        self.one = self.constant(_ONE)
+
+    def constant(self, value) -> int:
+        # by bit pattern, so that 0.0 and -0.0 stay apart; a passed check is None
+        key = ("const", type(value), None if value is None else float(value).hex())
+        if key not in self.memo:
+            self.memo[key] = len(self.steps)
+            self.known[len(self.steps)] = value
+            self.steps.append(None)
+        return self.memo[key]
+
+    def emit(self, fn, *args: int, fixed: tuple = ()) -> int:
+        """Register of ``fn(*fixed, *registers)``; folded when every argument
+        is a constant, unless that fails a domain check or raises a
+        floating-point error, so that it fails at evaluation instead."""
+        key = (fn, fixed, args)
+        if key in self.memo:
+            return self.memo[key]
+        inner = self.steps[args[0]]
+        if fn is operator.neg and inner and inner[0] is operator.neg:
+            return inner[2][0]
+        if all(a in self.known for a in args):
+            try:
+                reg = self.constant(fn(*fixed, *(self.known[a] for a in args)))
+            except (_Domain, FloatingPointError):
+                pass
+            else:
+                self.memo[key] = reg
+                return reg
+        self.memo[key] = len(self.steps)
+        self.steps.append((fn, fixed, args))
+        return len(self.steps) - 1
+
+    # tangents: None, or n registers with None for structurally zero components
+
+    def scale(self, tangent, slope: int):
+        if tangent is None:
+            return None
+        return [
+            None if d is None else slope if d == self.one else self.emit(operator.mul, d, slope)
+            for d in tangent
+        ]
+
+    def negate(self, tangent):
+        if tangent is None:
+            return None
+        return [None if d is None else self.emit(operator.neg, d) for d in tangent]
+
+    def sum(self, da, db, subtract: bool = False):
+        if db is None:
+            return da
+        if da is None:
+            return self.negate(db) if subtract else db
+        op = operator.sub if subtract else operator.add
+        return [
+            a if b is None else (self.emit(operator.neg, b) if subtract else b) if a is None
+            else self.emit(op, a, b)
+            for a, b in zip(da, db)
+        ]
+
+    def product(self, a: int, da, b: int, db):
+        return self.emit(operator.mul, a, b), self.sum(self.scale(da, b), self.scale(db, a))
+
+    # nodes: (value register, tangent)
+
+    def node(self, node: Node):
         return self.RULES[type(node)](self, node)
 
     def const(self, node: Const):
-        return float(node.value), None
+        return self.constant(float(node.value)), None
 
     def var(self, node: Var):
+        reg = self.emit(_component, _T if node.kind == "t" else _X, fixed=(node.index,))
         if node.kind == "t":
-            return self.t[..., node.index], None
-        return self.x[..., node.index], None if self.eye is None else self.eye[node.index]
+            return reg, None
+        seed = [None] * self.n
+        seed[node.index] = self.one
+        return reg, seed
 
     def neg(self, node: Neg):
-        a, da = self.run(node.arg)
-        return -a, None if da is None else -da
-
-    def exp(self, node: Node, arg):
-        with np.errstate(over="ignore"):
-            value = np.exp(arg)
-        self.check(~np.isfinite(value), "non-finite result", node)
-        return value
+        a, da = self.node(node.arg)
+        return self.emit(operator.neg, a), self.negate(da)
 
     def call(self, node: Call):
-        a, da = self.run(node.arg)
+        a, da = self.node(node.arg)
+        pos = node.pos
         if node.fn == "sin":
-            return np.sin(a), None if da is None else _scale(da, np.cos(a))
+            return self.emit(np.sin, a), da and self.scale(da, self.emit(np.cos, a))
         if node.fn == "cos":
-            return np.cos(a), None if da is None else _scale(da, -np.sin(a))
+            slope = da and self.emit(operator.neg, self.emit(np.sin, a))
+            return self.emit(np.cos, a), self.scale(da, slope)
         if node.fn == "exp":
-            value = self.exp(node, a)
-            return value, _scale(da, value)
-        # sqrt
-        self.check(a < 0.0, "sqrt of a negative value", node)
-        value = np.sqrt(a)
+            value = self.emit(_exp, a, fixed=(pos,))
+            return value, self.scale(da, value)
+        value = self.emit(_sqrt, a, fixed=(pos,))
         if da is None:
             return value, None
-        zero = a == 0.0
-        if np.any(zero) and np.any(np.broadcast_to(da, np.shape(a) + da.shape[-1:])[zero] != 0.0):
-            self.check(zero, "sqrt is not differentiable at zero", node)
-        with np.errstate(divide="ignore"):
-            slope = np.where(zero, 0.0, 0.5 / np.where(zero, 1.0, value))
-        return value, _scale(da, slope)
-
-    @staticmethod
-    def product(a, da, b, db):
-        return a * b, _sum(_scale(da, b), _scale(db, a))
+        for d in da:
+            if d is not None:
+                self.emit(_sqrt_tangent_check, a, d, fixed=(pos,))
+        return value, self.scale(da, self.emit(_sqrt_slope, a, value))
 
     def binop(self, node: BinOp):
         if node.op == "^":
             return self.power(node)
-        a, da = self.run(node.left)
-        b, db = self.run(node.right)
+        a, da = self.node(node.left)
+        b, db = self.node(node.right)
         if node.op == "+":
-            return a + b, _sum(da, db)
+            return self.emit(operator.add, a, b), self.sum(da, db)
         if node.op == "-":
-            return a - b, _sum(da, db, subtract=True)
+            return self.emit(operator.sub, a, b), self.sum(da, db, subtract=True)
         if node.op == "*":
             return self.product(a, da, b, db)
-        # division
-        self.check(b == 0.0, "division by zero", node)
-        numerator = _sum(_scale(da, b), _scale(db, a), subtract=True)
-        return a / b, None if numerator is None else numerator / np.square(b)[..., np.newaxis]
-
-    @staticmethod
-    def _const_int(node: Node) -> int | None:
-        sign = 1
-        while isinstance(node, Neg):
-            sign = -sign
-            node = node.arg
-        if isinstance(node, Const) and float(node.value).is_integer() and abs(node.value) <= 128:
-            return sign * int(node.value)
-        return None
+        value = self.emit(_quotient, a, b, fixed=(node.pos,))
+        numerator = self.sum(self.scale(da, b), self.scale(db, a), subtract=True)
+        if numerator is None:
+            return value, None
+        square = self.emit(np.square, b)
+        return value, [
+            None if d is None else self.emit(operator.truediv, d, square) for d in numerator
+        ]
 
     def power(self, node: BinOp):
-        base, dbase = self.run(node.left)
-        k = self._const_int(node.right)
+        base, dbase = self.node(node.left)
+        k = _const_int(node.right)
         if k is not None:
             return self.int_power(node, base, dbase, k)
-        expo, dexpo = self.run(node.right)
-        self.check(base <= 0.0, "'^' with a non-integer exponent needs a positive base", node)
+        expo, dexpo = self.node(node.right)
+        self.emit(_positive_base, base, fixed=(node.pos,))
         # a^b = exp(b log a)
-        log_base = np.log(base)
-        dlog = None if dbase is None else _scale(dbase, 1.0 / base)
+        log_base = self.emit(np.log, base)
+        dlog = dbase and self.scale(dbase, self.emit(operator.truediv, self.constant(1.0), base))
         inner, dinner = self.product(expo, dexpo, log_base, dlog)
-        value = self.exp(node, inner)
-        return value, _scale(dinner, value)
+        value = self.emit(_exp, inner, fixed=(node.pos,))
+        return value, self.scale(dinner, value)
 
-    def int_power(self, node: BinOp, base, dbase, k: int):
+    def int_power(self, node: BinOp, base: int, dbase, k: int):
         if k == 0:
-            return 1.0, None
+            return self.constant(1.0), None
         if k < 0:
-            self.check(base == 0.0, "zero base with a negative exponent", node)
+            self.emit(_nonzero_base, base, fixed=(node.pos,))
         out, dout = base, dbase
         for _ in range(abs(k) - 1):
             out, dout = self.product(out, dout, base, dbase)
         if k > 0:
             return out, dout
-        value = np.divide(1.0, out)
-        return value, None if dout is None else -dout * np.square(value)[..., np.newaxis]
+        value = self.emit(np.divide, self.constant(1.0), out)
+        return value, self.scale(self.negate(dout), self.emit(np.square, value))
 
     RULES = {Const: const, Var: var, Neg: neg, Call: call, BinOp: binop}
 
+    def program(self, outputs: list[int | None], checks):
+        """The function of (t, x) that runs, in emission order, the steps
+        computing ``outputs`` (registers, or None for a structurally zero
+        tangent component) or running one of the ``checks``, and returns the
+        outputs' values."""
+        live = set(outputs)
+        steps = []
+        for r in range(len(self.steps) - 1, 1, -1):
+            step = self.steps[r]
+            if step and (r in live or step[0] in checks):
+                fn, fixed, args = step
+                live.update(args)
+                call = functools.partial(fn, *fixed) if fixed else fn
+                steps.append((call, args[0], args[1] if len(args) > 1 else None, r))
+        steps.reverse()
+        registers = [self.known.get(r) for r in range(len(self.steps))]
 
-def eval_dual(ast: Node, t: np.ndarray, x: np.ndarray) -> Dual:
+        def run(t, x):
+            r = registers.copy()
+            r[_T] = t
+            r[_X] = x
+            for call, a, b, out in steps:
+                r[out] = call(r[a]) if b is None else call(r[a], r[b])
+            return [None if i is None else r[i] for i in outputs]
+
+        return run
+
+
+_VALUE_CHECKS = frozenset((_exp, _sqrt, _quotient, _nonzero_base, _positive_base))
+_DUAL_CHECKS = _VALUE_CHECKS | {_sqrt_tangent_check}
+
+
+class Program:
+    """An expression compiled once into two straight-line programs:
+    ``value(t, x)`` returns [F] and ``dual(t, x)`` returns F followed by
+    its n partials, each None when structurally zero, or [F] alone when F
+    does not depend on x."""
+
+    __slots__ = ("n", "value", "dual")
+
+    def __init__(self, ast: Node, n: int):
+        builder = _Builder(n)
+        # a constant step whose evaluation would warn is left unfolded, so
+        # that it warns at evaluation as it would without folding
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, tangent = builder.node(ast)
+        self.n = n
+        self.value = builder.program([value], _VALUE_CHECKS)
+        self.dual = builder.program([value, *(tangent or ())], _DUAL_CHECKS)
+
+
+def _evaluate(program: Program | Node, dual: bool, t, x):
+    """n, F broadcast to the batch shape of t and x, and with ``dual`` the
+    partials of F by component, each None when structurally zero."""
+    t = np.asarray(t, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if not isinstance(program, Program):
+        program = Program(program, x.shape[-1])
+    try:
+        value, *tangent = (program.dual if dual else program.value)(t, x)
+    except _Domain as err:
+        raise err.located(t, x) from None
+    batch = x.shape[:-1]
+    if t.shape[:-1] != batch:
+        batch = np.broadcast_shapes(t.shape[:-1], batch)
+    if not (isinstance(value, np.ndarray) and value.shape == batch):
+        value = np.broadcast_to(value, batch)
+    return program.n, value, tangent
+
+
+def eval_dual(program: Program | Node, t: np.ndarray, x: np.ndarray) -> Dual:
     """Evaluate F and grad_x F together.
 
+    ``program`` is a compiled Program or an AST, compiled on the spot.
     ``t`` has shape (..., p) and ``x`` shape (..., n); the result carries
     ``value`` with the broadcast batch shape and ``partials`` with a
     trailing component axis, zeros where F does not depend on x.
     """
-    ev = _Evaluator(t, x, with_partials=True)
-    value, tangent = ev.run(ast)
-    shape = ev.batch + ev.eye.shape[-1:]
-    if tangent is None:
-        partials = np.zeros(shape)
-    elif tangent.shape != shape:
-        partials = np.broadcast_to(tangent, shape).copy()
-    else:
-        partials = tangent
-    return Dual(ev.full(value), partials)
+    n, value, tangent = _evaluate(program, True, t, x)
+    partials = np.zeros(value.shape + (n,))
+    for i, d in enumerate(tangent):
+        if d is not None:
+            partials[..., i] = d
+    return Dual(value, partials)
 
 
-def eval_value(ast: Node, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+def eval_value(program: Program | Node, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate F only (cheaper than eval_dual inside line searches)."""
-    ev = _Evaluator(t, x, with_partials=False)
-    return ev.full(ev.run(ast)[0])
+    return _evaluate(program, False, t, x)[1]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -497,6 +680,7 @@ class ExpressionPotential(Potential):
     ):
         self.source = source
         self.ast = parse(tokenize(source), p, n)
+        self.program = Program(self.ast, n)
         self.p = p
         self.n = n
         self.periods = None if periods is None else np.atleast_1d(
@@ -508,7 +692,7 @@ class ExpressionPotential(Potential):
         self.growth = growth
 
     def value(self, t, x):
-        return eval_value(self.ast, t, x)
+        return eval_value(self.program, t, x)
 
     def gradient(self, t, x):
-        return eval_dual(self.ast, t, x).partials
+        return eval_dual(self.program, t, x).partials

@@ -16,6 +16,7 @@ called across threads freely.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,6 +69,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         extents = tuple(float(t) for t in self.extents)
+        for count in (*self.nodes, self.n):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"node and component counts must be integers, got {count!r}")
         nodes = tuple(int(k) for k in self.nodes)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "nodes", nodes)
@@ -214,13 +218,22 @@ def h1_norm(u: Field) -> float:
     return math.sqrt(max(h1_inner(u, u), 0.0))
 
 
+def _neighbor(values: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """Values at node k + step * e_axis, wrapping periodically, for step = +-1:
+    np.roll(values, -step, axis) from two slice copies."""
+    head = (slice(None),) * axis
+    return np.concatenate(
+        (values[head + (slice(step, None),)], values[head + (slice(None, step),)]), axis=axis
+    )
+
+
 def forward_diff(u: Field, axis: int) -> Field:
     """Periodic forward difference (u(k + e_axis) - u(k)) / h_axis."""
     spec = u.spec
     if not 0 <= axis < spec.p:
         raise ValueError(f"axis {axis} out of range for {spec.p} time axes")
     h = spec.spacings[axis]
-    return Field(spec, (np.roll(u.values, -1, axis=axis) - u.values) / h)
+    return Field(spec, (_neighbor(u.values, axis, 1) - u.values) / h)
 
 
 def backward_diff(u: Field, axis: int) -> Field:
@@ -229,7 +242,7 @@ def backward_diff(u: Field, axis: int) -> Field:
     if not 0 <= axis < spec.p:
         raise ValueError(f"axis {axis} out of range for {spec.p} time axes")
     h = spec.spacings[axis]
-    return Field(spec, (u.values - np.roll(u.values, 1, axis=axis)) / h)
+    return Field(spec, (u.values - _neighbor(u.values, axis, -1)) / h)
 
 
 def laplacian(u: Field) -> Field:
@@ -240,9 +253,9 @@ def laplacian(u: Field) -> Field:
     for axis in range(spec.p):
         h2 = spec.spacings[axis] ** 2
         out += (
-            np.roll(u.values, -1, axis=axis)
+            _neighbor(u.values, axis, 1)
             - 2.0 * u.values
-            + np.roll(u.values, 1, axis=axis)
+            + _neighbor(u.values, axis, -1)
         ) / h2
     return Field(spec, out)
 

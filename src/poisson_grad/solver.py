@@ -261,23 +261,24 @@ def minimize(
     direction: np.ndarray | None = None
     stagnant = 0
 
-    for it in range(1, cfg.max_iters + 1):
-        if cfg.method == "ncg" and direction is not None:
-            beta = max(0.0, _inner(spec, grad.values, z - z_prev) / grad_z_prev)
-            cand_dir = -z + beta * direction
-            slope = _inner(spec, grad.values, cand_dir)
-            if slope >= 0.0:  # not a descent direction: restart steepest
+    # a trial that overflows or leaves F's domain is rejected, so numpy's
+    # warnings about it would only report a rejection; failures at accepted
+    # points still raise, from the checks of Field and the potential
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            if cfg.method == "ncg" and direction is not None:
+                beta = max(0.0, _inner(spec, grad.values, z - z_prev) / grad_z_prev)
+                cand_dir = -z + beta * direction
+                slope = _inner(spec, grad.values, cand_dir)
+                if slope >= 0.0:  # not a descent direction: restart steepest
+                    cand_dir = -z
+                    slope = -grad_z
+            else:
                 cand_dir = -z
                 slope = -grad_z
-        else:
-            cand_dir = -z
-            slope = -grad_z
 
-        step = cfg.initial_step
-        accepted = None
-        # a trial that overflows or leaves F's domain is rejected below, so
-        # numpy's warnings about it would only report a rejection
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = cfg.initial_step
+            accepted = None
             while step >= _MIN_STEP:
                 trial = _price_trial(u.values + step * cand_dir, spec, pot)
                 armijo = a_val.total + cfg.armijo_c1 * step * slope
@@ -285,29 +286,29 @@ def minimize(
                     accepted = trial
                     break
                 step *= cfg.backtrack_factor
-        if accepted is None:
-            report.status = "line_search_failed"
-            return u, report
+            if accepted is None:
+                report.status = "line_search_failed"
+                return u, report
 
-        u, a_new, shifts, gauge = _canonical(*accepted, pot, periods)
-        scale = max(abs(a_val.total), abs(a_new.total))
-        rel_decrease = (a_val.total - a_new.total) / scale if scale > 0.0 else 0.0
-        z_prev, grad_z_prev = z, grad_z
-        direction = cand_dir
-        a_val = a_new
-        grad = action_gradient(u, pot)
-        z = riesz(grad.values)
-        grad_z = _inner(spec, grad.values, z)
-        residual = l2_norm(grad)
-        report.iterations.append(_record(it, a_val, residual, u, step, shifts, gauge))
+            u, a_new, shifts, gauge = _canonical(*accepted, pot, periods)
+            scale = max(abs(a_val.total), abs(a_new.total))
+            rel_decrease = (a_val.total - a_new.total) / scale if scale > 0.0 else 0.0
+            z_prev, grad_z_prev = z, grad_z
+            direction = cand_dir
+            a_val = a_new
+            grad = action_gradient(u, pot)
+            z = riesz(grad.values)
+            grad_z = _inner(spec, grad.values, z)
+            residual = l2_norm(grad)
+            report.iterations.append(_record(it, a_val, residual, u, step, shifts, gauge))
 
-        if residual <= cfg.tol_residual:
-            report.status = "converged"
-            return u, report
-        stagnant = stagnant + 1 if rel_decrease < cfg.tol_action else 0
-        if stagnant >= 5:
-            report.status = "stalled"
-            return u, report
+            if residual <= cfg.tol_residual:
+                report.status = "converged"
+                return u, report
+            stagnant = stagnant + 1 if rel_decrease < cfg.tol_action else 0
+            if stagnant >= 5:
+                report.status = "stalled"
+                return u, report
 
     report.status = "max_iters"
     return u, report

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from poisson_grad.expr import (
     tokenize,
 )
 
-from helpers import expression_corpus
+from helpers import DOMAIN_POINTS, domain_corpus, expression_corpus, reference_eval
+
+expr = importlib.import_module("poisson_grad.expr")
 
 
 class TestTokenize:
@@ -301,6 +304,107 @@ class TestDualsAgainstFiniteDifferences:
         assert worst <= 1e-7
 
 
+class TestCompiledAgainstScalarReference:
+    """The compiled programs against helpers.reference_eval, a scalar
+    evaluation with the math module, on generated corpora."""
+
+    SHAPES = [
+        ((2,), (2,)),
+        ((6, 2), (6, 2)),
+        ((3, 1, 2), (1, 4, 2)),
+        ((2,), (5, 2)),
+        ((2, 2, 2), (2, 2, 2)),
+        ((1, 2), (3, 2)),
+    ]
+
+    @staticmethod
+    def evaluate(evaluate, ast, t, x):
+        try:
+            out = evaluate(ast, t, x)
+        except EvalDomainError as err:
+            return "error", err.message, err.pos, err.element
+        return "ok", out.value if evaluate is eval_dual else out
+
+    def check(self, corpus, draw):
+        outcomes = set()
+        for e, ast in enumerate(corpus):
+            for s, (t_shape, x_shape) in enumerate(self.SHAPES):
+                rng = np.random.default_rng([e, s])
+                t, x = draw(rng, t_shape), draw(rng, x_shape)
+                expected = reference_eval(ast, t, x)
+                got = self.evaluate(eval_value, ast, t, x)
+                if expected[0] == "error":
+                    assert got == expected, pretty(ast)
+                    outcomes.add(expected[1])
+                else:
+                    assert got[0] == "ok", (pretty(ast), got)
+                    npt.assert_allclose(
+                        got[1], expected[1], rtol=1e-12, atol=0, err_msg=pretty(ast)
+                    )
+                    outcomes.add("ok")
+                # the value+gradient program evaluates the same values and
+                # checks, plus the differentiability of sqrt at zero
+                dual = self.evaluate(eval_dual, ast, t, x)
+                if dual[0] == "ok":
+                    assert got[0] == "ok", pretty(ast)
+                    npt.assert_array_equal(dual[1], got[1])
+                elif dual[1] != "sqrt is not differentiable at zero":
+                    assert dual == got, pretty(ast)
+        return outcomes
+
+    def test_values_on_expression_corpus(self):
+        outcomes = self.check(
+            expression_corpus(200, seed=31), lambda rng, shape: rng.uniform(-2.0, 2.0, shape)
+        )
+        assert outcomes == {"ok"}
+
+    def test_values_and_domain_errors_on_domain_corpus(self):
+        outcomes = self.check(
+            domain_corpus(300, seed=17), lambda rng, shape: rng.choice(DOMAIN_POINTS, shape)
+        )
+        assert outcomes == {
+            "ok",
+            "division by zero",
+            "sqrt of a negative value",
+            "zero base with a negative exponent",
+            "'^' with a non-integer exponent needs a positive base",
+            "non-finite result",
+        }
+
+
+
+class TestCompiledSteps:
+    def test_failing_constant_is_not_folded(self):
+        ast = parse("x1 + 1/(2 - 2)", 0, 1)
+        program = expr.Program(ast, 1)
+        with pytest.raises(EvalDomainError, match="division by zero") as err:
+            eval_value(program, np.zeros((3, 0)), np.ones((3, 1)))
+        assert (err.value.pos, err.value.element) == (6, 0)
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            # the left operand fails first, also against a constant right one
+            ("sqrt(x1) + 1/0", "sqrt of a negative value"),
+            # the exponent is evaluated before the base is checked
+            ("x1^sqrt(x1)", "sqrt of a negative value"),
+            # a check runs even where its result is not needed
+            ("sqrt(x1)^0", "sqrt of a negative value"),
+            ("exp(-x1*1000)^0", "non-finite result"),
+        ],
+    )
+    def test_checks_keep_evaluation_order(self, source, message):
+        x = np.array([[1.0], [-1.0]])
+        for evaluate in (eval_value, eval_dual):
+            with pytest.raises(EvalDomainError, match=message) as err:
+                evaluate(parse(source, 0, 1), np.zeros((2, 0)), x)
+            assert err.value.element == 1
+
+    def test_folded_constants_keep_the_sign_of_zero(self):
+        value = eval_value(parse("(0*x1 + 1) * (-0*x2)", 0, 2), np.zeros(0), np.ones(2))
+        assert value == 0.0 and np.signbit(value)
+
+
 class TestLineCol:
     def test_single_line(self):
         assert line_col("1 + $", 4) == (1, 5)
@@ -322,6 +426,26 @@ class TestExpressionPotential:
     def test_period_length_validated(self):
         with pytest.raises(ValueError, match="periods"):
             ExpressionPotential("x1", 1, 1, periods=[1.0, 2.0])
+
+    def test_compiles_once_at_construction(self, monkeypatch):
+        compiled = []
+
+        class CountingProgram(expr.Program):
+            __slots__ = ()
+
+            def __init__(self, ast, n):
+                compiled.append(ast)
+                super().__init__(ast, n)
+
+        monkeypatch.setattr(expr, "Program", CountingProgram)
+        pot = ExpressionPotential("x1^2 + sin(2*pi*t1)*x2", 1, 2)
+        assert len(compiled) == 1
+        t = np.zeros((5, 1))
+        x = np.ones((5, 2))
+        for _ in range(3):
+            pot.value(t, x)
+            pot.gradient(t, x)
+        assert len(compiled) == 1
 
     def test_parse_errors_surface_at_construction(self):
         with pytest.raises(ExprError):

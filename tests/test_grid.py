@@ -85,6 +85,19 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(extents, nodes, n=n)
 
+    @pytest.mark.parametrize(
+        "nodes,n",
+        [((8.5,), 1), ((8.0,), 1), ((True,), 1), (("8",), 1), ((8,), 1.5), ((8,), True)],
+    )
+    def test_non_integral_counts_rejected(self, nodes, n):
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec((1.0,), nodes, n=n)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = GridSpec((1.0,), (np.int64(8),), n=np.int32(2))
+        assert (spec.nodes, spec.n) == ((8,), 2)
+        assert all(type(k) is int for k in (*spec.nodes, spec.n))
+
 
 class TestField:
     def test_scalar_convenience_shape(self):
@@ -203,6 +216,27 @@ class TestLaplacian:
         spec = GridSpec((1.0, 1.0), (8, 6), n=2)
         u = gaussian_field(spec, np.random.default_rng(3))
         assert np.max(np.abs(mean(laplacian(u)))) <= 1e-12 * l2_norm(u)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.uint64)
+
+
+class TestStencilsMatchRoll:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bit_identical_to_roll_formulas(self, p, n):
+        spec = GridSpec((1.0, 1.3, 0.7)[:p], (5, 4, 3)[:p], n=n)
+        u = gaussian_field(spec, np.random.default_rng(p + 10 * n))
+        v = u.values
+        lap = np.zeros_like(v)
+        for axis in range(p):
+            h = spec.spacings[axis]
+            after, before = np.roll(v, -1, axis=axis), np.roll(v, 1, axis=axis)
+            lap += (after - 2.0 * v + before) / h**2
+            npt.assert_array_equal(bits(forward_diff(u, axis).values), bits((after - v) / h))
+            npt.assert_array_equal(bits(backward_diff(u, axis).values), bits((v - before) / h))
+        npt.assert_array_equal(bits(laplacian(u).values), bits(lap))
 
 
 class TestMeanSplit:
