@@ -24,6 +24,7 @@ from .potential import (
     GrowthEnvelope,
     LinearForcing,
     Potential,
+    Sample,
     SampleSpec,
     ShiftedQuadratic,
     check_grad_consistency,
@@ -68,6 +69,7 @@ __all__ = [
     "GrowthEnvelope",
     "LinearForcing",
     "Potential",
+    "Sample",
     "SampleSpec",
     "ShiftedQuadratic",
     "check_grad_consistency",

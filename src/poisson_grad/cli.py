@@ -38,6 +38,7 @@ from .potential import (
     GrowthEnvelope,
     LinearForcing,
     Potential,
+    Sample,
     SampleSpec,
     ShiftedQuadratic,
     check_grad_consistency,
@@ -277,10 +278,13 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
     kind = init.get("kind", "random")
     if kind == "constant":
         value = _need(init, "value", "init.value")
-        vec = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        if vec.size not in (1, spec.n):
+        if isinstance(value, (list, tuple)):
+            vec = _floats(value, "init.value")
+        else:
+            vec = [_number(value, "init.value")]
+        if len(vec) not in (1, spec.n):
             raise ConfigError(f"init.value must be a scalar or length {spec.n}")
-        return Field.constant(spec, vec if vec.size == spec.n else vec[0])
+        return Field.constant(spec, vec if len(vec) == spec.n else vec[0])
     if kind == "random":
         if seed_override is not None:
             seed = seed_override
@@ -473,10 +477,11 @@ def _say(args, message: str) -> None:
 
 
 def run_checks(
-    pot: Potential, sampler: SampleSpec, names
+    pot: Potential, sample: Sample, names
 ) -> tuple[list[CheckReport], list[str]]:
-    """Run the requested hypothesis checks, named from CHECK_NAMES;
-    unrunnable ones become notes."""
+    """Run the requested hypothesis checks, named from CHECK_NAMES, on one
+    drawn sample, so F and grad F at its points are evaluated at most once
+    each; unrunnable checks become notes."""
     reports: list[CheckReport] = []
     notes: list[str] = []
     for name in names:
@@ -484,16 +489,16 @@ def run_checks(
             if pot.periods is None:
                 notes.append("periodicity: skipped, no periods declared")
                 continue
-            reports.append(check_periodicity(pot, sampler))
+            reports.append(check_periodicity(pot, sample))
         elif name == "positivity":
-            reports.append(check_positivity(pot, sampler))
+            reports.append(check_positivity(pot, sample))
         elif name == "gradient_growth":
             if pot.growth is None:
                 notes.append("gradient_growth: skipped, no growth envelope declared")
                 continue
-            reports.append(check_gradient_growth(pot, pot.growth, sampler))
+            reports.append(check_gradient_growth(pot, pot.growth, sample))
         elif name == "grad_consistency":
-            reports.append(check_grad_consistency(pot, sampler))
+            reports.append(check_grad_consistency(pot, sample))
     return reports, notes
 
 
@@ -515,7 +520,8 @@ def cmd_solve(args) -> int:
     solver_cfg = build_solver_config(cfg, args.seed)
     init = build_init(cfg, spec, pot, args.seed)
 
-    checks, notes = run_checks(pot, sampler, _requested_checks(cfg))
+    sample = Sample(pot, sampler)
+    checks, notes = run_checks(pot, sample, _requested_checks(cfg))
     failed = [c.name for c in checks if not c.passed]
     for c in checks:
         _say(args, str(c))
@@ -530,11 +536,9 @@ def cmd_solve(args) -> int:
             return EXIT_NOT_CONVERGED
 
     final, report = minimize(pot, init, solver_cfg)
-    # the sampler is seeded, so a positivity report from run_checks is the
-    # one a fresh check would return
     positivity = next((c for c in checks if c.name == "positivity"), None)
     if positivity is None:
-        positivity = check_positivity(pot, sampler)
+        positivity = check_positivity(pot, sample)
     f_floor = 0.0 if positivity.passed else min(0.0, positivity.worst)
     audit = check_minimizing_bounds(report, spec, f_floor=f_floor)
     cert = certify(final, pot, solver_cfg.tol_residual)
@@ -558,7 +562,7 @@ def cmd_solve(args) -> int:
     del certificate["boundary"]
     iterations = [r.to_dict() for r in report.iterations]
     payload = {
-        "schema": "poisson-grad-report-v2",
+        "schema": "poisson-grad-report-v3",
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": "solve",
@@ -595,7 +599,7 @@ def cmd_check(args) -> int:
     spec = build_grid(cfg)
     pot = build_potential(cfg, spec)
     sampler = build_sampler(cfg, spec)
-    checks, notes = run_checks(pot, sampler, _requested_checks(cfg))
+    checks, notes = run_checks(pot, Sample(pot, sampler), _requested_checks(cfg))
     for c in checks:
         _say(args, str(c))
     for note in notes:

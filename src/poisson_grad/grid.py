@@ -287,22 +287,26 @@ def laplacian_symbol(spec: GridSpec) -> np.ndarray:
     return lam
 
 
-def h1_riesz_map(spec: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The map G -> (I - laplacian)^-1 G on node values of shape ``spec.shape``.
+def h1_riesz_map(spec: GridSpec) -> Callable[..., np.ndarray]:
+    """The map (G, c) -> (diag(c) - laplacian)^-1 G on node values of shape
+    ``spec.shape``, with one mass c_i > 0 per component (default 1).
 
     Since the stencil Laplacian is the backward difference of the forward
-    difference, h1_inner(z, v) = l2_inner(G, v) for every v exactly when
-    (I - laplacian) z = G: the map turns an L2 gradient into the gradient
-    in the discrete H1 product.  It is diagonal in the DFT basis, with
-    multiplier 1 / (1 - laplacian_symbol) in (0, 1]; the zero mode's
-    multiplier is 1, so the mean passes through unchanged.  The divisor is
-    built once per call of this function, so a solve builds the map once.
+    difference, c_i <z_i, v_i> + <D z_i, D v_i> = <G_i, v_i> for every v
+    exactly when (c_i - laplacian) z_i = G_i: the map turns an L2 gradient
+    into the gradient in the discrete H1 product weighted by c, a Sobolev
+    gradient whose mass the solver matches to the potential's curvature.
+    It is diagonal in the DFT basis, with multiplier 1 / (c_i -
+    laplacian_symbol); at c = 1 it is the unweighted H1 map and the zero
+    mode passes the mean through unchanged.  The symbol is built once per
+    call of this function, so a solve builds it once; at c = 1 the divisor
+    c + (-symbol) is bit for bit 1 - symbol.
     """
-    divisor = (1.0 - laplacian_symbol(spec))[..., np.newaxis]
+    stiffness = -laplacian_symbol(spec)[..., np.newaxis]
     node_axes = tuple(range(spec.p))
 
-    def riesz(values: np.ndarray) -> np.ndarray:
-        zhat = np.fft.fftn(values, axes=node_axes) / divisor
+    def riesz(values: np.ndarray, mass=1.0) -> np.ndarray:
+        zhat = np.fft.fftn(values, axes=node_axes) / (mass + stiffness)
         return np.real(np.fft.ifftn(zhat, axes=node_axes))
 
     return riesz

@@ -7,6 +7,8 @@ A potential evaluates batched: ``t`` has shape (..., p), ``x`` has shape
 probe.  Spatial periodicity (F(t, x + P_i e_i) = F(t, x)), positivity, and
 the linear gradient growth bound |grad F| <= M |x| + g_max are declared by
 the potential and verified by deterministic seeded sampling, never assumed.
+Each check takes a ``SampleSpec``, which it draws, or a ``Sample`` already
+drawn, whose F and grad F values it shares with the other checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .grid import Field
 __all__ = [
     "GrowthEnvelope",
     "SampleSpec",
+    "Sample",
     "CheckReport",
     "Potential",
     "CosineLattice",
@@ -82,6 +86,38 @@ class SampleSpec:
         t *= np.asarray(self.t_extents)
         x = rng.uniform(-self.x_radius, self.x_radius, size=(self.count, n))
         return t, x
+
+
+class Sample:
+    """One draw of a sampling plan for a potential.
+
+    F and grad F at the drawn points are evaluated on first use and kept, so
+    checks handed the same Sample evaluate each of them at most once.  The
+    drawn arrays are read-only; checks perturb copies.
+    """
+
+    def __init__(self, pot: "Potential", sampler: SampleSpec):
+        self.pot = pot
+        self.count = sampler.count
+        self.t, self.x = sampler.draw(pot.n)
+        self.t.setflags(write=False)
+        self.x.setflags(write=False)
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        return self.pot.value(self.t, self.x)
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return self.pot.gradient(self.t, self.x)
+
+
+def _sample(pot: "Potential", sampler: SampleSpec | Sample) -> Sample:
+    if not isinstance(sampler, Sample):
+        return Sample(pot, sampler)
+    if sampler.pot is not pot:
+        raise ValueError("sample was drawn for another potential")
+    return sampler
 
 
 @dataclass(frozen=True)
@@ -260,12 +296,12 @@ class LinearForcing(Potential):
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape)).copy()
 
 
-def check_periodicity(pot: Potential, sampler: SampleSpec) -> CheckReport:
+def check_periodicity(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
     """Sampled test of F(t, x + P_i e_i) = F(t, x) for every component i."""
     if pot.periods is None:
         raise ValueError(f"potential '{pot.name}' declares no periods")
-    t, x = sampler.draw(pot.n)
-    base = pot.value(t, x)
+    sample = _sample(pot, sampler)
+    t, x, base = sample.t, sample.x, sample.value
     tol = 1e-9
     worst = 0.0
     ok = True
@@ -278,21 +314,21 @@ def check_periodicity(pot: Potential, sampler: SampleSpec) -> CheckReport:
     return CheckReport(
         name="periodicity",
         passed=ok,
-        samples=sampler.count,
+        samples=sample.count,
         worst=worst,
         threshold=tol,
         detail="max |F(t,x+P_i e_i) - F(t,x)| over samples and components",
     )
 
 
-def check_positivity(pot: Potential, sampler: SampleSpec) -> CheckReport:
+def check_positivity(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
     """Sampled test of F(t, x) > 0; reports the minimum sampled value."""
-    t, x = sampler.draw(pot.n)
-    lo = float(pot.value(t, x).min())
+    sample = _sample(pot, sampler)
+    lo = float(sample.value.min())
     return CheckReport(
         name="positivity",
         passed=lo > 0.0,
-        samples=sampler.count,
+        samples=sample.count,
         worst=lo,
         threshold=0.0,
         detail="minimum sampled F",
@@ -300,28 +336,29 @@ def check_positivity(pot: Potential, sampler: SampleSpec) -> CheckReport:
 
 
 def check_gradient_growth(
-    pot: Potential, env: GrowthEnvelope, sampler: SampleSpec
+    pot: Potential, env: GrowthEnvelope, sampler: SampleSpec | Sample
 ) -> CheckReport:
     """Sampled test of |grad F(t, x)| <= m |x| + g_max; zero violations pass."""
-    t, x = sampler.draw(pot.n)
-    g = np.sqrt(np.sum(pot.gradient(t, x) ** 2, axis=-1))
+    sample = _sample(pot, sampler)
+    x = sample.x
+    g = np.sqrt(np.sum(sample.gradient**2, axis=-1))
     allowed = env.m * np.sqrt(np.sum(x * x, axis=-1)) + env.g_max
     margin = g - allowed
     violations = int(np.count_nonzero(margin > 0.0))
     return CheckReport(
         name="gradient_growth",
         passed=violations == 0,
-        samples=sampler.count,
+        samples=sample.count,
         worst=float(margin.max()),
         threshold=0.0,
         detail=f"{violations} violations of |grad F| <= m|x| + g_max",
     )
 
 
-def check_grad_consistency(pot: Potential, sampler: SampleSpec) -> CheckReport:
+def check_grad_consistency(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
     """Central finite-difference probe of the declared gradient."""
-    t, x = sampler.draw(pot.n)
-    grad = pot.gradient(t, x)
+    sample = _sample(pot, sampler)
+    t, x, grad = sample.t, sample.x, sample.gradient
     step = 1e-6 * (1.0 + np.sqrt(np.sum(x * x, axis=-1)))
     fd = np.empty_like(grad)
     for i in range(pot.n):
@@ -336,7 +373,7 @@ def check_grad_consistency(pot: Potential, sampler: SampleSpec) -> CheckReport:
     return CheckReport(
         name="grad_consistency",
         passed=worst <= tol,
-        samples=sampler.count,
+        samples=sample.count,
         worst=worst,
         threshold=tol,
         detail="max relative gap between gradient and central differences",

@@ -1,12 +1,16 @@
 """Action minimization by descent with lattice-shift canonicalization.
 
 The minimizer runs gradient descent or Polak-Ribiere+ nonlinear conjugate
-gradient with Armijo backtracking on the discrete action, in the discrete
-H1 metric of the paper's direct method: the search direction is built from
-the H1 gradient z = (I - laplacian)^-1 G of the L2 gradient G, one DFT pair
-per iteration (Neuberger's Sobolev gradient).  Its unit step is admissible
-at every grid size, where the L2 gradient's step shrinks like h^2, so the
-iteration count does not grow as the grid is refined.  The stopping test
+gradient with Armijo backtracking on the discrete action, in a weighted
+discrete H1 metric of the paper's direct method: the search direction is
+built from the Sobolev gradient z = (diag(c) - laplacian)^-1 G of the L2
+gradient G, one DFT pair per iteration (Neuberger's Sobolev gradient).  Its
+unit step is admissible at every grid size, where the L2 gradient's step
+shrinks like h^2, so the iteration count does not grow as the grid is
+refined.  The mass c_i of component i starts at 1 and after each accepted
+step s is reset to the Barzilai-Borwein secant curvature of the potential
+part along s, clipped below at 1, so stiff potentials (|grad^2 F| >> 1) get
+a metric that matches them at no extra evaluation of F.  The stopping test
 and the certificate stay the L2 residual |G|.  When the
 potential is spatially periodic with periods P_i, the start and each
 accepted iterate are canonicalized: integer multiples of P_i are added per
@@ -34,7 +38,7 @@ import numpy as np
 
 from .action import ActionValue, action, action_gradient
 from .grid import Field, GridSpec, h1_riesz_map, l2_norm, mean, split_mean
-from .grid import _reduce
+from .grid import _neighbor, _reduce
 from .potential import Potential
 from .verify import wirtinger_constant, wirtinger_floor
 
@@ -100,6 +104,7 @@ class IterationRecord:
     step: float
     shifts: tuple[int, ...] | None
     gauge_dev: float | None
+    h1_mass: tuple[float, ...]  # the metric's mass c for the step leaving here
 
     def to_dict(self) -> dict:
         """The fields by name, shallow, with ``index`` keyed as ``iter``."""
@@ -163,6 +168,7 @@ def _record(
     step: float,
     shifts,
     gauge_dev,
+    mass: np.ndarray,
 ) -> IterationRecord:
     ubar, tilde = split_mean(u)
     return IterationRecord(
@@ -177,6 +183,7 @@ def _record(
         step=step,
         shifts=None if shifts is None else tuple(int(k) for k in shifts),
         gauge_dev=gauge_dev,
+        h1_mass=tuple(float(c) for c in mass),
     )
 
 
@@ -191,6 +198,27 @@ def _price_trial(
         return cand, action(cand, pot)
     except ValueError:
         return None
+
+
+def _secant_mass(
+    spec: GridSpec, mass: np.ndarray, dgrad: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Per-component secant curvature of the potential part along the step s,
+    clipped below at 1: (<dG, s>_i - sum_alpha |D_alpha s|^2_i) / <s, s>_i,
+    where dG is the change of the L2 gradient over the step, since
+    dG = -laplacian(s) + d(grad F) and <-laplacian(s), s> = sum |D s|^2.  A
+    component that did not move, or whose quotient is not finite, keeps
+    its mass."""
+    node_axes = tuple(range(spec.p))
+    kinetic = sum(
+        np.sum(d * d, axis=node_axes)
+        for d in ((_neighbor(s, a, 1) - s) / h for a, h in enumerate(spec.spacings))
+    )
+    moved = np.sum(s * s, axis=node_axes)
+    still = moved == 0.0
+    curvature = (np.sum(dgrad * s, axis=node_axes) - kinetic) / np.where(still, 1.0, moved)
+    keep = still | ~np.isfinite(curvature)
+    return np.where(keep, mass, np.maximum(1.0, curvature))
 
 
 def _canonical(
@@ -219,12 +247,20 @@ def minimize(
     """Descend the action from ``init``; returns the final field and the
     full per-iteration report.
 
-    Both methods search along the H1 gradient z = (I - laplacian)^-1 G:
-    ``gd`` along -z, ``ncg`` along the preconditioned Polak-Ribiere+
-    direction d = -z + beta d_prev with
+    Both methods search along the Sobolev gradient
+    z = (diag(c) - laplacian)^-1 G: ``gd`` along -z, ``ncg`` along the
+    preconditioned Polak-Ribiere+ direction d = -z + beta d_prev with
     beta = max(0, <G, z - z_prev> / <G_prev, z_prev>), restarting along -z
     when d is not a descent direction.  Inner products are discrete L2, so
-    the Armijo slope is <G, d>.
+    the Armijo slope is <G, d>.  The mass c has one entry per component and
+    starts at 1; after each accepted step s (taken unshifted: the lattice
+    shift is a constant and grad F is periodic) it is set to
+    c_i = max(1, (<G_k - G_{k-1}, s>_i - sum_alpha |D_alpha s|^2_i) / <s, s>_i),
+    the Barzilai-Borwein secant curvature of the potential part.  A
+    component with <s, s>_i = 0 or a non-finite quotient keeps its c_i.
+    This costs p stencils and three per-component sums per iteration and no
+    evaluation of F; each record's ``h1_mass`` is the c used for the step
+    leaving that iterate.
 
     Statuses: ``converged`` means the L2 residual norm reached
     cfg.tol_residual; ``stalled`` means five consecutive accepted steps each
@@ -250,13 +286,14 @@ def minimize(
         status="max_iters",
         periods=None if periods is None else tuple(float(x) for x in periods),
     )
-    report.iterations.append(_record(0, a_val, residual, u, 0.0, shifts0, gauge0))
+    mass = np.ones(spec.n)
+    report.iterations.append(_record(0, a_val, residual, u, 0.0, shifts0, gauge0, mass))
     if residual <= cfg.tol_residual:
         report.status = "converged"
         return u, report
 
     riesz = h1_riesz_map(spec)
-    z = riesz(grad.values)
+    z = riesz(grad.values, mass)
     grad_z = _inner(spec, grad.values, z)
     direction: np.ndarray | None = None
     stagnant = 0
@@ -296,11 +333,15 @@ def minimize(
             z_prev, grad_z_prev = z, grad_z
             direction = cand_dir
             a_val = a_new
+            grad_prev = grad.values
             grad = action_gradient(u, pot)
-            z = riesz(grad.values)
+            mass = _secant_mass(spec, mass, grad.values - grad_prev, step * cand_dir)
+            z = riesz(grad.values, mass)
             grad_z = _inner(spec, grad.values, z)
             residual = l2_norm(grad)
-            report.iterations.append(_record(it, a_val, residual, u, step, shifts, gauge))
+            report.iterations.append(
+                _record(it, a_val, residual, u, step, shifts, gauge, mass)
+            )
 
             if residual <= cfg.tol_residual:
                 report.status = "converged"

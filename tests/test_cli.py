@@ -197,6 +197,11 @@ class TestConfigValidation:
             ("checks", {"seed": None}, "checks.seed must be a number, got null", "check"),
             ("init", {"kind": "random", "seed": None}, "init.seed must be a number, got null", "solve"),
             ("solver", {"max_iters": 10.5}, "solver.max_iters must be an integer, got 10.5", "solve"),
+            ("init", {"value": True}, "init.value must be a number, got true", "solve"),
+            ("init", {"value": "0.5"}, 'init.value must be a number, got "0.5"', "solve"),
+            ("init", {"value": None}, "init.value must be a number, got null", "solve"),
+            ("init", {"value": [[0.6]]}, "init.value[0] must be a number, got [0.6]", "solve"),
+            ("init", {"value": [0.6, "a"]}, 'init.value[1] must be a number, got "a"', "solve"),
         ],
     )
     def test_mistyped_number_exits_3_naming_key(
@@ -499,6 +504,40 @@ class TestSolveCommand:
         assert main(["--quiet", "solve", str(cfg)]) == 0
         assert len(calls) == 1
 
+    def test_checks_evaluate_the_drawn_sample_once(self):
+        # F and grad F at the base draw, once each over all four checks; the
+        # reports equal those of checks that each draw for themselves
+        pot = cli.CosineLattice([1.0], [TWO_PI], floor=0.1, p=2)
+        sampler = cli.SampleSpec(count=200, seed=4, t_extents=(1.0, 1.0))
+        _, base_x = sampler.draw(pot.n)
+        calls = {"value": 0, "gradient": 0}
+
+        class Counted(cli.CosineLattice):
+            def value(self, t, x):
+                calls["value"] += np.array_equal(x, base_x)
+                return super().value(t, x)
+
+            def gradient(self, t, x):
+                calls["gradient"] += np.array_equal(x, base_x)
+                return super().gradient(t, x)
+
+        counted = Counted([1.0], [TWO_PI], floor=0.1, p=2)
+        reports, notes = cli.run_checks(counted, cli.Sample(counted, sampler), cli.CHECK_NAMES)
+        assert calls == {"value": 1, "gradient": 1}
+        assert notes == []
+        assert reports == [
+            cli.check_periodicity(pot, sampler),
+            cli.check_positivity(pot, sampler),
+            cli.check_gradient_growth(pot, pot.growth, sampler),
+            cli.check_grad_consistency(pot, sampler),
+        ]
+
+    def test_sample_of_another_potential_rejected(self):
+        sampler = cli.SampleSpec(count=10, seed=0, t_extents=(1.0,))
+        pot = cli.ShiftedQuadratic([0.5])
+        with pytest.raises(ValueError, match="another potential"):
+            cli.check_positivity(pot, cli.Sample(cli.ShiftedQuadratic([0.5]), sampler))
+
     def test_not_converged_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(
@@ -712,7 +751,7 @@ class TestReportSchema:
         )
         assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema"] == "poisson-grad-report-v2"
+        assert report["schema"] == "poisson-grad-report-v3"
         assert set(report) == {
             "schema", "version", "timestamp", "command", "config", "seed",
             "checks", "check_notes", "status", "iterations", "final",
@@ -721,8 +760,9 @@ class TestReportSchema:
         assert set(report["iterations"][0]) == {
             "iter", "action_total", "action_kinetic", "action_potential",
             "residual_l2", "du_norm_sq", "mean", "tilde_norm", "step",
-            "shifts", "gauge_dev",
+            "shifts", "gauge_dev", "h1_mass",
         }
+        assert report["iterations"][0]["h1_mass"] == [1.0, 1.0]
         last = report["iterations"][-1]
         assert last["iter"] == 2
         assert report["final"] == {

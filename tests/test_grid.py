@@ -324,6 +324,37 @@ class TestH1Riesz:
         assert h1_inner(z, v) == pytest.approx(l2_inner(g, v), rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec((1.0,), (16,), n=1),
+            GridSpec((2.0,), (12,), n=2),
+            GridSpec((1.0, 2.0), (16, 12), n=1),
+            GridSpec((1.0, 1.0), (8, 8), n=2),
+        ],
+    )
+    def test_mass_inverts_c_minus_laplacian_per_component(self, spec):
+        rng = np.random.default_rng(spec.node_count + spec.n)
+        g = Field(spec, 1.5 + rng.standard_normal(spec.shape))
+        mass = np.array([3.5, 1000.0])[: spec.n]
+        z = Field(spec, h1_riesz_map(spec)(g.values, mass))
+        back = mass * z.values - laplacian(z).values
+        npt.assert_allclose(back, g.values, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(mean(z), mean(g) / mass, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "spec", [GridSpec((1.0,), (16,), n=2), GridSpec((1.0, 2.0), (16, 12), n=1)]
+    )
+    def test_unit_mass_is_the_unweighted_map_bit_for_bit(self, spec):
+        g = gaussian_field(spec, np.random.default_rng(9)).values
+        axes = tuple(range(spec.p))
+        divisor = (1.0 - laplacian_symbol(spec))[..., np.newaxis]
+        unweighted = np.real(np.fft.ifftn(np.fft.fftn(g, axes=axes) / divisor, axes=axes))
+        riesz = h1_riesz_map(spec)
+        npt.assert_array_equal(riesz(g), unweighted)
+        npt.assert_array_equal(riesz(g, np.ones(spec.n)), unweighted)
+
+
 class TestOperatorIdentities:
     def setup_method(self):
         self.spec = GridSpec((1.0, 1.5), (8, 6), n=2)

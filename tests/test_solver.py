@@ -14,6 +14,7 @@ from poisson_grad import (
     ShiftedQuadratic,
     canonicalize,
     check_minimizing_bounds,
+    laplacian,
     mean,
     minimize,
     node_coordinates,
@@ -23,7 +24,7 @@ from poisson_grad import (
     wirtinger_constant,
 )
 from poisson_grad.action import PotentialDomainError
-from poisson_grad.solver import IterationRecord, RunReport, SolverConfig
+from poisson_grad.solver import IterationRecord, RunReport, SolverConfig, _secant_mass
 
 TWO_PI = 2.0 * np.pi
 
@@ -364,6 +365,84 @@ class TestH1Descent:
         assert all(3.5 <= r <= 4.5 for r in ratios), ratios
 
 
+class TestSecantMass:
+    """The metric's mass follows the secant curvature of the potential part
+    along each accepted step, clipped below at 1."""
+
+    def test_secant_exact_on_a_quadratic_and_clipped_at_one(self):
+        spec = GridSpec((1.0,), (16,), n=2)
+        pot = ExpressionPotential("5*x1^2 + 0.25*x2^2", 1, 2)
+        init = random_init(spec, None, seed=4)
+        _, report = minimize(pot, init, SolverConfig(max_iters=1))
+        assert report.iterations[0].h1_mass == (1.0, 1.0)
+        c1, c2 = report.iterations[1].h1_mass
+        assert c1 == pytest.approx(10.0, rel=1e-9)
+        assert c2 == 1.0
+
+    def test_recorded_mass_scales_the_next_step(self):
+        # on a constant field the weighted map is G / c: with c = (10, 1) the
+        # unit step is a Newton step for x1 and halves x2
+        spec = GridSpec((1.0,), (8,), n=2)
+        pot = ExpressionPotential("5*x1^2 + 0.25*x2^2", 1, 2)
+        init = Field.constant(spec, (1.0, 1.0))
+        _, report = minimize(pot, init, SolverConfig(method="gd", max_iters=2))
+        first, second = report.iterations[1:]
+        assert first.h1_mass == (10.0, 1.0)
+        assert second.step == 1.0
+        assert second.mean[0] == pytest.approx(0.0, abs=1e-15)
+        assert second.mean[1] == pytest.approx(0.5 * first.mean[1], rel=1e-15)
+
+    def test_unmoved_component_keeps_its_mass(self):
+        spec = GridSpec((1.0, 1.0), (8, 6), n=2)
+        rng = np.random.default_rng(5)
+        s = np.zeros(spec.shape)
+        s[..., 0] = rng.standard_normal(spec.nodes)
+        # dG = -laplacian(s) + 3 s: the potential part has curvature 3
+        dgrad = 3.0 * s - laplacian(Field(spec, s)).values
+        mass = _secant_mass(spec, np.array([2.0, 7.0]), dgrad, s)
+        assert mass[0] == pytest.approx(3.0, rel=1e-12)
+        assert mass[1] == 7.0
+
+    def test_potential_free_of_a_component_keeps_its_mass_in_a_solve(self):
+        # x2 never moves from its constant start: <s, s>_2 = 0 at every step
+        spec = GridSpec((1.0,), (16,), n=2)
+        pot = ExpressionPotential("0.1 + 5*(1 - cos(x1))", 1, 2, periods=(TWO_PI, 1.0))
+        rng = np.random.default_rng(2)
+        values = np.stack([rng.uniform(0.0, 1.0, 16), np.full(16, 0.25)], axis=-1)
+        final, report = minimize(pot, Field(spec, values), SolverConfig())
+        assert report.status == "converged"
+        assert report.iterations[1].h1_mass[0] > 1.0
+        assert all(r.h1_mass[1] == 1.0 for r in report.iterations)
+        npt.assert_array_equal(final.values[:, 1], 0.25)
+
+    def test_unit_curvature_keeps_unit_mass(self):
+        # the cosine-sheet problem: every secant is below 1, so c stays 1
+        spec = GridSpec((1.0, 1.0), (24, 24), n=1)
+        pot = CosineLattice(
+            [1.0], [TWO_PI], floor=0.1, modulation=0.5, mod_axis=0, mod_extent=1.0, p=2
+        )
+        _, report = minimize(pot, Field.constant(spec, 0.6), SolverConfig(tol_residual=1e-6))
+        assert report.status == "converged"
+        assert all(r.h1_mass == (1.0,) for r in report.iterations)
+
+    @pytest.mark.parametrize(
+        "nodes, amplitude",
+        [(64, 10.0), (64, 100.0), (64, 1000.0), (128, 10.0), (128, 100.0)],
+    )
+    def test_stiff_modulated_cosine_converges(self, nodes, amplitude):
+        # with a unit mass these runs stall after 44 to 1627 iterations
+        spec = GridSpec((1.0, 1.0), (nodes, nodes), n=1)
+        pot = CosineLattice(
+            [amplitude], [TWO_PI], floor=0.1, modulation=0.5, mod_axis=0, mod_extent=1.0, p=2
+        )
+        init = random_init(spec, pot.periods, seed=3)
+        _, report = minimize(pot, init, SolverConfig(tol_residual=1e-8))
+        assert report.status == "converged"
+        assert report.final.index <= 40
+        assert report.final.h1_mass[0] > 0.5 * amplitude
+        assert check_minimizing_bounds(report, spec).all_passed
+
+
 class TestCheckMinimizingBounds:
     def run_quadratic(self):
         spec = GridSpec((1.0,), (16,), n=1)
@@ -400,6 +479,7 @@ class TestCheckMinimizingBounds:
             step=0.0,
             shifts=(0,),
             gauge_dev=None,
+            h1_mass=(1.0,),
         )
         report = RunReport(status="converged", iterations=[record], periods=(TWO_PI,))
         audit = check_minimizing_bounds(report, spec)
