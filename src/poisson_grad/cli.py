@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .expr import ExprError, ExpressionPotential, line_col
-from .grid import Field, GridSpec, l2_norm, lattice_coordinates, mean, solve_linear_poisson
+from .grid import Field, GridSpec, l2_norm, lattice_axes, lattice_coordinates, mean
+from .grid import solve_linear_poisson
 from .potential import (
     CheckReport,
     CosineLattice,
@@ -135,9 +136,12 @@ def _need(section: dict, key: str, path: str):
 
 def _number(value, path: str, integral: bool = False) -> float | int:
     """A JSON number as float, or as int for an ``integral`` key (``8.0``
-    reads as 8); anything else raises ConfigError naming the key."""
+    reads as 8); anything else, including a literal that overflows to
+    infinity, raises ConfigError naming the key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {json.dumps(value)}")
+    if isinstance(value, float) and math.isinf(value):
+        raise ConfigError(f"{path} is out of range: {json.dumps(value)}")
     if not integral:
         try:
             return float(value)
@@ -339,21 +343,25 @@ _BLOCK_ROWS = 4096
 def write_field_csv(path: str | Path, field: Field, closed: bool = False) -> None:
     """Write a field as CSV; 17 significant digits round-trip float64 exactly.
 
-    The node coordinates and values form one ``(rows, p + n)`` table, written
-    in blocks of ``_BLOCK_ROWS`` rows that one ``%`` each formats.
-    """
+    Each lattice coordinate is formatted once per axis; a row's coordinate
+    prefix joins one string per axis, drawn lazily in node order.  Rows go
+    out in blocks of ``_BLOCK_ROWS``, one ``%`` per block over the prefixes
+    interleaved with the values, so the writer holds one block of text."""
     spec = field.spec
     values = field.closed_values() if closed else field.values
     shape = values.shape[:-1]
-    table = np.concatenate(
-        [lattice_coordinates(spec.spacings, shape), values], axis=-1
-    ).reshape(-1, spec.p + spec.n)
-    row = ",".join(["%.17g"] * (spec.p + spec.n)) + "\n"
+    axes = [["%.17g," % t for t in a.tolist()] for a in lattice_axes(spec.spacings, shape)]
+    prefixes = map("".join, itertools.product(*axes))
+    values = values.reshape(-1, spec.n)
+    row = "%s" + ",".join(["%.17g"] * spec.n) + "\n"
     with open(path, "w") as fh:
         fh.write(_header(spec) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = values[start : start + _BLOCK_ROWS]
+            cells = np.empty((len(block), 1 + spec.n), dtype=object)
+            cells[:, 0] = list(itertools.islice(prefixes, len(block)))
+            cells[:, 1:] = block
+            fh.write(row * len(block) % tuple(cells.ravel().tolist()))
 
 
 def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray, bool]:

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Field",
+    "lattice_axes",
     "lattice_coordinates",
     "node_coordinates",
     "l2_inner",
@@ -168,15 +169,16 @@ class Field:
         return f"Field(nodes={self.spec.nodes}, n={self.spec.n})"
 
 
-def lattice_coordinates(spacings, shape) -> np.ndarray:
-    """Coordinates t^alpha_k = k * h_alpha for 0 <= k < shape[alpha].
+def lattice_axes(spacings, shape) -> list[np.ndarray]:
+    """Coordinates t^alpha_k = k * h_alpha, 0 <= k < shape[alpha], one vector
+    per axis; ``shape`` is ``spec.nodes``, or ``N_alpha + 1`` per axis for the
+    closed form, whose extra node on each axis is the wrap face."""
+    return [h * np.arange(k) for h, k in zip(spacings, shape)]
 
-    Returns an array of shape ``(*shape, p)``.  ``shape`` is ``spec.nodes``
-    for the lattice itself or ``N_alpha + 1`` per axis for the closed form,
-    whose extra node on each axis is the wrap face.
-    """
-    axes = [h * np.arange(k) for h, k in zip(spacings, shape)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+def lattice_coordinates(spacings, shape) -> np.ndarray:
+    """The nodes of ``lattice_axes`` as one ``(*shape, p)`` array, in node order."""
+    return np.stack(np.meshgrid(*lattice_axes(spacings, shape), indexing="ij"), axis=-1)
 
 
 def node_coordinates(spec: GridSpec) -> np.ndarray:

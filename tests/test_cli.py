@@ -202,6 +202,22 @@ class TestConfigValidation:
             ("init", {"value": None}, "init.value must be a number, got null", "solve"),
             ("init", {"value": [[0.6]]}, "init.value[0] must be a number, got [0.6]", "solve"),
             ("init", {"value": [0.6, "a"]}, 'init.value[1] must be a number, got "a"', "solve"),
+            # number literals that overflow to infinity (written as 1e400)
+            ("init", {"value": math.inf}, "init.value is out of range: Infinity", "solve"),
+            ("potential", {"floor": math.inf}, "potential.floor is out of range: Infinity", "check"),
+            (
+                "potential",
+                {"periods": [-math.inf]},
+                "potential.periods[0] is out of range: -Infinity",
+                "check",
+            ),
+            (
+                "potential",
+                {"kind": "expr", "expr": "1 + cos(x1)", "periods": [math.inf]},
+                "potential.periods[0] is out of range: Infinity",
+                "check",
+            ),
+            ("grid", {"extents": [math.inf]}, "grid.extents[0] is out of range: Infinity", "check"),
         ],
     )
     def test_mistyped_number_exits_3_naming_key(
@@ -210,7 +226,7 @@ class TestConfigValidation:
         cfg = tmp_path / "c.json"
         body = write_config(cfg, grid=dict(self.GRID_1D))
         body[section].update(update)
-        cfg.write_text(json.dumps(body))
+        cfg.write_text(json.dumps(body).replace("Infinity", "1e400"))
         assert main(["--quiet", command, str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -358,7 +374,7 @@ class TestFieldCsv:
 
     def test_io_memory_follows_field_size(self, tmp_path):
         # a whole-file text costs about 16x the field's bytes in each
-        # direction; the block writer stays near 3x, the streamed reader
+        # direction; the block writer stays near 1x, the streamed reader
         # near 5x (the parsed table alone is 2x)
         spec = GridSpec((1.0, 1.0), (256, 256), n=2)
         field = gaussian_field(spec, np.random.default_rng(2))
@@ -378,6 +394,20 @@ class TestFieldCsv:
             tracemalloc.stop()
         npt.assert_array_equal(back.values, field.values)
         assert written <= bound and read <= bound, (written, read, bound)
+
+    def test_write_memory_about_one_field(self, tmp_path):
+        # coordinates are formatted once per axis, so one block of prefixes,
+        # cells and text is all the writer holds: about 1.1x the field's bytes
+        spec = GridSpec((1.0, 1.0), (256, 256), n=2)
+        field = gaussian_field(spec, np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_field_csv(tmp_path / "f.csv", field)
+            written = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert written <= 2 * field.values.nbytes, (written, field.values.nbytes)
 
 
 class TestSolveCommand:

@@ -20,6 +20,7 @@ from poisson_grad.grid import (
     backward_diff,
     h1_riesz_map,
     laplacian_symbol,
+    lattice_axes,
     lattice_coordinates,
 )
 
@@ -51,6 +52,30 @@ class TestGridSpec:
         npt.assert_array_equal(closed[:3, :17], node_coordinates(spec))
         assert closed[3, 17, 0] == 3 * spec.spacings[0]
         assert closed[3, 17, 1] == 17 * spec.spacings[1]
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize(
+        "extents, nodes",
+        [
+            ((0.7,), (7,)),
+            ((2.0 * np.pi,), (13,)),
+            ((0.7, 2.0 * np.pi), (3, 7)),
+            ((2.0 * np.pi, 0.7, 0.7), (7, 3, 3)),
+        ],
+    )
+    def test_lattice_axes_mesh_to_lattice_coordinates(self, extents, nodes, closed):
+        # the field CSV writer prints the axes, the reader checks against the
+        # mesh: both must be the per-node t = k * h bit for bit
+        spec = GridSpec(extents, nodes)
+        shape = tuple(k + closed for k in nodes)
+        axes = lattice_axes(spec.spacings, shape)
+        assert [a.tolist() for a in axes] == [
+            [k * h for k in range(m)] for h, m in zip(spec.spacings, shape)
+        ]
+        coords = lattice_coordinates(spec.spacings, shape)
+        npt.assert_array_equal(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), coords)
+        if not closed:
+            npt.assert_array_equal(coords, node_coordinates(spec))
 
     def test_node_coordinates_built_once_and_read_only(self):
         spec = GridSpec((0.1, 2.7), (3, 17))
