@@ -63,7 +63,7 @@ def _locate(spec, element: int | None) -> tuple[tuple[int, ...], tuple[float, ..
     if element is None:
         element = 0
     idx = np.unravel_index(element, spec.nodes)
-    coords = tuple(float(k * h) for k, h in zip(idx, spec.spacings))
+    coords = tuple(float(t) for t in node_coordinates(spec)[idx])
     return tuple(int(k) for k in idx), coords
 
 

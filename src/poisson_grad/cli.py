@@ -57,8 +57,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_BAD_CONFIG = 3
 EXIT_BAD_EXPR = 4
 
-CHECK_NAMES = ("periodicity", "positivity", "gradient_growth", "grad_consistency")
-
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
@@ -89,7 +87,7 @@ _SECTIONS = {
     "init": {"kind", "value", "seed", "path"},
     "solver": {f.name for f in fields(SolverConfig)},
     "output": {"field_csv", "closed_csv", "report_json"},
-    "checks": {"names", "samples", "seed", "x_radius"},
+    "checks": {"samples", "seed", "x_radius"},
 }
 
 _GROWTH_KEYS = {f.name for f in fields(GrowthEnvelope)}
@@ -136,9 +134,9 @@ def _need(section: dict, key: str, path: str):
 
 def _number(value, path: str, integral: bool = False) -> float | int:
     """A JSON number as float, or as int for an ``integral`` key (``8.0``
-    reads as 8); anything else, including a literal that overflows to
-    infinity, raises ConfigError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    reads as 8); anything else, including NaN and a literal that overflows
+    to infinity, raises ConfigError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ConfigError(f"{path} must be a number, got {json.dumps(value)}")
     if isinstance(value, float) and math.isinf(value):
         raise ConfigError(f"{path} is out of range: {json.dumps(value)}")
@@ -267,8 +265,9 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
 
 def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:
     s = dict(cfg.get("solver", {}))
-    if "max_iters" in s:
-        s["max_iters"] = _number(s["max_iters"], "solver.max_iters", integral=True)
+    for key in ("max_iters", "tol_residual", "initial_step"):
+        if key in s:
+            s[key] = _number(s[key], f"solver.{key}", integral=key == "max_iters")
     if seed_override is not None:
         s["rng_seed"] = seed_override
     try:
@@ -484,40 +483,23 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def run_checks(
-    pot: Potential, sample: Sample, names
-) -> tuple[list[CheckReport], list[str]]:
-    """Run the requested hypothesis checks, named from CHECK_NAMES, on one
-    drawn sample, so F and grad F at its points are evaluated at most once
-    each; unrunnable checks become notes."""
+def run_checks(pot: Potential, sample: Sample) -> tuple[list[CheckReport], list[str]]:
+    """Run every applicable hypothesis check, in a fixed order, on one drawn
+    sample, so F and grad F at its points are evaluated at most once each;
+    a check the potential declares nothing for becomes a note."""
     reports: list[CheckReport] = []
     notes: list[str] = []
-    for name in names:
-        if name == "periodicity":
-            if pot.periods is None:
-                notes.append("periodicity: skipped, no periods declared")
-                continue
-            reports.append(check_periodicity(pot, sample))
-        elif name == "positivity":
-            reports.append(check_positivity(pot, sample))
-        elif name == "gradient_growth":
-            if pot.growth is None:
-                notes.append("gradient_growth: skipped, no growth envelope declared")
-                continue
-            reports.append(check_gradient_growth(pot, pot.growth, sample))
-        elif name == "grad_consistency":
-            reports.append(check_grad_consistency(pot, sample))
+    if pot.periods is None:
+        notes.append("periodicity: skipped, no periods declared")
+    else:
+        reports.append(check_periodicity(pot, sample))
+    reports.append(check_positivity(pot, sample))
+    if pot.growth is None:
+        notes.append("gradient_growth: skipped, no growth envelope declared")
+    else:
+        reports.append(check_gradient_growth(pot, pot.growth, sample))
+    reports.append(check_grad_consistency(pot, sample))
     return reports, notes
-
-
-def _requested_checks(cfg: dict):
-    names = cfg.get("checks", {}).get("names", list(CHECK_NAMES))
-    if not isinstance(names, (list, tuple)):
-        raise ConfigError("checks.names must be an array of check names")
-    for name in names:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check name {name!r}")
-    return names
 
 
 def cmd_solve(args) -> int:
@@ -528,8 +510,7 @@ def cmd_solve(args) -> int:
     solver_cfg = build_solver_config(cfg, args.seed)
     init = build_init(cfg, spec, pot, args.seed)
 
-    sample = Sample(pot, sampler)
-    checks, notes = run_checks(pot, sample, _requested_checks(cfg))
+    checks, notes = run_checks(pot, Sample(pot, sampler))
     failed = [c.name for c in checks if not c.passed]
     for c in checks:
         _say(args, str(c))
@@ -544,9 +525,7 @@ def cmd_solve(args) -> int:
             return EXIT_NOT_CONVERGED
 
     final, report = minimize(pot, init, solver_cfg)
-    positivity = next((c for c in checks if c.name == "positivity"), None)
-    if positivity is None:
-        positivity = check_positivity(pot, sample)
+    positivity = next(c for c in checks if c.name == "positivity")
     f_floor = 0.0 if positivity.passed else min(0.0, positivity.worst)
     audit = check_minimizing_bounds(report, spec, f_floor=f_floor)
     cert = certify(final, pot, solver_cfg.tol_residual)
@@ -607,7 +586,7 @@ def cmd_check(args) -> int:
     spec = build_grid(cfg)
     pot = build_potential(cfg, spec)
     sampler = build_sampler(cfg, spec)
-    checks, notes = run_checks(pot, Sample(pot, sampler), _requested_checks(cfg))
+    checks, notes = run_checks(pot, Sample(pot, sampler))
     for c in checks:
         _say(args, str(c))
     for note in notes:
@@ -621,14 +600,13 @@ def cmd_residual(args) -> int:
     pot = build_potential(cfg, spec)
     tol = build_solver_config(cfg, None).tol_residual
     loaded, closed = read_field_csv(args.field_csv, spec)
+    # an open field has no wrap faces, so only a closed import gets the
+    # face-matching check
     if closed:
-        closed_values = loaded
-        interior = closed_values[tuple(slice(0, k) for k in spec.nodes)]
-        field = Field(spec, interior)
-        cert = certify(field, pot, tol, closed=closed_values)
+        field = Field(spec, loaded[tuple(slice(0, k) for k in spec.nodes)])
+        cert = certify(field, pot, tol, closed=loaded)
     else:
-        field = loaded
-        cert = certify(field, pot, tol, closed=field.closed_values())
+        cert = certify(loaded, pot, tol)
     _say(
         args,
         f"residual_l2={cert.residual_l2:.6e} residual_linf={cert.residual_linf:.6e} "
@@ -648,7 +626,8 @@ def cmd_residual(args) -> int:
                 f"quotient={ax.quotient_mismatch:.3e} "
                 f"(threshold {cert.boundary.threshold:.3e})",
             )
-    return EXIT_OK if cert.residual_ok and cert.boundary.passed else EXIT_NOT_CONVERGED
+    faces_ok = cert.boundary is None or cert.boundary.passed
+    return EXIT_OK if cert.residual_ok and faces_ok else EXIT_NOT_CONVERGED
 
 
 def cmd_oracle_linear(args) -> int:

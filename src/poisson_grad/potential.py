@@ -40,22 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
-    """Coefficients bounding a potential's size and slope.
-
-    ``m`` and ``g_max`` enter the gradient bound |grad F(t,x)| <= m |x| + g_max.
-    ``a0``, ``a_slope`` and ``b_max`` record the envelope |F| <= a(|x|) b(t)
-    through the derived linear bound a(s) <= a_slope * s + a0, b <= b_max;
-    only the gradient bound is checked numerically.
-    """
+    """Coefficients of the gradient bound |grad F(t,x)| <= m |x| + g_max."""
 
     m: float = 0.0
     g_max: float = 0.0
-    a0: float = 0.0
-    a_slope: float = 0.0
-    b_max: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("m", "g_max", "a0", "a_slope", "b_max"):
+        for name in ("m", "g_max"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
@@ -201,11 +192,7 @@ class CosineLattice(Potential):
         self.positivity_claim = True
         rates = self.amplitudes * (2.0 * np.pi / self.periods)
         self.growth = GrowthEnvelope(
-            m=0.0,
-            g_max=(1.0 + abs(modulation)) * float(np.sqrt(np.sum(rates**2))),
-            a0=self.floor + 2.0 * float(np.sum(self.amplitudes)),
-            a_slope=0.0,
-            b_max=1.0 + abs(modulation),
+            m=0.0, g_max=(1.0 + abs(modulation)) * float(np.sqrt(np.sum(rates**2)))
         )
 
     def _time_factor(self, t: np.ndarray) -> np.ndarray:
@@ -241,10 +228,7 @@ class ShiftedQuadratic(Potential):
         self.floor = float(floor)
         self.periods = None
         self.positivity_claim = True
-        radius = float(np.linalg.norm(self.center))
-        self.growth = GrowthEnvelope(
-            m=1.0, g_max=radius, a0=radius, a_slope=1.0, b_max=1.0
-        )
+        self.growth = GrowthEnvelope(m=1.0, g_max=float(np.linalg.norm(self.center)))
 
     def value(self, t, x):
         d = np.asarray(x) - self.center
@@ -271,13 +255,7 @@ class LinearForcing(Potential):
         self.periods = None
         self.positivity_claim = False
         per_node = np.sqrt(np.sum(forcing.values**2, axis=-1))
-        self.growth = GrowthEnvelope(
-            m=0.0,
-            g_max=float(per_node.max()),
-            a0=0.0,
-            a_slope=float(per_node.max()),
-            b_max=1.0,
-        )
+        self.growth = GrowthEnvelope(m=0.0, g_max=float(per_node.max()))
 
     def _forcing_at(self, t: np.ndarray) -> np.ndarray:
         spec = self.forcing.spec

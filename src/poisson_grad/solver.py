@@ -56,6 +56,11 @@ __all__ = [
 
 # statuses: converged | stalled | max_iters | line_search_failed
 _MIN_STEP = 1e-16
+# relative action decrease that counts as stagnation; below one ulp of
+# relative change, so only dead-exact action plateaus stall a run
+_TOL_ACTION = 1e-16
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,11 +68,6 @@ class SolverConfig:
     method: str = "ncg"
     max_iters: int = 20000
     tol_residual: float = 1e-8
-    # below one ulp of relative change: only dead-exact action plateaus
-    # count as stagnation unless the user asks for looser f-based stopping
-    tol_action: float = 1e-16
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
     initial_step: float = 1.0
     rng_seed: int = 0
 
@@ -79,16 +79,11 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol_residual > 0.0:
-            raise ValueError("tol_residual must be positive")
-        if not self.tol_action > 0.0:
-            raise ValueError("tol_action must be positive")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.initial_step > 0.0:
-            raise ValueError("initial_step must be positive")
+        # an infinite initial step would never backtrack below _MIN_STEP
+        for name in ("tol_residual", "initial_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,7 @@ def minimize(
 
     Statuses: ``converged`` means the L2 residual norm reached
     cfg.tol_residual; ``stalled`` means five consecutive accepted steps each
-    improved the action by less than cfg.tol_action in relative terms before
+    improved the action by less than 1e-16 in relative terms before
     the residual test was met (near a strictly positive minimum the action
     gap falls below float resolution around residual ~ sqrt(eps), so tight
     residual targets on such problems end here); ``max_iters`` and
@@ -318,11 +313,11 @@ def minimize(
             accepted = None
             while step >= _MIN_STEP:
                 trial = _price_trial(u.values + step * cand_dir, spec, pot)
-                armijo = a_val.total + cfg.armijo_c1 * step * slope
+                armijo = a_val.total + _ARMIJO_C1 * step * slope
                 if trial is not None and trial[1].total <= armijo:
                     accepted = trial
                     break
-                step *= cfg.backtrack_factor
+                step *= _BACKTRACK_FACTOR
             if accepted is None:
                 report.status = "line_search_failed"
                 return u, report
@@ -346,7 +341,7 @@ def minimize(
             if residual <= cfg.tol_residual:
                 report.status = "converged"
                 return u, report
-            stagnant = stagnant + 1 if rel_decrease < cfg.tol_action else 0
+            stagnant = stagnant + 1 if rel_decrease < _TOL_ACTION else 0
             if stagnant >= 5:
                 report.status = "stalled"
                 return u, report

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -101,6 +103,19 @@ class TestConfigValidation:
                 {"potential": {"kind": "expr", "expr": "1", "growth": {"slope": 1.0}}},
                 "potential.growth.slope",
             ),
+            # solver constants, the fixed check list, and growth
+            # coefficients that nothing read are not keys
+            ({"solver": {"tol_action": 1e-16}}, "solver.tol_action"),
+            ({"solver": {"armijo_c1": 1e-4}}, "solver.armijo_c1"),
+            ({"solver": {"backtrack_factor": 0.5}}, "solver.backtrack_factor"),
+            ({"checks": {"names": ["positivity"]}}, "checks.names"),
+            *[
+                (
+                    {"potential": {"kind": "expr", "expr": "1", "growth": {key: 1.0}}},
+                    f"potential.growth.{key}",
+                )
+                for key in ("a0", "a_slope", "b_max")
+            ],
         ],
     )
     def test_unknown_solver_or_growth_key(self, tmp_path, capsys, section, key):
@@ -131,11 +146,6 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "line 1, column 5" in err
 
-    def test_unknown_check_name(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        write_config(cfg, checks={"names": ["positivity", "convexity"]})
-        assert main(["solve", str(cfg)]) == 3
-
     @pytest.mark.parametrize(
         "source, column", [("1 + x1²", 5), ("2²", 2), ("٣*x1", 1), ("x١", 1)]
     )
@@ -148,8 +158,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "checks, key",
         [
-            ({"x_radius": math.nan}, "checks.x_radius = nan"),
             ({"x_radius": 0.0}, "checks.x_radius = 0.0"),
+            ({"x_radius": -1.0}, "checks.x_radius = -1.0"),
             ({"samples": 0}, "checks.samples = 0"),
             ({"samples": -5}, "checks.samples = -5"),
         ],
@@ -218,6 +228,39 @@ class TestConfigValidation:
                 "check",
             ),
             ("grid", {"extents": [math.inf]}, "grid.extents[0] is out of range: Infinity", "check"),
+            ("checks", {"x_radius": math.nan}, "checks.x_radius must be a number, got NaN", "check"),
+            ("init", {"value": math.nan}, "init.value must be a number, got NaN", "solve"),
+            (
+                "potential",
+                {"kind": "expr", "expr": "1 + cos(x1)", "periods": [math.nan]},
+                "potential.periods[0] must be a number, got NaN",
+                "check",
+            ),
+            (
+                "solver",
+                {"tol_residual": True},
+                "solver.tol_residual must be a number, got true",
+                "solve",
+            ),
+            (
+                "solver",
+                {"tol_residual": "1e-8"},
+                'solver.tol_residual must be a number, got "1e-8"',
+                "solve",
+            ),
+            (
+                "solver",
+                {"tol_residual": math.inf},
+                "solver.tol_residual is out of range: Infinity",
+                "solve",
+            ),
+            # an infinite first step could never backtrack below the minimum
+            (
+                "solver",
+                {"initial_step": math.inf},
+                "solver.initial_step is out of range: Infinity",
+                "solve",
+            ),
         ],
     )
     def test_mistyped_number_exits_3_naming_key(
@@ -483,7 +526,7 @@ class TestSolveCommand:
             potential={"kind": "expr", "expr": "exp(x1^2)"},
             init={"kind": "constant", "value": 2.0},
             solver={"tol_residual": 1e-6, "initial_step": initial_step},
-            checks={"names": ["positivity"], "samples": 100},
+            checks={"samples": 100},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
@@ -514,13 +557,12 @@ class TestSolveCommand:
             grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [16]},
             potential={"kind": "expr", "expr": "exp(x1^2)"},
             init={"kind": "constant", "value": 30.0},
-            checks={"names": ["positivity"], "samples": 100},
+            checks={"samples": 100},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 3
         assert "non-finite result (offset 0) at node (0,)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("names", [list(cli.CHECK_NAMES), ["periodicity"]])
-    def test_positivity_sampled_once_per_solve(self, tmp_path, monkeypatch, names):
+    def test_positivity_sampled_once_per_solve(self, tmp_path, monkeypatch):
         calls = []
         sampled = cli.check_positivity
 
@@ -530,7 +572,7 @@ class TestSolveCommand:
 
         monkeypatch.setattr(cli, "check_positivity", counted)
         cfg = tmp_path / "c.json"
-        write_config(cfg, checks={"names": names, "samples": 500, "seed": 1})
+        write_config(cfg, checks={"samples": 500, "seed": 1})
         assert main(["--quiet", "solve", str(cfg)]) == 0
         assert len(calls) == 1
 
@@ -552,7 +594,7 @@ class TestSolveCommand:
                 return super().gradient(t, x)
 
         counted = Counted([1.0], [TWO_PI], floor=0.1, p=2)
-        reports, notes = cli.run_checks(counted, cli.Sample(counted, sampler), cli.CHECK_NAMES)
+        reports, notes = cli.run_checks(counted, cli.Sample(counted, sampler))
         assert calls == {"value": 1, "gradient": 1}
         assert notes == []
         assert reports == [
@@ -674,6 +716,17 @@ class TestResidualCommand:
         zero = tmp_path / "zero.csv"
         write_field_csv(zero, Field.zeros(spec))
         assert main(["--quiet", "residual", str(zero), str(cfg)]) == 0
+
+    def test_open_field_has_no_boundary_lines(self, tmp_path, capsys):
+        # an open field has no wrap faces to match; only closed imports
+        # print the face-matching check
+        cfg = tmp_path / "c.json"
+        write_config(cfg)
+        zero = tmp_path / "zero.csv"
+        write_field_csv(zero, Field.zeros(GridSpec((1.0, 1.0), (16, 16), n=1)))
+        assert main(["residual", str(zero), str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("residual_l2=") and "boundary" not in out
 
     def test_random_field_is_not(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -822,3 +875,16 @@ class TestReportSchema:
 
 def test_parser_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_readme_config_block_names_every_key(tmp_path):
+    # the config reference in README names exactly the keys load_config
+    # accepts; its comments are stripped before parsing
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config format", 1)[1].split("```jsonc\n", 1)[1]
+    reference = json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]))
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(reference))
+    cli.load_config(path)
+    assert {section: set(body) for section, body in reference.items()} == cli._SECTIONS
+    assert set(reference["potential"]["growth"]) == cli._GROWTH_KEYS

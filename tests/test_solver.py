@@ -24,7 +24,13 @@ from poisson_grad import (
     wirtinger_constant,
 )
 from poisson_grad.action import PotentialDomainError
-from poisson_grad.solver import IterationRecord, RunReport, SolverConfig, _secant_mass
+from poisson_grad.solver import (
+    _BACKTRACK_FACTOR,
+    IterationRecord,
+    RunReport,
+    SolverConfig,
+    _secant_mass,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,11 +52,13 @@ class TestSolverConfig:
             dict(method="newton"),
             dict(max_iters=0),
             dict(tol_residual=0.0),
-            dict(tol_action=-1.0),
-            dict(armijo_c1=1.0),
-            dict(backtrack_factor=0.0),
+            dict(tol_residual=math.inf),
+            dict(tol_residual=math.nan),
             dict(initial_step=0.0),
             dict(max_iters=10.5),
+            dict(initial_step=math.inf),
+            dict(initial_step=math.nan),
+            dict(initial_step=-1.0),
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -254,7 +262,7 @@ class TestMinimize:
         _, report = minimize(pot, random_init(spec, pot.periods, seed=7), cfg)
         assert report.converged
         trials = sum(
-            1 + round(math.log(cfg.initial_step / r.step, 1.0 / cfg.backtrack_factor))
+            1 + round(math.log(cfg.initial_step / r.step, 1.0 / _BACKTRACK_FACTOR))
             for r in report.iterations[1:]
         )
         shifted = sum(any(r.shifts) for r in report.iterations)
