@@ -14,6 +14,10 @@ the L2 gradient of phi is exactly
 so G = 0 is literally the discrete critical-point equation
 laplacian(u) = grad F(t, u): minimizing the action and solving the equation
 share one discretization with no separate consistency argument.
+
+Both are evaluated by one ``GridAction``, which binds a potential to a grid
+once; ``action`` and ``action_gradient`` bind one per call, a solve binds
+one for all of its evaluations.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, forward_diff, l2_norm, laplacian, node_coordinates
-from .grid import _reduce
+# laplacian is not called here; it stays bound in this module because
+# perfbench/spans.py traces it by this name
+from .grid import Field, GridSpec, forward_diff, l2_norm, laplacian, node_coordinates  # noqa: F401
+from .grid import _forward, _laplacian, _reduce, _require_finite
 from .potential import GrowthEnvelope, Potential
 
 __all__ = [
     "ActionValue",
     "PotentialDomainError",
+    "GridAction",
     "action",
     "action_gradient",
     "stacked_diff_norm",
@@ -67,26 +74,56 @@ def _locate(spec, element: int | None) -> tuple[tuple[int, ...], tuple[float, ..
     return tuple(int(k) for k in idx), coords
 
 
-def _guarded(fn, u: Field, coords: np.ndarray) -> np.ndarray:
-    try:
-        return fn(coords, u.values)
-    except ValueError as err:
-        element = getattr(err, "element", None)
-        idx, t = _locate(u.spec, element)
-        raise PotentialDomainError(str(err), idx, t) from err
+class GridAction:
+    """The action of a potential on one grid, and its L2 gradient, as
+    functions of node values ``x`` of shape ``spec.shape``.
+
+    The potential is bound to the grid once (``Potential.on_grid``).  The
+    stencils are the ones ``forward_diff`` and ``laplacian`` use, and each
+    array they would wrap in a Field is checked for finiteness there too,
+    raising the same ValueError; ``x`` itself is taken as checked.
+    A potential that fails raises PotentialDomainError with the node.
+    """
+
+    def __init__(self, pot: Potential, spec: GridSpec):
+        self.spec = spec
+        self.potential = pot.on_grid(spec)
+
+    def _located(self, fn, x: np.ndarray) -> np.ndarray:
+        try:
+            return fn(x)
+        except ValueError as err:
+            idx, t = _locate(self.spec, getattr(err, "element", None))
+            raise PotentialDomainError(str(err), idx, t) from err
+
+    def value(self, x: np.ndarray) -> ActionValue:
+        nodes = self._located(self.potential.value, x)
+        kin_density = np.zeros(self.spec.nodes)
+        for axis, h in enumerate(self.spec.spacings):
+            d = _forward(x, axis, h)
+            _require_finite(d)
+            kin_density += np.add.reduce(d * d, axis=-1)
+        kinetic = self.spec.cell_volume * _reduce(0.5 * kin_density)
+        potential = self.spec.cell_volume * _reduce(nodes)
+        return ActionValue(kinetic=kinetic, potential=potential)
+
+    def potential_gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad F(t, x) at the nodes."""
+        return self._located(self.potential.gradient, x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """-laplacian(x) + grad F(t, x), a new array."""
+        grad_f = self.potential_gradient(x)
+        lap = _laplacian(x, self.spec.spacings)
+        _require_finite(lap)
+        grad = np.subtract(grad_f, lap, out=lap)
+        _require_finite(grad)
+        return grad
 
 
 def action(u: Field, pot: Potential) -> ActionValue:
     """Evaluate the action; potential failures carry the offending node."""
-    spec = u.spec
-    nodes = _guarded(pot.value, u, node_coordinates(spec))
-    kin_density = np.zeros(spec.nodes)
-    for axis in range(spec.p):
-        d = forward_diff(u, axis).values
-        kin_density += np.sum(d * d, axis=-1)
-    kinetic = spec.cell_volume * _reduce(0.5 * kin_density)
-    potential = spec.cell_volume * _reduce(nodes)
-    return ActionValue(kinetic=kinetic, potential=potential)
+    return GridAction(pot, u.spec).value(u.values)
 
 
 def action_gradient(u: Field, pot: Potential) -> Field:
@@ -97,8 +134,7 @@ def action_gradient(u: Field, pot: Potential) -> Field:
     kinetic term with D_alpha v is absorbed exactly by discrete integration
     by parts.
     """
-    grad_nodes = _guarded(pot.gradient, u, node_coordinates(u.spec))
-    return Field(u.spec, grad_nodes - laplacian(u).values)
+    return Field(u.spec, GridAction(pot, u.spec).gradient(u.values))
 
 
 def stacked_diff_norm(u: Field) -> float:

@@ -10,9 +10,12 @@ one evaluates F, the other F and, forward-mode, the exact gradient grad_x F,
 both over a whole grid batch.  Only x-derivatives are propagated, one
 component at a time; t enters as a constant for each evaluation, and
 tangent components that are structurally zero (constants, t-only subtrees,
-components a subtree does not depend on) cost nothing.  Every failure mode
-is a positioned ExprError: lexical, syntactic, unknown identifier, or a
-numeric domain error pointing at the offending AST node.
+components a subtree does not depend on) cost nothing.  A program is
+bound to t before it runs: the steps that depend on t alone run once, at
+binding, so a potential bound to a grid's nodes computes them once per
+solve.  Every failure mode is a positioned ExprError: lexical, syntactic,
+unknown identifier, or a numeric domain error pointing at the offending AST
+node.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import GrowthEnvelope, Potential
+from .grid import GridSpec, node_coordinates
+from .potential import GridPotential, GrowthEnvelope, Potential
 
 __all__ = [
     "ExprError",
@@ -535,10 +539,10 @@ class _Builder:
     RULES = {Const: const, Var: var, Neg: neg, Call: call, BinOp: binop}
 
     def program(self, outputs: list[int | None], checks):
-        """The function of (t, x) that runs, in emission order, the steps
-        computing ``outputs`` (registers, or None for a structurally zero
-        tangent component) or running one of the ``checks``, and returns the
-        outputs' values."""
+        """The program that runs, in emission order, the steps computing
+        ``outputs`` (registers, or None for a structurally zero tangent
+        component) or running one of the ``checks``: a function of t that
+        returns the function of x (see ``_bind``)."""
         live = set(outputs)
         steps = []
         for r in range(len(self.steps) - 1, 1, -1):
@@ -550,16 +554,43 @@ class _Builder:
                 steps.append((call, args[0], args[1] if len(args) > 1 else None, r))
         steps.reverse()
         registers = [self.known.get(r) for r in range(len(self.steps))]
+        return functools.partial(_bind, registers, {_T, *self.known}, steps, outputs)
 
-        def run(t, x):
-            r = registers.copy()
-            r[_T] = t
-            r[_X] = x
-            for call, a, b, out in steps:
-                r[out] = call(r[a]) if b is None else call(r[a], r[b])
-            return [None if i is None else r[i] for i in outputs]
 
-        return run
+def _bind(registers: list, known: set, steps: list, outputs: list, t):
+    """The program at this t, as the function of x that returns the values
+    of ``outputs``.  Each step that needs t but not x runs here, once, and
+    is folded like a constant; a step that fails its domain check or raises
+    a floating-point error is left in the program, with every step that
+    uses it, so that it fails or warns at evaluation, in its place."""
+    r = registers.copy()
+    r[_T] = t
+    known = known.copy()
+    remaining = []
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for step in steps:
+            call, a, b, out = step
+            if a in known and (b is None or b in known):
+                try:
+                    value = call(r[a]) if b is None else call(r[a], r[b])
+                except (_Domain, FloatingPointError):
+                    pass
+                else:
+                    if isinstance(value, np.ndarray):
+                        value.setflags(write=False)  # shared by every evaluation
+                    r[out] = value
+                    known.add(out)
+                    continue
+            remaining.append(step)
+
+    def run(x) -> list:
+        registers = r.copy()
+        registers[_X] = x
+        for call, a, b, out in remaining:
+            registers[out] = call(registers[a]) if b is None else call(registers[a], registers[b])
+        return [None if i is None else registers[i] for i in outputs]
+
+    return run
 
 
 _VALUE_CHECKS = frozenset((_exp, _sqrt, _quotient, _nonzero_base, _positive_base))
@@ -568,9 +599,10 @@ _DUAL_CHECKS = _VALUE_CHECKS | {_sqrt_tangent_check}
 
 class Program:
     """An expression compiled once into two straight-line programs:
-    ``value(t, x)`` returns [F] and ``dual(t, x)`` returns F followed by
+    ``value(t)(x)`` returns [F] and ``dual(t)(x)`` returns F followed by
     its n partials, each None when structurally zero, or [F] alone when F
-    does not depend on x."""
+    does not depend on x.  ``value(t)`` and ``dual(t)`` run what depends
+    on t alone; the functions they return run the rest."""
 
     __slots__ = ("n", "value", "dual")
 
@@ -585,15 +617,20 @@ class Program:
         self.dual = builder.program([value, *(tangent or ())], _DUAL_CHECKS)
 
 
-def _evaluate(program: Program | Node, dual: bool, t, x):
-    """n, F broadcast to the batch shape of t and x, and with ``dual`` the
-    partials of F by component, each None when structurally zero."""
+def _compiled(program: Program | Node, t, x) -> tuple[Program, np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if not isinstance(program, Program):
         program = Program(program, x.shape[-1])
+    return program, t, x
+
+
+def _evaluate(run, t: np.ndarray, x: np.ndarray):
+    """F from ``run(x)``, a program bound to t, broadcast to the batch shape
+    of t and x, and the partials of F by component that follow it, each
+    None when structurally zero."""
     try:
-        value, *tangent = (program.dual if dual else program.value)(t, x)
+        value, *tangent = run(x)
     except _Domain as err:
         raise err.located(t, x) from None
     batch = x.shape[:-1]
@@ -601,7 +638,15 @@ def _evaluate(program: Program | Node, dual: bool, t, x):
         batch = np.broadcast_shapes(t.shape[:-1], batch)
     if not (isinstance(value, np.ndarray) and value.shape == batch):
         value = np.broadcast_to(value, batch)
-    return program.n, value, tangent
+    return value, tangent
+
+
+def _partials(value: np.ndarray, tangent: list, n: int) -> np.ndarray:
+    partials = np.zeros(value.shape + (n,))
+    for i, d in enumerate(tangent):
+        if d is not None:
+            partials[..., i] = d
+    return partials
 
 
 def eval_dual(program: Program | Node, t: np.ndarray, x: np.ndarray) -> Dual:
@@ -612,17 +657,15 @@ def eval_dual(program: Program | Node, t: np.ndarray, x: np.ndarray) -> Dual:
     ``value`` with the broadcast batch shape and ``partials`` with a
     trailing component axis, zeros where F does not depend on x.
     """
-    n, value, tangent = _evaluate(program, True, t, x)
-    partials = np.zeros(value.shape + (n,))
-    for i, d in enumerate(tangent):
-        if d is not None:
-            partials[..., i] = d
-    return Dual(value, partials)
+    program, t, x = _compiled(program, t, x)
+    value, tangent = _evaluate(program.dual(t), t, x)
+    return Dual(value, _partials(value, tangent, program.n))
 
 
 def eval_value(program: Program | Node, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate F only (cheaper than eval_dual inside line searches)."""
-    return _evaluate(program, False, t, x)[1]
+    program, t, x = _compiled(program, t, x)
+    return _evaluate(program.value(t), t, x)[0]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -696,3 +739,17 @@ class ExpressionPotential(Potential):
 
     def gradient(self, t, x):
         return eval_dual(self.program, t, x).partials
+
+    def on_grid(self, spec: GridSpec) -> GridPotential:
+        """Both programs bound to the node coordinates: their steps that
+        depend on t alone run once, here (see ``_bind``)."""
+        t = node_coordinates(spec)
+        value_run, dual_run, n = self.program.value(t), self.program.dual(t), self.n
+
+        def value(x):
+            return _evaluate(value_run, t, np.asarray(x, dtype=np.float64))[0]
+
+        def gradient(x):
+            return _partials(*_evaluate(dual_run, t, np.asarray(x, dtype=np.float64)), n)
+
+        return GridPotential(value, gradient)

@@ -45,8 +45,14 @@ __all__ = [
 
 
 def _reduce(values: np.ndarray) -> float:
-    # Single choke point for summation order: lexicographic, pairwise.
-    return float(np.sum(np.ascontiguousarray(values), dtype=np.float64))
+    # Single choke point for summation order: lexicographic, pairwise.  The
+    # ufunc's own reduce is what np.sum calls, minus its Python dispatch.
+    return float(np.add.reduce(np.ascontiguousarray(values), axis=None, dtype=np.float64))
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("field contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,11 @@ class GridSpec:
     def p(self) -> int:
         return len(self.extents)
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(t / k for t, k in zip(self.extents, self.nodes))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return math.prod(self.spacings)
 
@@ -113,6 +119,10 @@ class GridSpec:
     @property
     def node_count(self) -> int:
         return math.prod(self.nodes)
+
+    @cached_property
+    def node_axes(self) -> tuple[int, ...]:
+        return tuple(range(self.p))
 
     @cached_property
     def _node_coordinates(self) -> np.ndarray:
@@ -139,8 +149,7 @@ class Field:
             raise ValueError(
                 f"field shape {arr.shape} does not match grid shape {spec.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field contains non-finite values")
+        _require_finite(arr)
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self.spec = spec
@@ -200,11 +209,19 @@ def _require_same_spec(u: Field, v: Field) -> None:
 def l2_inner(u: Field, v: Field) -> float:
     """Discrete L2 pairing: cell volume times the node sum of (u, v)."""
     _require_same_spec(u, v)
-    return u.spec.cell_volume * _reduce(u.values * v.values)
+    return _inner(u.spec, u.values, v.values)
 
 
 def l2_norm(u: Field) -> float:
-    return math.sqrt(max(l2_inner(u, u), 0.0))
+    return _norm(u.spec, u.values)
+
+
+def _inner(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
+    return spec.cell_volume * _reduce(a * b)
+
+
+def _norm(spec: GridSpec, a: np.ndarray) -> float:
+    return math.sqrt(max(_inner(spec, a, a), 0.0))
 
 
 def h1_inner(u: Field, v: Field) -> float:
@@ -234,8 +251,11 @@ def forward_diff(u: Field, axis: int) -> Field:
     spec = u.spec
     if not 0 <= axis < spec.p:
         raise ValueError(f"axis {axis} out of range for {spec.p} time axes")
-    h = spec.spacings[axis]
-    return Field(spec, (_neighbor(u.values, axis, 1) - u.values) / h)
+    return Field(spec, _forward(u.values, axis, spec.spacings[axis]))
+
+
+def _forward(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    return (_neighbor(values, axis, 1) - values) / h
 
 
 def backward_diff(u: Field, axis: int) -> Field:
@@ -250,21 +270,24 @@ def backward_diff(u: Field, axis: int) -> Field:
 def laplacian(u: Field) -> Field:
     """Standard (2p+1)-point periodic stencil, sum over axes of
     (u(k+e) - 2 u(k) + u(k-e)) / h^2."""
-    spec = u.spec
-    out = np.zeros_like(u.values)
-    for axis in range(spec.p):
-        h2 = spec.spacings[axis] ** 2
-        out += (
-            _neighbor(u.values, axis, 1)
-            - 2.0 * u.values
-            + _neighbor(u.values, axis, -1)
-        ) / h2
-    return Field(spec, out)
+    return Field(u.spec, _laplacian(u.values, u.spec.spacings))
+
+
+def _laplacian(values: np.ndarray, spacings) -> np.ndarray:
+    out = np.zeros(values.shape)
+    for axis, h in enumerate(spacings):
+        out += (_neighbor(values, axis, 1) - 2.0 * values + _neighbor(values, axis, -1)) / h**2
+    return out
 
 
 def mean(u: Field) -> np.ndarray:
     """Domain average per component, shape (n,)."""
-    return u.values.mean(axis=tuple(range(u.spec.p)))
+    return _node_mean(u.values, u.spec)
+
+
+def _node_mean(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    # np.mean's own sum and division by the node count, minus its dispatch
+    return np.add.reduce(values, axis=spec.node_axes) / spec.node_count
 
 
 def split_mean(u: Field) -> tuple[np.ndarray, Field]:
@@ -285,7 +308,7 @@ def laplacian_symbol(spec: GridSpec) -> np.ndarray:
         lam_axis = -((2.0 * np.sin(np.pi * kappa / count) / h) ** 2)
         shape = [1] * spec.p
         shape[axis] = count
-        lam = lam + lam_axis.reshape(shape)
+        lam += lam_axis.reshape(shape)
     return lam
 
 
@@ -302,14 +325,20 @@ def h1_riesz_map(spec: GridSpec) -> Callable[..., np.ndarray]:
     laplacian_symbol); at c = 1 it is the unweighted H1 map and the zero
     mode passes the mean through unchanged.  The symbol is built once per
     call of this function, so a solve builds it once; at c = 1 the divisor
-    c + (-symbol) is bit for bit 1 - symbol.
+    c + (-symbol) is bit for bit 1 - symbol.  Transforms run one axis at a
+    time, last axis first, which is what fftn and ifftn do.
     """
     stiffness = -laplacian_symbol(spec)[..., np.newaxis]
-    node_axes = tuple(range(spec.p))
+    backwards = tuple(reversed(spec.node_axes))
+    fft, ifft = np.fft.fft, np.fft.ifft
 
     def riesz(values: np.ndarray, mass=1.0) -> np.ndarray:
-        zhat = np.fft.fftn(values, axes=node_axes) / (mass + stiffness)
-        return np.real(np.fft.ifftn(zhat, axes=node_axes))
+        for axis in backwards:
+            values = fft(values, axis=axis)
+        values /= mass + stiffness
+        for axis in backwards:
+            values = ifft(values, axis=axis)
+        return values.real
 
     return riesz
 
@@ -319,7 +348,9 @@ def solve_linear_poisson(f: Field) -> Field:
 
     Oracle for manufactured solutions: the right-hand side must have zero
     mean per component (within 1e-10 times its L2 norm), otherwise no
-    periodic solution exists and a ValueError is raised.
+    periodic solution exists and a ValueError is raised.  The transforms
+    run one axis at a time, as fftn and ifftn do, and each spectrum replaces
+    the one before it, so at most two complex copies of f are alive.
     """
     spec = f.spec
     fbar = mean(f)
@@ -329,8 +360,13 @@ def solve_linear_poisson(f: Field) -> Field:
         )
     lam = laplacian_symbol(spec)
     lam[(0,) * spec.p] = 1.0  # guard the zero mode; its coefficient is pinned below
-    node_axes = tuple(range(spec.p))
-    fhat = np.fft.fftn(f.values, axes=node_axes)
-    uhat = fhat / lam[..., np.newaxis]
+    backwards = tuple(reversed(spec.node_axes))
+    uhat = f.values
+    for axis in backwards:
+        uhat = np.fft.fft(uhat, axis=axis)
+    uhat /= lam[..., np.newaxis]
+    del lam
     uhat[(0,) * spec.p] = 0.0
-    return Field(spec, np.real(np.fft.ifftn(uhat, axes=node_axes)))
+    for axis in backwards:
+        uhat = np.fft.ifft(uhat, axis=axis)
+    return Field(spec, uhat.real)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, GridSpec, node_coordinates
 
 __all__ = [
     "GrowthEnvelope",
@@ -28,6 +29,7 @@ __all__ = [
     "Sample",
     "CheckReport",
     "Potential",
+    "GridPotential",
     "CosineLattice",
     "ShiftedQuadratic",
     "LinearForcing",
@@ -147,6 +149,25 @@ class Potential(ABC):
     def gradient(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Exact x-gradient of F, shape (..., n)."""
 
+    def on_grid(self, spec: GridSpec) -> "GridPotential":
+        """F and grad F as functions of node values ``x`` of shape
+        ``spec.shape``, at the node coordinates of ``spec``.
+
+        They must return exactly what ``value`` and ``gradient`` return at
+        ``node_coordinates(spec)``, bit for bit and with the same errors; a
+        subclass may override this to compute what depends on t alone once.
+        """
+        t = node_coordinates(spec)
+        return GridPotential(partial(self.value, t), partial(self.gradient, t))
+
+
+@dataclass(frozen=True)
+class GridPotential:
+    """A potential bound to the node coordinates of one grid."""
+
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
+
 
 class CosineLattice(Potential):
     """Separable cosine-well lattice with optional time modulation.
@@ -201,17 +222,26 @@ class CosineLattice(Potential):
         phase = 2.0 * np.pi * np.asarray(t)[..., self.mod_axis] / self.mod_extent
         return 1.0 + self.modulation * np.cos(phase)
 
+    def _well(self, factor: np.ndarray, x) -> np.ndarray:
+        terms = self.amplitudes * (1.0 - np.cos(2.0 * np.pi * np.asarray(x) / self.periods))
+        return self.floor + factor * np.add.reduce(terms, axis=-1)
+
+    def _slope(self, factor: np.ndarray, x) -> np.ndarray:
+        rates = self.amplitudes * (2.0 * np.pi / self.periods)
+        return factor * (rates * np.sin(2.0 * np.pi * np.asarray(x) / self.periods))
+
     def value(self, t, x):
-        well = np.sum(
-            self.amplitudes * (1.0 - np.cos(2.0 * np.pi * np.asarray(x) / self.periods)),
-            axis=-1,
-        )
-        return self.floor + self._time_factor(t) * well
+        return self._well(self._time_factor(t), x)
 
     def gradient(self, t, x):
-        rates = self.amplitudes * (2.0 * np.pi / self.periods)
-        slope = rates * np.sin(2.0 * np.pi * np.asarray(x) / self.periods)
-        return self._time_factor(t)[..., np.newaxis] * slope
+        return self._slope(self._time_factor(t)[..., np.newaxis], x)
+
+    def on_grid(self, spec: GridSpec) -> GridPotential:
+        """The time factor is evaluated once, on the nodes."""
+        factor = self._time_factor(node_coordinates(spec))
+        return GridPotential(
+            partial(self._well, factor), partial(self._slope, factor[..., np.newaxis])
+        )
 
 
 class ShiftedQuadratic(Potential):
@@ -267,11 +297,23 @@ class LinearForcing(Potential):
         return self.forcing.values[idx]
 
     def value(self, t, x):
-        return -np.sum(self._forcing_at(t) * np.asarray(x), axis=-1)
+        return self._pairing(self._forcing_at(t), x)
 
     def gradient(self, t, x):
-        f = self._forcing_at(t)
-        return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape)).copy()
+        return self._negated(self._forcing_at(t), x)
+
+    @staticmethod
+    def _pairing(f: np.ndarray, x) -> np.ndarray:
+        return -np.add.reduce(f * np.asarray(x), axis=-1)
+
+    @staticmethod
+    def _negated(f: np.ndarray, x) -> np.ndarray:
+        return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
+
+    def on_grid(self, spec: GridSpec) -> GridPotential:
+        """The forcing is looked up once, at the nodes."""
+        f = self._forcing_at(node_coordinates(spec))
+        return GridPotential(partial(self._pairing, f), partial(self._negated, f))
 
 
 def check_periodicity(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:

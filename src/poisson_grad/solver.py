@@ -36,9 +36,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .action import ActionValue, action, action_gradient
-from .grid import Field, GridSpec, h1_riesz_map, l2_norm, mean, split_mean
-from .grid import _neighbor, _reduce
+# action and action_gradient are not called here; they stay bound in this
+# module because perfbench/spans.py traces them by these names
+from .action import ActionValue, GridAction, action, action_gradient  # noqa: F401
+from .grid import Field, GridSpec, h1_riesz_map
+from .grid import _forward, _inner, _node_mean, _norm, _require_finite
 from .potential import Potential
 from .verify import wirtinger_constant, wirtinger_floor
 
@@ -130,15 +132,24 @@ class RunReport:
 def canonicalize(u: Field, periods) -> tuple[Field, np.ndarray]:
     """Shift each component by an integer multiple of its period so the
     mean lands in [0, P_i); returns the shifted field and the integers."""
-    if periods is None:
-        raise ValueError("canonicalize needs the potential's period vector")
-    periods = np.atleast_1d(np.asarray(periods, dtype=np.float64))
-    if periods.size != u.spec.n or np.any(periods <= 0.0):
-        raise ValueError(f"need {u.spec.n} positive periods, got {periods}")
-    shifts = (-np.floor(mean(u) / periods)).astype(np.int64)
+    periods = _checked_periods(periods, u.spec.n)
+    shifts = _lattice_shifts(u.values, u.spec, periods)
     if not shifts.any():
         return u, shifts
     return u.shifted(shifts * periods), shifts
+
+
+def _checked_periods(periods, n: int) -> np.ndarray:
+    if periods is None:
+        raise ValueError("canonicalize needs the potential's period vector")
+    periods = np.atleast_1d(np.asarray(periods, dtype=np.float64))
+    if periods.size != n or np.any(periods <= 0.0):
+        raise ValueError(f"need {n} positive periods, got {periods}")
+    return periods
+
+
+def _lattice_shifts(values: np.ndarray, spec: GridSpec, periods: np.ndarray) -> np.ndarray:
+    return (-np.floor(_node_mean(values, spec) / periods)).astype(np.int64)
 
 
 def random_init(spec: GridSpec, periods=None, seed: int = 0) -> Field:
@@ -151,21 +162,23 @@ def random_init(spec: GridSpec, periods=None, seed: int = 0) -> Field:
     return Field(spec, 0.1 * rng.standard_normal(spec.shape))
 
 
-def _inner(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
-    return spec.cell_volume * _reduce(a * b)
-
+# The descent runs on node value arrays, not Fields: each array that a
+# Field would hold is checked for finiteness where the Field would be built.
 
 def _record(
+    spec: GridSpec,
     index: int,
     a: ActionValue,
     residual: float,
-    u: Field,
+    u: np.ndarray,
     step: float,
     shifts,
     gauge_dev,
     mass: np.ndarray,
 ) -> IterationRecord:
-    ubar, tilde = split_mean(u)
+    ubar = _node_mean(u, spec)
+    tilde = u - ubar
+    _require_finite(tilde)
     return IterationRecord(
         index=index,
         action_total=a.total,
@@ -174,7 +187,7 @@ def _record(
         residual_l2=residual,
         du_norm_sq=2.0 * a.kinetic,
         mean=tuple(float(c) for c in ubar),
-        tilde_norm=l2_norm(tilde),
+        tilde_norm=_norm(spec, tilde),
         step=step,
         shifts=None if shifts is None else tuple(int(k) for k in shifts),
         gauge_dev=gauge_dev,
@@ -182,15 +195,14 @@ def _record(
     )
 
 
-def _price_trial(
-    values: np.ndarray, spec: GridSpec, pot: Potential
-) -> tuple[Field, ActionValue] | None:
+def _price_trial(act: GridAction, values: np.ndarray) -> tuple[np.ndarray, ActionValue] | None:
     """Price a trial point; None when its values or their differences
     overflow or F fails there, which the line search rejects like an Armijo
     failure."""
+    if not np.isfinite(values).all():
+        return None
     try:
-        cand = Field(spec, values)
-        return cand, action(cand, pot)
+        return values, act.value(values)
     except ValueError:
         return None
 
@@ -204,29 +216,33 @@ def _secant_mass(
     dG = -laplacian(s) + d(grad F) and <-laplacian(s), s> = sum |D s|^2.  A
     component that did not move, or whose quotient is not finite, keeps
     its mass."""
-    node_axes = tuple(range(spec.p))
+    node_axes = spec.node_axes
+    total = np.add.reduce
     kinetic = sum(
-        np.sum(d * d, axis=node_axes)
-        for d in ((_neighbor(s, a, 1) - s) / h for a, h in enumerate(spec.spacings))
+        total(d * d, axis=node_axes)
+        for d in (_forward(s, a, h) for a, h in enumerate(spec.spacings))
     )
-    moved = np.sum(s * s, axis=node_axes)
+    moved = total(s * s, axis=node_axes)
     still = moved == 0.0
-    curvature = (np.sum(dgrad * s, axis=node_axes) - kinetic) / np.where(still, 1.0, moved)
+    curvature = (total(dgrad * s, axis=node_axes) - kinetic) / np.where(still, 1.0, moved)
     keep = still | ~np.isfinite(curvature)
     return np.where(keep, mass, np.maximum(1.0, curvature))
 
 
 def _canonical(
-    u: Field, priced: ActionValue, pot: Potential, periods
-) -> tuple[Field, ActionValue, np.ndarray | None, float | None]:
-    """Canonicalize an accepted point whose action is ``priced``; a shifted
-    field is priced again and must keep that action (gauge invariance)."""
+    act: GridAction, u: np.ndarray, priced: ActionValue, periods: np.ndarray | None
+) -> tuple[np.ndarray, ActionValue, np.ndarray | None, float | None]:
+    """Canonicalize an accepted point whose action is ``priced``, as
+    ``canonicalize`` does with checked ``periods``; a shifted field is
+    priced again and must keep that action (gauge invariance)."""
     if periods is None:
         return u, priced, None, None
-    shifted, shifts = canonicalize(u, periods)
+    shifts = _lattice_shifts(u, act.spec, periods)
     if not shifts.any():
         return u, priced, shifts, None
-    repriced = action(shifted, pot)
+    shifted = u + shifts * periods
+    _require_finite(shifted)
+    repriced = act.value(shifted)
     dev = abs(repriced.total - priced.total)
     if dev > 1e-12 * (1.0 + abs(priced.total)):
         raise RuntimeError(
@@ -269,39 +285,45 @@ def minimize(
     gradient at an accepted point still propagates.  Whenever the potential
     declares periods, the initial point and every accepted iterate are
     canonicalized; trial points are priced as they are, without a shift.
+
+    The potential is bound to the grid once per call (``GridAction``), and
+    the periods are checked once, where the start is canonicalized.
     """
     spec = init.spec
-    periods = None if pot.periods is None else np.asarray(pot.periods, dtype=np.float64)
-
-    u, a_val, shifts0, gauge0 = _canonical(init, action(init, pot), pot, periods)
-    grad = action_gradient(u, pot)
-    residual = l2_norm(grad)
+    act = GridAction(pot, spec)
+    a_init = act.value(init.values)
+    periods = None if pot.periods is None else _checked_periods(pot.periods, spec.n)
+    u, a_val, shifts0, gauge0 = _canonical(act, init.values, a_init, periods)
+    grad = act.gradient(u)
+    residual = _norm(spec, grad)
 
     report = RunReport(
         status="max_iters",
         periods=None if periods is None else tuple(float(x) for x in periods),
     )
     mass = np.ones(spec.n)
-    report.iterations.append(_record(0, a_val, residual, u, 0.0, shifts0, gauge0, mass))
+    report.iterations.append(
+        _record(spec, 0, a_val, residual, u, 0.0, shifts0, gauge0, mass)
+    )
     if residual <= cfg.tol_residual:
         report.status = "converged"
-        return u, report
+        return Field(spec, u), report
 
     riesz = h1_riesz_map(spec)
-    z = riesz(grad.values, mass)
-    grad_z = _inner(spec, grad.values, z)
+    z = riesz(grad, mass)
+    grad_z = _inner(spec, grad, z)
     direction: np.ndarray | None = None
     stagnant = 0
 
     # a trial that overflows or leaves F's domain is rejected, so numpy's
     # warnings about it would only report a rejection; failures at accepted
-    # points still raise, from the checks of Field and the potential
+    # points still raise, from the finiteness checks and the potential
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, cfg.max_iters + 1):
             if cfg.method == "ncg" and direction is not None:
-                beta = max(0.0, _inner(spec, grad.values, z - z_prev) / grad_z_prev)
+                beta = max(0.0, _inner(spec, grad, z - z_prev) / grad_z_prev)
                 cand_dir = -z + beta * direction
-                slope = _inner(spec, grad.values, cand_dir)
+                slope = _inner(spec, grad, cand_dir)
                 if slope >= 0.0:  # not a descent direction: restart steepest
                     cand_dir = -z
                     slope = -grad_z
@@ -312,7 +334,7 @@ def minimize(
             step = cfg.initial_step
             accepted = None
             while step >= _MIN_STEP:
-                trial = _price_trial(u.values + step * cand_dir, spec, pot)
+                trial = _price_trial(act, u + step * cand_dir)
                 armijo = a_val.total + _ARMIJO_C1 * step * slope
                 if trial is not None and trial[1].total <= armijo:
                     accepted = trial
@@ -320,34 +342,34 @@ def minimize(
                 step *= _BACKTRACK_FACTOR
             if accepted is None:
                 report.status = "line_search_failed"
-                return u, report
+                return Field(spec, u), report
 
-            u, a_new, shifts, gauge = _canonical(*accepted, pot, periods)
+            u, a_new, shifts, gauge = _canonical(act, *accepted, periods)
             scale = max(abs(a_val.total), abs(a_new.total))
             rel_decrease = (a_val.total - a_new.total) / scale if scale > 0.0 else 0.0
             z_prev, grad_z_prev = z, grad_z
             direction = cand_dir
             a_val = a_new
-            grad_prev = grad.values
-            grad = action_gradient(u, pot)
-            mass = _secant_mass(spec, mass, grad.values - grad_prev, step * cand_dir)
-            z = riesz(grad.values, mass)
-            grad_z = _inner(spec, grad.values, z)
-            residual = l2_norm(grad)
+            grad_prev = grad
+            grad = act.gradient(u)
+            mass = _secant_mass(spec, mass, grad - grad_prev, step * cand_dir)
+            z = riesz(grad, mass)
+            grad_z = _inner(spec, grad, z)
+            residual = _norm(spec, grad)
             report.iterations.append(
-                _record(it, a_val, residual, u, step, shifts, gauge, mass)
+                _record(spec, it, a_val, residual, u, step, shifts, gauge, mass)
             )
 
             if residual <= cfg.tol_residual:
                 report.status = "converged"
-                return u, report
+                return Field(spec, u), report
             stagnant = stagnant + 1 if rel_decrease < _TOL_ACTION else 0
             if stagnant >= 5:
                 report.status = "stalled"
-                return u, report
+                return Field(spec, u), report
 
     report.status = "max_iters"
-    return u, report
+    return Field(spec, u), report
 
 
 @dataclass(frozen=True)

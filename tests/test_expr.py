@@ -22,6 +22,8 @@ from poisson_grad.expr import (
     tokenize,
 )
 
+from poisson_grad.grid import GridSpec, node_coordinates
+
 from helpers import DOMAIN_POINTS, domain_corpus, expression_corpus, reference_eval
 
 expr = importlib.import_module("poisson_grad.expr")
@@ -403,6 +405,56 @@ class TestCompiledSteps:
     def test_folded_constants_keep_the_sign_of_zero(self):
         value = eval_value(parse("(0*x1 + 1) * (-0*x2)", 0, 2), np.zeros(0), np.ones(2))
         assert value == 0.0 and np.signbit(value)
+
+
+class TestOnGrid:
+    """ExpressionPotential.on_grid, whose programs run their t-only steps
+    once, against eval_value and eval_dual at the node coordinates."""
+
+    GRIDS = {1: ((2.0,), (7,)), 2: ((1.5, 2.0), (4, 3)), 3: ((1.0, 2.0, 1.5), (3, 4, 3))}
+
+    @staticmethod
+    def outcome(evaluate, *args):
+        try:
+            out = np.asarray(evaluate(*args))
+        except EvalDomainError as err:
+            return "error", err.message, err.pos, err.element
+        return "ok", out.shape, out.dtype, np.ascontiguousarray(out).tobytes()
+
+    def check(self, corpus, p, draw):
+        spec = GridSpec(*self.GRIDS[p], n=2)
+        t = node_coordinates(spec)
+        outcomes = set()
+        for e, ast in enumerate(corpus):
+            pot = ExpressionPotential(pretty(ast), p, 2)
+            grid = pot.on_grid(spec)
+            x = draw(np.random.default_rng([p, e]), spec.shape)
+            value = self.outcome(eval_value, pot.program, t, x)
+            partials = self.outcome(lambda *a: eval_dual(*a).partials, pot.program, t, x)
+            for _ in range(2):  # the steps run once are not changed by a call
+                assert self.outcome(grid.value, x) == value, pretty(ast)
+                assert self.outcome(grid.gradient, x) == partials, pretty(ast)
+            outcomes.add(value[0] if value[0] == "ok" else value[1])
+        return outcomes
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bit_for_bit_on_expression_corpus(self, p):
+        corpus = expression_corpus(120, seed=50 + p, p=p, n=2)
+        outcomes = self.check(corpus, p, lambda rng, shape: rng.uniform(-2.0, 2.0, shape))
+        assert outcomes == {"ok"}
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_errors_and_values_on_domain_corpus(self, p):
+        corpus = domain_corpus(150, seed=60 + p, p=p, n=2)
+        outcomes = self.check(corpus, p, lambda rng, shape: rng.choice(DOMAIN_POINTS, shape))
+        assert outcomes == {
+            "ok",
+            "division by zero",
+            "sqrt of a negative value",
+            "zero base with a negative exponent",
+            "'^' with a non-integer exponent needs a positive base",
+            "non-finite result",
+        }
 
 
 class TestLineCol:

@@ -14,8 +14,12 @@ from poisson_grad import (
     check_gradient_growth,
     check_periodicity,
     check_positivity,
+    minimize,
     node_coordinates,
 )
+from poisson_grad.action import action_gradient
+from poisson_grad.solver import SolverConfig
+from poisson_grad.verify import el_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -193,6 +197,65 @@ class TestLinearForcing:
         pot = LinearForcing(Field(spec, np.array([0.0, 1.0, 2.0, 3.0])))
         # t = 0.26 snaps to node 1 (t = 0.25)
         assert pot.value(np.array([0.26]), np.array([1.0])) == -1.0
+
+
+def bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize(
+        "pot, spec",
+        [
+            (cosine(), GridSpec((1.0,), (12,), n=1)),
+            (cosine(modulation=0.5), GridSpec((1.0,), (12,), n=1)),
+            (
+                CosineLattice(
+                    [1.0, 3.0], [TWO_PI, 2.0], modulation=-0.3, mod_axis=1, mod_extent=2.0, p=2
+                ),
+                GridSpec((1.0, 2.0), (6, 5), n=2),
+            ),
+            (ShiftedQuadratic([0.5, -1.0], p=2), GridSpec((1.0, 1.0), (4, 3), n=2)),
+        ],
+    )
+    def test_bound_evaluations_match_unbound_bit_for_bit(self, pot, spec):
+        grid = pot.on_grid(spec)
+        t = node_coordinates(spec)
+        x = np.random.default_rng(3).uniform(-4.0, 4.0, spec.shape)
+        for _ in range(2):  # what is computed once is not changed by a call
+            assert bits(grid.value(x)) == bits(pot.value(t, x))
+            assert bits(grid.gradient(x)) == bits(pot.gradient(t, x))
+
+    def test_linear_forcing_bound_matches_unbound_bit_for_bit(self):
+        spec = GridSpec((1.0, 2.0), (5, 4), n=2)
+        rng = np.random.default_rng(8)
+        pot = LinearForcing(Field(spec, rng.standard_normal(spec.shape)))
+        grid = pot.on_grid(spec)
+        t = node_coordinates(spec)
+        x = rng.standard_normal(spec.shape)
+        for _ in range(2):
+            assert bits(grid.value(x)) == bits(pot.value(t, x))
+            assert bits(grid.gradient(x)) == bits(pot.gradient(t, x))
+
+    def test_subclass_overriding_only_gradient_is_called(self):
+        calls = []
+
+        class Counted(ShiftedQuadratic):
+            def gradient(self, t, x):
+                calls.append(np.shape(t))
+                return super().gradient(t, x)
+
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = Counted([0.25], p=1)
+        u = Field(spec, np.linspace(-1.0, 1.0, 8))
+        action_gradient(u, pot)
+        assert calls == [(8, 1)]
+        el_residual(u, pot)
+        assert len(calls) == 3  # each assembly evaluates grad F
+        _, report = minimize(pot, u, SolverConfig(tol_residual=1e-8))
+        assert report.converged
+        assert len(calls) == 3 + len(report.iterations)
 
 
 class TestGrowthEnvelope:

@@ -24,6 +24,8 @@ from poisson_grad import (
     wirtinger_constant,
 )
 from poisson_grad.action import PotentialDomainError
+from poisson_grad.expr import EvalDomainError
+from poisson_grad.potential import GridPotential
 from poisson_grad.solver import (
     _BACKTRACK_FACTOR,
     IterationRecord,
@@ -245,22 +247,59 @@ class TestMinimize:
         with pytest.raises(PotentialDomainError, match="gradient undefined"):
             minimize(pot, Field.constant(spec, 1.0), SolverConfig())
 
+    @pytest.mark.parametrize(
+        "source, message, node",
+        [
+            ("sqrt(t1 - 0.5)*x1", "sqrt of a negative value", (0,)),
+            ("x1 + 1/(t1 - 0.25)", "division by zero", (1,)),
+            ("x1 * t1^-1", "zero base with a negative exponent", (0,)),
+            ("exp(1000*(t1 - 0.95)) + x1", "non-finite result", (7,)),
+            # the x-dependent check comes first in the source, so it fails
+            # first, at its own node, although the t-only one fails too
+            ("sqrt(x1) + 1/(t1 - 0.25)", "sqrt of a negative value", (5,)),
+        ],
+    )
+    def test_t_only_domain_failure_located_as_unbound(self, source, message, node):
+        # t = 0, 0.25, ..., 1.75; the start is negative at node 5 only
+        spec = GridSpec((2.0,), (8,), n=1)
+        pot = ExpressionPotential(source, 1, 1)
+        init = Field(spec, np.where(np.arange(8) == 5, -1.0, 1.0))
+        with pytest.raises(EvalDomainError, match=message) as direct:
+            pot.value(node_coordinates(spec), init.values)
+        assert np.unravel_index(direct.value.element, spec.nodes) == node
+        with pytest.raises(PotentialDomainError) as err:
+            minimize(pot, init, SolverConfig())
+        assert err.value.node_index == node
+        assert str(err.value) == f"{direct.value} at node {node}, t = {(0.25 * node[0],)}"
+
     def test_each_trial_priced_once(self, monkeypatch):
-        # F is evaluated once for the start, once per line-search trial and
-        # once more per shifted record, for the gauge assertion
+        # the solve binds F to the grid once; F is evaluated once for the
+        # start, once per line-search trial and once more per shifted record,
+        # for the gauge assertion, and grad F once per accepted iterate
         spec = GridSpec((1.0,), (12,), n=2)
         pot = well_potential()
-        calls = []
-        value = pot.value
+        binds, calls, gradients = [], [], []
+        on_grid = pot.on_grid
 
-        def counting_value(t, x):
-            calls.append(1)
-            return value(t, x)
+        def counting_on_grid(grid_spec):
+            binds.append(grid_spec)
+            bound = on_grid(grid_spec)
 
-        monkeypatch.setattr(pot, "value", counting_value)
+            def value(x):
+                calls.append(1)
+                return bound.value(x)
+
+            def gradient(x):
+                gradients.append(1)
+                return bound.gradient(x)
+
+            return GridPotential(value, gradient)
+
+        monkeypatch.setattr(pot, "on_grid", counting_on_grid)
         cfg = SolverConfig(tol_residual=1e-6)
         _, report = minimize(pot, random_init(spec, pot.periods, seed=7), cfg)
         assert report.converged
+        assert binds == [spec]
         trials = sum(
             1 + round(math.log(cfg.initial_step / r.step, 1.0 / _BACKTRACK_FACTOR))
             for r in report.iterations[1:]
@@ -268,6 +307,7 @@ class TestMinimize:
         shifted = sum(any(r.shifts) for r in report.iterations)
         assert shifted > 0
         assert len(calls) == 1 + trials + shifted
+        assert len(gradients) == 1 + (len(report.iterations) - 1)
 
     def test_gauge_failure_after_start_raises(self):
         # the start 0.5 lies inside the declared cell [0, 1); the first

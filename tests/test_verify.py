@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,12 +21,47 @@ from poisson_grad import (
     wirtinger_check,
     wirtinger_constant,
 )
-import poisson_grad.verify as verify_module
+from poisson_grad.action import GridAction
 from poisson_grad.solver import SolverConfig
 
 from helpers import gaussian_field
 
 TWO_PI = 2.0 * np.pi
+
+
+def peak_transient(fn, *args) -> int:
+    """Bytes allocated by fn(*args) at its peak, above what was allocated
+    before the call, as traced by tracemalloc (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """Peak transients of the DFT oracle and the residual certificate on a
+    256^2, n = 2 field (1 MiB), in multiples of the field's bytes; they were
+    8.5 and 7.0 before the in-place arithmetic."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        spec = GridSpec((1.0, 1.0), (256, 256), n=2)
+        f = np.random.default_rng(12).standard_normal(spec.shape)
+        f -= f.mean(axis=(0, 1))
+        rhs = Field(spec, f)
+        node_coordinates(spec)  # a cache of the grid, not a transient
+        return rhs, LinearForcing(Field(spec, -f)), solve_linear_poisson(rhs)
+
+    def test_solve_linear_poisson(self, problem):
+        rhs, _, _ = problem
+        assert peak_transient(solve_linear_poisson, rhs) <= 5.0 * rhs.values.nbytes
+
+    def test_el_residual(self, problem):
+        rhs, pot, u = problem
+        assert peak_transient(el_residual, u, pot) <= 6.5 * rhs.values.nbytes
 
 
 class TestElResidual:
@@ -63,12 +100,14 @@ class TestElResidual:
         stencil = sum(4.0 * np.max(np.abs(u.values)) / h**2 for h in spec.spacings)
         scale = 1.0 + np.max(np.abs(f)) + stencil
 
-        def skewed(field, potential):
-            g = action_gradient(field, potential).values.copy()
-            g[3, 5, 0] += 1e-9 * scale
-            return Field(field.spec, g)
+        gradient = GridAction.gradient
 
-        monkeypatch.setattr(verify_module, "action_gradient", skewed)
+        def skewed(act, x):
+            g = gradient(act, x)
+            g[3, 5, 0] += 1e-9 * scale
+            return g
+
+        monkeypatch.setattr(GridAction, "gradient", skewed)
         with pytest.raises(RuntimeError, match="assemblies disagree"):
             el_residual(u, pot)
 
