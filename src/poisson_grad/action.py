@@ -82,10 +82,16 @@ class GridAction:
     stencils are the ones ``forward_diff`` and ``laplacian`` use, and each
     array they would wrap in a Field is checked for finiteness there too,
     raising the same ValueError; ``x`` itself is taken as checked.
-    A potential that fails raises PotentialDomainError with the node.
+    A potential that fails raises PotentialDomainError with the node; one
+    that declares another p or n than the grid raises ValueError.
     """
 
     def __init__(self, pot: Potential, spec: GridSpec):
+        if (pot.p, pot.n) != (spec.p, spec.n):
+            raise ValueError(
+                f"potential '{pot.name}' has p = {pot.p}, n = {pot.n}, "
+                f"but the grid has p = {spec.p}, n = {spec.n}"
+            )
         self.spec = spec
         self.potential = pot.on_grid(spec)
 

@@ -69,21 +69,17 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
+# the potential keys each kind reads, besides "kind"
+_POTENTIAL_KEYS = {
+    "cosine": {"amplitudes", "periods", "floor", "modulation", "modulation_axis"},
+    "quadratic": {"center", "floor", "periods"},
+    "linear": {"forcing_csv"},
+    "expr": {"expr", "periods", "positive", "growth"},
+}
+
 _SECTIONS = {
     "grid": {"p", "n", "extents", "nodes"},
-    "potential": {
-        "kind",
-        "amplitudes",
-        "periods",
-        "floor",
-        "modulation",
-        "modulation_axis",
-        "center",
-        "forcing_csv",
-        "expr",
-        "positive",
-        "growth",
-    },
+    "potential": {"kind"}.union(*_POTENTIAL_KEYS.values()),
     "init": {"kind", "value", "seed", "path"},
     "solver": {f.name for f in fields(SolverConfig)},
     "output": {"field_csv", "closed_csv", "report_json"},
@@ -196,6 +192,8 @@ def _growth_from(cfg_growth: dict) -> GrowthEnvelope:
 
 
 def build_potential(cfg: dict, spec: GridSpec) -> Potential:
+    """The configured potential; a key that its kind does not read is
+    rejected once the kind's own keys have been read."""
     pot = cfg["potential"]
     kind = _need(pot, "kind", "potential.kind")
     if kind == "cosine":
@@ -211,7 +209,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         floor = _number(pot.get("floor", 0.1), "potential.floor")
         modulation = _number(pot.get("modulation", 0.0), "potential.modulation")
         try:
-            return CosineLattice(
+            built = CosineLattice(
                 amplitudes,
                 periods,
                 floor=floor,
@@ -224,33 +222,32 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             )
         except ValueError as err:
             raise ConfigError(f"invalid cosine potential: {err}") from err
-    if kind == "quadratic":
+    elif kind == "quadratic":
         center = _floats(_need(pot, "center", "potential.center"), "potential.center")
         if len(center) != spec.n:
             raise ConfigError(f"potential.center must have length grid.n = {spec.n}")
         floor = _number(pot.get("floor", 1.0), "potential.floor")
         try:
-            quad = ShiftedQuadratic(center, floor=floor, p=spec.p)
+            built = ShiftedQuadratic(center, floor=floor, p=spec.p)
         except ValueError as err:
             raise ConfigError(f"invalid quadratic potential: {err}") from err
         declared = _periods(pot, spec, required=False)
         if declared is not None:
             # a periodicity *claim*, not a property: the check command will
             # falsify it by sampling
-            quad.periods = np.asarray(declared)
-        return quad
-    if kind == "linear":
+            built.periods = np.asarray(declared)
+    elif kind == "linear":
         path = _need(pot, "forcing_csv", "potential.forcing_csv")
         if not Path(path).exists():
             raise ConfigError(f"potential.forcing_csv does not exist: {path}")
         forcing, closed = read_field_csv(path, spec)
         if closed:
             raise ConfigError("potential.forcing_csv must be an open (wrapped) field CSV")
-        return LinearForcing(forcing)
-    if kind == "expr":
+        built = LinearForcing(forcing)
+    elif kind == "expr":
         source = _need(pot, "expr", "potential.expr")
         growth = pot.get("growth")
-        return ExpressionPotential(
+        built = ExpressionPotential(
             source,
             spec.p,
             spec.n,
@@ -258,9 +255,14 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             positivity_claim=bool(pot.get("positive", False)),
             growth=None if growth is None else _growth_from(growth),
         )
-    raise ConfigError(
-        f"potential.kind must be cosine|quadratic|linear|expr, got {kind!r}"
-    )
+    else:
+        raise ConfigError(
+            f"potential.kind must be cosine|quadratic|linear|expr, got {kind!r}"
+        )
+    unread = sorted(pot.keys() - _POTENTIAL_KEYS[kind] - {"kind"})
+    if unread:
+        raise ConfigError(f"config key potential.{unread[0]} is not read by kind {kind!r}")
+    return built
 
 
 def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:

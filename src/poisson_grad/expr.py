@@ -11,7 +11,7 @@ both over a whole grid batch.  Only x-derivatives are propagated, one
 component at a time; t enters as a constant for each evaluation, and
 tangent components that are structurally zero (constants, t-only subtrees,
 components a subtree does not depend on) cost nothing.  A program is
-bound to t before it runs: the steps that depend on t alone run once, at
+bound to t before it runs: the steps on constants and t alone run once, at
 binding, so a potential bound to a grid's nodes computes them once per
 solve.  Every failure mode is a positioned ExprError: lexical, syntactic,
 unknown identifier, or a numeric domain error pointing at the offending AST
@@ -286,21 +286,22 @@ class Dual:
 #
 # An AST compiles once into a straight-line program: a list of steps, each
 # one numpy operation (or one domain check) on earlier registers.  Registers
-# 0 and 1 hold t and x; each later register holds a folded constant or the
+# 0 and 1 hold t and x; each later register holds a constant or the
 # result of one step.  The value+gradient program also carries each node's
 # tangent, one register per x-component, or None when that component is
 # structurally zero and so costs nothing.  Every value and tangent is
 # computed by the same numpy operations, in the same order, as a recursive
-# evaluation of the tree would; identical steps are emitted once, a step on
-# constants only is folded, and the exact identities 1 * s = s and
-# -(-a) = a save a step.
+# evaluation of the tree would; identical steps are emitted once, and the
+# exact identities 1 * s = s and -(-a) = a save a step.  Compiling runs no
+# step: binding a program to t (``_bind``) folds every step on constants
+# and t alone.
 
 _T, _X = 0, 1  # registers of t and x
 _ONE = np.float64(1.0)  # seed tangent of x_i
 
 
 class _Domain(Exception):
-    """A failed domain check; the root turns it into a located EvalDomainError."""
+    """A failed domain check; the bound run turns it into a located EvalDomainError."""
 
     def __init__(self, bad, message: str, pos: int):
         super().__init__(message)
@@ -385,13 +386,13 @@ class _Builder:
     def __init__(self, n: int):
         self.n = n
         self.steps: list = [None, None]  # per register: (fn, fixed, args), None if known
-        self.known: dict[int, object] = {}  # register -> folded constant
+        self.known: dict[int, object] = {}  # register -> constant
         self.memo: dict = {}
         self.one = self.constant(_ONE)
 
     def constant(self, value) -> int:
-        # by bit pattern, so that 0.0 and -0.0 stay apart; a passed check is None
-        key = ("const", type(value), None if value is None else float(value).hex())
+        # by bit pattern, so that 0.0 and -0.0 stay apart
+        key = ("const", type(value), float(value).hex())
         if key not in self.memo:
             self.memo[key] = len(self.steps)
             self.known[len(self.steps)] = value
@@ -399,23 +400,13 @@ class _Builder:
         return self.memo[key]
 
     def emit(self, fn, *args: int, fixed: tuple = ()) -> int:
-        """Register of ``fn(*fixed, *registers)``; folded when every argument
-        is a constant, unless that fails a domain check or raises a
-        floating-point error, so that it fails at evaluation instead."""
+        """Register of the step ``fn(*fixed, *registers)``."""
         key = (fn, fixed, args)
         if key in self.memo:
             return self.memo[key]
         inner = self.steps[args[0]]
         if fn is operator.neg and inner and inner[0] is operator.neg:
             return inner[2][0]
-        if all(a in self.known for a in args):
-            try:
-                reg = self.constant(fn(*fixed, *(self.known[a] for a in args)))
-            except (_Domain, FloatingPointError):
-                pass
-            else:
-                self.memo[key] = reg
-                return reg
         self.memo[key] = len(self.steps)
         self.steps.append((fn, fixed, args))
         return len(self.steps) - 1
@@ -538,11 +529,12 @@ class _Builder:
 
     RULES = {Const: const, Var: var, Neg: neg, Call: call, BinOp: binop}
 
-    def program(self, outputs: list[int | None], checks):
+    def program(self, outputs: list[int | None], checks, finish):
         """The program that runs, in emission order, the steps computing
         ``outputs`` (registers, or None for a structurally zero tangent
         component) or running one of the ``checks``: a function of t that
-        returns the function of x (see ``_bind``)."""
+        returns the function of x (see ``_bind``) whose result is
+        ``finish(F, tangent)``."""
         live = set(outputs)
         steps = []
         for r in range(len(self.steps) - 1, 1, -1):
@@ -554,15 +546,18 @@ class _Builder:
                 steps.append((call, args[0], args[1] if len(args) > 1 else None, r))
         steps.reverse()
         registers = [self.known.get(r) for r in range(len(self.steps))]
-        return functools.partial(_bind, registers, {_T, *self.known}, steps, outputs)
+        return functools.partial(_bind, registers, {_T, *self.known}, steps, outputs, finish)
 
 
-def _bind(registers: list, known: set, steps: list, outputs: list, t):
-    """The program at this t, as the function of x that returns the values
-    of ``outputs``.  Each step that needs t but not x runs here, once, and
-    is folded like a constant; a step that fails its domain check or raises
-    a floating-point error is left in the program, with every step that
-    uses it, so that it fails or warns at evaluation, in its place."""
+def _bind(registers: list, known: set, steps: list, outputs: list, finish, t):
+    """The program at this t, as the function of x that returns
+    ``finish(F, tangent)``: F broadcast to the batch shape of t and x, and
+    the values of the other ``outputs``.  Each step that needs no x runs
+    here, once, and is folded like a constant; a step that fails its domain
+    check or raises a floating-point error is left in the program, with
+    every step that uses it, so that it fails or warns at evaluation, in its
+    place, where a failed check raises an EvalDomainError at its element."""
+    t = np.asarray(t, dtype=np.float64)
     r = registers.copy()
     r[_T] = t
     known = known.copy()
@@ -583,12 +578,22 @@ def _bind(registers: list, known: set, steps: list, outputs: list, t):
                     continue
             remaining.append(step)
 
-    def run(x) -> list:
-        registers = r.copy()
-        registers[_X] = x
-        for call, a, b, out in remaining:
-            registers[out] = call(registers[a]) if b is None else call(registers[a], registers[b])
-        return [None if i is None else registers[i] for i in outputs]
+    def run(x):
+        x = np.asarray(x, dtype=np.float64)
+        regs = r.copy()
+        regs[_X] = x
+        try:
+            for call, a, b, out in remaining:
+                regs[out] = call(regs[a]) if b is None else call(regs[a], regs[b])
+        except _Domain as err:
+            raise err.located(t, x) from None
+        value = regs[outputs[0]]
+        batch = x.shape[:-1]
+        if t.shape[:-1] != batch:
+            batch = np.broadcast_shapes(t.shape[:-1], batch)
+        if not (isinstance(value, np.ndarray) and value.shape == batch):
+            value = np.broadcast_to(value, batch)
+        return finish(value, [None if i is None else regs[i] for i in outputs[1:]])
 
     return run
 
@@ -597,56 +602,42 @@ _VALUE_CHECKS = frozenset((_exp, _sqrt, _quotient, _nonzero_base, _positive_base
 _DUAL_CHECKS = _VALUE_CHECKS | {_sqrt_tangent_check}
 
 
-class Program:
-    """An expression compiled once into two straight-line programs:
-    ``value(t)(x)`` returns [F] and ``dual(t)(x)`` returns F followed by
-    its n partials, each None when structurally zero, or [F] alone when F
-    does not depend on x.  ``value(t)`` and ``dual(t)`` run what depends
-    on t alone; the functions they return run the rest."""
-
-    __slots__ = ("n", "value", "dual")
-
-    def __init__(self, ast: Node, n: int):
-        builder = _Builder(n)
-        # a constant step whose evaluation would warn is left unfolded, so
-        # that it warns at evaluation as it would without folding
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            value, tangent = builder.node(ast)
-        self.n = n
-        self.value = builder.program([value], _VALUE_CHECKS)
-        self.dual = builder.program([value, *(tangent or ())], _DUAL_CHECKS)
+def _value(value: np.ndarray, tangent: list) -> np.ndarray:
+    return value
 
 
-def _compiled(program: Program | Node, t, x) -> tuple[Program, np.ndarray, np.ndarray]:
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if not isinstance(program, Program):
-        program = Program(program, x.shape[-1])
-    return program, t, x
-
-
-def _evaluate(run, t: np.ndarray, x: np.ndarray):
-    """F from ``run(x)``, a program bound to t, broadcast to the batch shape
-    of t and x, and the partials of F by component that follow it, each
-    None when structurally zero."""
-    try:
-        value, *tangent = run(x)
-    except _Domain as err:
-        raise err.located(t, x) from None
-    batch = x.shape[:-1]
-    if t.shape[:-1] != batch:
-        batch = np.broadcast_shapes(t.shape[:-1], batch)
-    if not (isinstance(value, np.ndarray) and value.shape == batch):
-        value = np.broadcast_to(value, batch)
-    return value, tangent
-
-
-def _partials(value: np.ndarray, tangent: list, n: int) -> np.ndarray:
-    partials = np.zeros(value.shape + (n,))
+def _partials(value: np.ndarray, tangent: list) -> np.ndarray:
+    partials = np.zeros(value.shape + (len(tangent),))
     for i, d in enumerate(tangent):
         if d is not None:
             partials[..., i] = d
     return partials
+
+
+def _dual(value: np.ndarray, tangent: list) -> Dual:
+    return Dual(value, _partials(value, tangent))
+
+
+class Program:
+    """An expression compiled once into two straight-line programs, one for
+    F and one for F and its n partials, each bound to t before it runs:
+    ``value(t)(x)`` returns F, ``dual(t)(x)`` a Dual and ``gradient(t)(x)``
+    the partials alone.  Binding runs what needs no x; the function it
+    returns runs the rest."""
+
+    __slots__ = ("value", "dual", "gradient")
+
+    def __init__(self, ast: Node, n: int):
+        builder = _Builder(n)
+        value, tangent = builder.node(ast)
+        outputs = [value, *(tangent or [None] * n)]
+        self.value = builder.program([value], _VALUE_CHECKS, _value)
+        self.dual = builder.program(outputs, _DUAL_CHECKS, _dual)
+        self.gradient = builder.program(outputs, _DUAL_CHECKS, _partials)
+
+
+def _compiled(program: Program | Node, x) -> Program:
+    return program if isinstance(program, Program) else Program(program, np.shape(x)[-1])
 
 
 def eval_dual(program: Program | Node, t: np.ndarray, x: np.ndarray) -> Dual:
@@ -657,15 +648,12 @@ def eval_dual(program: Program | Node, t: np.ndarray, x: np.ndarray) -> Dual:
     ``value`` with the broadcast batch shape and ``partials`` with a
     trailing component axis, zeros where F does not depend on x.
     """
-    program, t, x = _compiled(program, t, x)
-    value, tangent = _evaluate(program.dual(t), t, x)
-    return Dual(value, _partials(value, tangent, program.n))
+    return _compiled(program, x).dual(t)(x)
 
 
 def eval_value(program: Program | Node, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate F only (cheaper than eval_dual inside line searches)."""
-    program, t, x = _compiled(program, t, x)
-    return _evaluate(program.value(t), t, x)[0]
+    return _compiled(program, x).value(t)(x)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -742,14 +730,6 @@ class ExpressionPotential(Potential):
 
     def on_grid(self, spec: GridSpec) -> GridPotential:
         """Both programs bound to the node coordinates: their steps that
-        depend on t alone run once, here (see ``_bind``)."""
+        need no x run once, here (see ``_bind``)."""
         t = node_coordinates(spec)
-        value_run, dual_run, n = self.program.value(t), self.program.dual(t), self.n
-
-        def value(x):
-            return _evaluate(value_run, t, np.asarray(x, dtype=np.float64))[0]
-
-        def gradient(x):
-            return _partials(*_evaluate(dual_run, t, np.asarray(x, dtype=np.float64)), n)
-
-        return GridPotential(value, gradient)
+        return GridPotential(self.program.value(t), self.program.gradient(t))

@@ -312,6 +312,21 @@ def laplacian_symbol(spec: GridSpec) -> np.ndarray:
     return lam
 
 
+def _spectral(values: np.ndarray, axes, divide) -> np.ndarray:
+    """The real part of ifftn(divide(fftn(values))) over ``axes``, where
+    ``divide`` works on the spectrum in place.  The transforms run one axis
+    at a time, last axis first, which is what fftn and ifftn do, and each
+    spectrum replaces the one before it, so at most two complex copies of
+    ``values`` are alive."""
+    backwards = tuple(reversed(axes))
+    for axis in backwards:
+        values = np.fft.fft(values, axis=axis)
+    divide(values)
+    for axis in backwards:
+        values = np.fft.ifft(values, axis=axis)
+    return values.real
+
+
 def h1_riesz_map(spec: GridSpec) -> Callable[..., np.ndarray]:
     """The map (G, c) -> (diag(c) - laplacian)^-1 G on node values of shape
     ``spec.shape``, with one mass c_i > 0 per component (default 1).
@@ -325,20 +340,13 @@ def h1_riesz_map(spec: GridSpec) -> Callable[..., np.ndarray]:
     laplacian_symbol); at c = 1 it is the unweighted H1 map and the zero
     mode passes the mean through unchanged.  The symbol is built once per
     call of this function, so a solve builds it once; at c = 1 the divisor
-    c + (-symbol) is bit for bit 1 - symbol.  Transforms run one axis at a
-    time, last axis first, which is what fftn and ifftn do.
+    c + (-symbol) is bit for bit 1 - symbol.
     """
     stiffness = -laplacian_symbol(spec)[..., np.newaxis]
-    backwards = tuple(reversed(spec.node_axes))
-    fft, ifft = np.fft.fft, np.fft.ifft
+    axes = spec.node_axes
 
     def riesz(values: np.ndarray, mass=1.0) -> np.ndarray:
-        for axis in backwards:
-            values = fft(values, axis=axis)
-        values /= mass + stiffness
-        for axis in backwards:
-            values = ifft(values, axis=axis)
-        return values.real
+        return _spectral(values, axes, lambda s: np.divide(s, mass + stiffness, out=s))
 
     return riesz
 
@@ -348,9 +356,7 @@ def solve_linear_poisson(f: Field) -> Field:
 
     Oracle for manufactured solutions: the right-hand side must have zero
     mean per component (within 1e-10 times its L2 norm), otherwise no
-    periodic solution exists and a ValueError is raised.  The transforms
-    run one axis at a time, as fftn and ifftn do, and each spectrum replaces
-    the one before it, so at most two complex copies of f are alive.
+    periodic solution exists and a ValueError is raised.
     """
     spec = f.spec
     fbar = mean(f)
@@ -358,15 +364,12 @@ def solve_linear_poisson(f: Field) -> Field:
         raise ValueError(
             f"right-hand side must have zero mean per component, got {fbar}"
         )
-    lam = laplacian_symbol(spec)
-    lam[(0,) * spec.p] = 1.0  # guard the zero mode; its coefficient is pinned below
-    backwards = tuple(reversed(spec.node_axes))
-    uhat = f.values
-    for axis in backwards:
-        uhat = np.fft.fft(uhat, axis=axis)
-    uhat /= lam[..., np.newaxis]
-    del lam
-    uhat[(0,) * spec.p] = 0.0
-    for axis in backwards:
-        uhat = np.fft.ifft(uhat, axis=axis)
-    return Field(spec, uhat.real)
+    zero = (0,) * spec.p
+
+    def divide(uhat: np.ndarray) -> None:
+        lam = laplacian_symbol(spec)
+        lam[zero] = 1.0  # guard the zero mode; its coefficient is pinned below
+        uhat /= lam[..., np.newaxis]
+        uhat[zero] = 0.0
+
+    return Field(spec, _spectral(f.values, spec.node_axes, divide))

@@ -132,7 +132,10 @@ class CheckReport:
 
 
 class Potential(ABC):
-    """Potential F(t, x) with exact x-gradient and declared hypotheses."""
+    """Potential F(t, x) with exact x-gradient and declared hypotheses.
+
+    ``p`` and ``n`` declare the time and space dimensions; ``GridAction``
+    binds the potential only to a grid of the same p and n."""
 
     n: int
     p: int
@@ -311,8 +314,10 @@ class LinearForcing(Potential):
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
 
     def on_grid(self, spec: GridSpec) -> GridPotential:
-        """The forcing is looked up once, at the nodes."""
-        f = self._forcing_at(node_coordinates(spec))
+        """The forcing is looked up once, at the nodes; on its own grid the
+        lookup is the forcing itself, which is read-only and not copied."""
+        own = spec == self.forcing.spec
+        f = self.forcing.values if own else self._forcing_at(node_coordinates(spec))
         return GridPotential(partial(self._pairing, f), partial(self._negated, f))
 
 

@@ -10,13 +10,17 @@ from poisson_grad import (
     GrowthEnvelope,
     LinearForcing,
     ShiftedQuadratic,
+    SolverConfig,
     action,
     action_gradient,
     continuity_bound,
+    el_residual,
     l2_inner,
     laplacian,
+    minimize,
 )
 from poisson_grad.action import PotentialDomainError
+from poisson_grad.verify import certify
 
 from helpers import action_fsum_oracle, gaussian_field, random_field
 
@@ -134,6 +138,29 @@ class TestActionGradient:
             action(u, pot)
         assert err.value.node_index == (2,)
         assert err.value.coords == (0.5,)
+
+
+class TestGridContract:
+    """A potential is bound only to a grid of its own p and n."""
+
+    def test_quadratic_of_one_component_is_not_minimized_on_two(self):
+        spec = GridSpec((1.0,), (8,), n=2)
+        with pytest.raises(ValueError, match=r"p = 1, n = 1, but the grid has p = 1, n = 2"):
+            minimize(ShiftedQuadratic([0.5]), Field.zeros(spec), SolverConfig())
+
+    def test_cosine_of_one_component_does_not_certify_two(self):
+        spec = GridSpec((1.0, 1.0), (6, 6), n=2)
+        pot = CosineLattice([1.0], [TWO_PI], p=2)
+        for check in (el_residual, lambda u, pot: certify(u, pot, 1e-8)):
+            with pytest.raises(ValueError, match="'cosine' has p = 2, n = 1"):
+                check(Field.zeros(spec), pot)
+
+    def test_expression_in_two_times_is_not_bound_to_one(self):
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = ExpressionPotential("t2 * x1", 2, 1)
+        for evaluate in (action, action_gradient):
+            with pytest.raises(ValueError, match="'expr' has p = 2, n = 1"):
+                evaluate(Field.zeros(spec), pot)
 
 
 class TestContinuityBound:

@@ -124,6 +124,38 @@ class TestConfigValidation:
         assert main(["solve", str(cfg)]) == 3
         assert f"error: unknown config key {key}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, kind",
+        [
+            # a cosine lattice derives its own envelope
+            ({"growth": {"m": 0.0, "g_max": 0.001}}, "cosine"),
+            ({"floor": 0.1}, "expr"),
+            ({"modulation": 0.5}, "expr"),
+            ({"center": [0.0]}, "linear"),
+        ],
+    )
+    def test_key_of_another_kind(self, tmp_path, capsys, extra, kind):
+        potential = {
+            "cosine": {"kind": "cosine", "periods": [TWO_PI]},
+            "expr": {"kind": "expr", "expr": "1.1 - cos(x1)"},
+            "linear": {"kind": "linear", "forcing_csv": str(tmp_path / "f.csv")},
+        }[kind]
+        spec = GridSpec((1.0, 1.0), (16, 16), n=1)
+        write_field_csv(tmp_path / "f.csv", Field.zeros(spec))
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={**potential, **extra})
+        assert main(["check", str(cfg)]) == 3
+        key = next(iter(extra))
+        assert capsys.readouterr().err == (
+            f"error: config key potential.{key} is not read by kind '{kind}'\n"
+        )
+
+    def test_kind_reads_its_own_keys_first(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={"kind": "cosine", "growth": {"m": 0.0}})
+        assert main(["check", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: missing config key potential.periods\n"
+
     def test_too_few_nodes(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [2]})

@@ -406,6 +406,22 @@ class TestCompiledSteps:
         value = eval_value(parse("(0*x1 + 1) * (-0*x2)", 0, 2), np.zeros(0), np.ones(2))
         assert value == 0.0 and np.signbit(value)
 
+    def test_constant_step_runs_once_per_binding(self, monkeypatch):
+        sin, calls = np.sin, []
+        monkeypatch.setattr(np, "sin", lambda a: calls.append(np.shape(a)) or sin(a))
+        program = expr.Program(parse("x1 * sin(2)", 0, 1), 1)
+        assert calls == []  # compiling runs no step
+        t, x = np.zeros((3, 0)), np.array([[1.0], [2.0], [3.0]])
+        for bind in (program.value, program.dual, program.gradient):
+            run = bind(t)
+            assert calls == [()]
+            for _ in range(3):
+                run(x)
+            assert calls == [()]
+            calls.clear()
+        npt.assert_array_equal(program.value(t)(x), x[:, 0] * sin(2.0))
+        npt.assert_array_equal(program.gradient(t)(x), np.full((3, 1), sin(2.0)))
+
 
 class TestOnGrid:
     """ExpressionPotential.on_grid, whose programs run their t-only steps

@@ -238,6 +238,19 @@ class TestOnGrid:
             assert bits(grid.value(x)) == bits(pot.value(t, x))
             assert bits(grid.gradient(x)) == bits(pot.gradient(t, x))
 
+    def test_linear_forcing_on_its_own_grid_is_the_forcing(self):
+        spec = GridSpec((1.0, 1.0), (256, 256), n=2)
+        forcing = Field(spec, np.random.default_rng(9).standard_normal(spec.shape))
+        pot = LinearForcing(forcing)
+        t = node_coordinates(spec)
+        x = np.zeros(spec.shape)
+        assert bits(pot._forcing_at(t)) == bits(forcing.values)
+        assert bits(pot.on_grid(spec).gradient(x)) == bits(pot.gradient(t, x))
+        # another grid still looks the forcing up at its nodes
+        half = GridSpec((1.0, 1.0), (128, 128), n=2)
+        gradient = pot.on_grid(half).gradient(np.zeros(half.shape))
+        assert bits(gradient) == bits(-forcing.values[::2, ::2])
+
     def test_subclass_overriding_only_gradient_is_called(self):
         calls = []
 

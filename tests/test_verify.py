@@ -63,6 +63,11 @@ class TestTransientMemory:
         rhs, pot, u = problem
         assert peak_transient(el_residual, u, pot) <= 6.5 * rhs.values.nbytes
 
+    def test_linear_forcing_bound_to_its_own_grid(self, problem):
+        # the nearest-node lookup copied the forcing: a peak of 2.0 field bytes
+        rhs, pot, _ = problem
+        assert peak_transient(pot.on_grid, rhs.spec) <= 0.01 * rhs.values.nbytes
+
 
 class TestElResidual:
     def test_zero_field_is_critical_for_cosine(self):
