@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .expr import ExprError, ExpressionPotential, line_col
-from .grid import Field, GridSpec, l2_norm, lattice_axes, lattice_coordinates, mean
+from .grid import Field, GridSpec, l2_norm, lattice_axes, mean
 from .grid import solve_linear_poisson
 from .potential import (
     CheckReport,
@@ -48,7 +48,7 @@ from .potential import (
     check_positivity,
 )
 from .solver import SolverConfig, check_minimizing_bounds, minimize, random_init
-from .verify import certify
+from .verify import boundary_check, certify
 
 __all__ = ["ConfigError", "FormatError", "main", "console_main"]
 
@@ -83,7 +83,7 @@ _SECTIONS = {
     "init": {"kind", "value", "seed", "path"},
     "solver": {f.name for f in fields(SolverConfig)},
     "output": {"field_csv", "closed_csv", "report_json"},
-    "checks": {"samples", "seed", "x_radius"},
+    "checks": {"samples", "seed"},
 }
 
 _GROWTH_KEYS = {f.name for f in fields(GrowthEnvelope)}
@@ -240,10 +240,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         path = _need(pot, "forcing_csv", "potential.forcing_csv")
         if not Path(path).exists():
             raise ConfigError(f"potential.forcing_csv does not exist: {path}")
-        forcing, closed = read_field_csv(path, spec)
-        if closed:
-            raise ConfigError("potential.forcing_csv must be an open (wrapped) field CSV")
-        built = LinearForcing(forcing)
+        built = LinearForcing(_read_open_field(path, spec, "potential.forcing_csv"))
     elif kind == "expr":
         source = _need(pot, "expr", "potential.expr")
         growth = pot.get("growth")
@@ -267,7 +264,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
 
 def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:
     s = dict(cfg.get("solver", {}))
-    for key in ("max_iters", "tol_residual", "initial_step"):
+    for key in ("max_iters", "tol_residual"):
         if key in s:
             s[key] = _number(s[key], f"solver.{key}", integral=key == "max_iters")
     if seed_override is not None:
@@ -304,26 +301,19 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
         path = _need(init, "path", "init.path")
         if not Path(path).exists():
             raise ConfigError(f"init.path does not exist: {path}")
-        field, closed = read_field_csv(path, spec)
-        if closed:
-            raise ConfigError("init.path must be an open (wrapped) field CSV")
-        return field
+        return _read_open_field(path, spec, "init.path")
     raise ConfigError(f"init.kind must be constant|random|csv, got {kind!r}")
 
 
 def build_sampler(cfg: dict, spec: GridSpec) -> SampleSpec:
     checks = cfg.get("checks", {})
     samples = _number(checks.get("samples", 1000), "checks.samples", integral=True)
-    x_radius = _number(checks.get("x_radius", 8.0), "checks.x_radius")
     seed = _number(checks.get("seed", 0), "checks.seed", integral=True)
     try:
-        return SampleSpec(
-            count=samples, seed=seed, t_extents=spec.extents, x_radius=x_radius
-        )
+        return SampleSpec(count=samples, seed=seed, t_extents=spec.extents)
     except ValueError as err:
         raise ConfigError(
-            f"invalid sampling plan checks.samples = {samples!r}, "
-            f"checks.x_radius = {x_radius!r}: {err}"
+            f"invalid sampling plan checks.samples = {samples!r}: {err}"
         ) from err
 
 
@@ -422,17 +412,29 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
             f"field CSV {path} has {data.shape[0]} rows; expected {open_rows} "
             f"(open) or {closed_rows} (closed) for grid {spec.nodes}"
         )
+    # each coordinate column against its axis vector, broadcast along its
+    # own axis, so no (N..., p) coordinate array is built
     coords = data[:, : spec.p].reshape(shape + (spec.p,))
-    expected = lattice_coordinates(spec.spacings, shape)
     tol = 1e-9 * (1.0 + max(spec.extents))
-    if np.max(np.abs(coords - expected)) > tol:
-        raise FormatError(
-            f"field CSV {path} node coordinates do not match the configured grid"
-        )
+    for a, axis in enumerate(lattice_axes(spec.spacings, shape)):
+        along = axis.reshape((-1,) + (1,) * (spec.p - 1 - a))
+        if np.max(np.abs(coords[..., a] - along)) > tol:
+            raise FormatError(
+                f"field CSV {path} node coordinates do not match the configured grid"
+            )
     values = data[:, spec.p :].reshape(shape + (spec.n,))
     if closed:
         return values, True
     return Field(spec, values), False
+
+
+def _read_open_field(path: str | Path, spec: GridSpec, what: str) -> Field:
+    """``read_field_csv`` for inputs that must be open; ``what`` names the
+    key or command whose input a closed CSV is."""
+    field, closed = read_field_csv(path, spec)
+    if closed:
+        raise FormatError(f"{what} must be an open (wrapped) field CSV")
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +548,6 @@ def cmd_solve(args) -> int:
         write_field_csv(closed_path, final, closed=True)
         _say(args, f"wrote closed field to {closed_path}")
 
-    # solve certifies the open field, which has no wrap faces to match
-    certificate = asdict(cert)
-    del certificate["boundary"]
     iterations = [r.to_dict() for r in report.iterations]
     payload = {
         "schema": "poisson-grad-report-v3",
@@ -563,7 +562,7 @@ def cmd_solve(args) -> int:
         "iterations": iterations,
         "final": {key: iterations[-1][key] for key in _FINAL_KEYS},
         "bound_audit": _audit_dict(audit),
-        "certificate": certificate,
+        "certificate": asdict(cert),
         "assumptions": {
             "potential_term_weak_lower_semicontinuity": (
                 "assumed; has no finite-grid test"
@@ -604,11 +603,11 @@ def cmd_residual(args) -> int:
     loaded, closed = read_field_csv(args.field_csv, spec)
     # an open field has no wrap faces, so only a closed import gets the
     # face-matching check
+    faces = None
     if closed:
-        field = Field(spec, loaded[tuple(slice(0, k) for k in spec.nodes)])
-        cert = certify(field, pot, tol, closed=loaded)
-    else:
-        cert = certify(loaded, pot, tol)
+        faces = boundary_check(loaded, spec)
+        loaded = Field(spec, loaded[tuple(slice(0, k) for k in spec.nodes)])
+    cert = certify(loaded, pot, tol)
     _say(
         args,
         f"residual_l2={cert.residual_l2:.6e} residual_linf={cert.residual_linf:.6e} "
@@ -620,26 +619,24 @@ def cmd_residual(args) -> int:
         f"wirtinger lhs={w.lhs:.6e} rhs={w.rhs:.6e} constant={w.constant:.6e} "
         f"-> {'ok' if w.passed else 'FAIL'}",
     )
-    if cert.boundary is not None:
-        for ax in cert.boundary.axes:
+    if faces is not None:
+        for ax in faces.axes:
             _say(
                 args,
                 f"boundary axis {ax.axis}: value={ax.value_mismatch:.3e} "
                 f"quotient={ax.quotient_mismatch:.3e} "
-                f"(threshold {cert.boundary.threshold:.3e})",
+                f"(threshold {faces.threshold:.3e})",
             )
-    faces_ok = cert.boundary is None or cert.boundary.passed
+    faces_ok = faces is None or faces.passed
     return EXIT_OK if cert.residual_ok and faces_ok else EXIT_NOT_CONVERGED
 
 
 def cmd_oracle_linear(args) -> int:
     cfg = load_config(args.config)
     spec = build_grid(cfg)
-    loaded, closed = read_field_csv(args.rhs_csv, spec)
-    if closed:
-        raise FormatError("oracle-linear expects an open (wrapped) field CSV")
+    rhs = _read_open_field(args.rhs_csv, spec, "oracle-linear rhs_csv")
     try:
-        solution = solve_linear_poisson(loaded)
+        solution = solve_linear_poisson(rhs)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     write_field_csv(args.output, solution)

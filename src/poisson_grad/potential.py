@@ -59,25 +59,22 @@ class SampleSpec:
     """Deterministic sampling plan for hypothesis checks.
 
     ``t`` is drawn uniformly from [0, T^alpha) per axis and ``x`` uniformly
-    from the cube [-x_radius, x_radius]^n.
+    from the cube [-8, 8]^n.
     """
 
     count: int = 1000
     seed: int = 0
     t_extents: tuple[float, ...] = (1.0,)
-    x_radius: float = 8.0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not (math.isfinite(self.x_radius) and self.x_radius > 0.0):
-            raise ValueError(f"x_radius must be finite and positive, got {self.x_radius}")
 
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
         t = rng.uniform(0.0, 1.0, size=(self.count, len(self.t_extents)))
         t *= np.asarray(self.t_extents)
-        x = rng.uniform(-self.x_radius, self.x_radius, size=(self.count, n))
+        x = rng.uniform(-8.0, 8.0, size=(self.count, n))
         return t, x
 
 

@@ -61,6 +61,8 @@ _MIN_STEP = 1e-16
 # relative action decrease that counts as stagnation; below one ulp of
 # relative change, so only dead-exact action plateaus stall a run
 _TOL_ACTION = 1e-16
+# the first step of every line search; the H1 metric makes it admissible
+_INITIAL_STEP = 1.0
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
 
@@ -70,7 +72,6 @@ class SolverConfig:
     method: str = "ncg"
     max_iters: int = 20000
     tol_residual: float = 1e-8
-    initial_step: float = 1.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -81,11 +82,9 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        # an infinite initial step would never backtrack below _MIN_STEP
-        for name in ("tol_residual", "initial_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        tol = self.tol_residual
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol_residual must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ def minimize(
                 cand_dir = -z
                 slope = -grad_z
 
-            step = cfg.initial_step
+            step = _INITIAL_STEP
             accepted = None
             while step >= _MIN_STEP:
                 trial = _price_trial(act, u + step * cand_dir)

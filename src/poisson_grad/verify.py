@@ -186,16 +186,11 @@ class Certificate:
     residual_tol: float
     residual_ok: bool
     wirtinger: WirtingerReport
-    boundary: BoundaryReport | None
 
 
-def certify(
-    u: Field,
-    pot: Potential,
-    residual_tol: float,
-    closed: np.ndarray | None = None,
-) -> Certificate:
-    """Bundle the residual, Wirtinger, and (optionally) boundary checks."""
+def certify(u: Field, pot: Potential, residual_tol: float) -> Certificate:
+    """Bundle the residual and Wirtinger checks; the face matching of a
+    closed import is ``boundary_check``, which needs the closed grid."""
     _, norms = el_residual(u, pot)
     return Certificate(
         residual_l2=norms.l2,
@@ -203,5 +198,4 @@ def certify(
         residual_tol=residual_tol,
         residual_ok=norms.l2 <= residual_tol,
         wirtinger=wirtinger_check(u),
-        boundary=None if closed is None else boundary_check(closed, u.spec),
     )

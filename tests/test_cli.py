@@ -3,19 +3,21 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from poisson_grad import Field, GridSpec, cli, laplacian, node_coordinates
+from poisson_grad import Field, GridSpec, cli, laplacian, node_coordinates, solver
 from poisson_grad.cli import (
     FormatError,
     main,
     read_field_csv,
     write_field_csv,
 )
+from poisson_grad.verify import Certificate
 
 from helpers import gaussian_field
 
@@ -116,6 +118,9 @@ class TestConfigValidation:
                 )
                 for key in ("a0", "a_slope", "b_max")
             ],
+            # the line search's first step and the sampling box are constants
+            ({"solver": {"initial_step": 1.0}}, "solver.initial_step"),
+            ({"checks": {"x_radius": 8.0}}, "checks.x_radius"),
         ],
     )
     def test_unknown_solver_or_growth_key(self, tmp_path, capsys, section, key):
@@ -171,6 +176,24 @@ class TestConfigValidation:
         write_config(cfg, init={"kind": "csv", "path": str(tmp_path / "ghost.csv")})
         assert main(["solve", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "reader", ["potential.forcing_csv", "init.path", "oracle-linear rhs_csv"]
+    )
+    def test_closed_csv_rejected_where_open_is_read(self, tmp_path, capsys, reader):
+        closed = tmp_path / "closed.csv"
+        write_field_csv(closed, Field.zeros(GridSpec((1.0, 1.0), (16, 16), n=1)), closed=True)
+        cfg = tmp_path / "c.json"
+        argv = ["solve", str(cfg)]
+        if reader == "potential.forcing_csv":
+            write_config(cfg, potential={"kind": "linear", "forcing_csv": str(closed)})
+        elif reader == "init.path":
+            write_config(cfg, init={"kind": "csv", "path": str(closed)})
+        else:
+            write_config(cfg)
+            argv = ["oracle-linear", str(closed), str(cfg)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {reader} must be an open (wrapped) field CSV\n"
+
     def test_expression_error_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         write_config(cfg, potential={"kind": "expr", "expr": "cos("})
@@ -190,8 +213,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "checks, key",
         [
-            ({"x_radius": 0.0}, "checks.x_radius = 0.0"),
-            ({"x_radius": -1.0}, "checks.x_radius = -1.0"),
             ({"samples": 0}, "checks.samples = 0"),
             ({"samples": -5}, "checks.samples = -5"),
         ],
@@ -260,7 +281,6 @@ class TestConfigValidation:
                 "check",
             ),
             ("grid", {"extents": [math.inf]}, "grid.extents[0] is out of range: Infinity", "check"),
-            ("checks", {"x_radius": math.nan}, "checks.x_radius must be a number, got NaN", "check"),
             ("init", {"value": math.nan}, "init.value must be a number, got NaN", "solve"),
             (
                 "potential",
@@ -284,13 +304,6 @@ class TestConfigValidation:
                 "solver",
                 {"tol_residual": math.inf},
                 "solver.tol_residual is out of range: Infinity",
-                "solve",
-            ),
-            # an infinite first step could never backtrack below the minimum
-            (
-                "solver",
-                {"initial_step": math.inf},
-                "solver.initial_step is out of range: Infinity",
                 "solve",
             ),
         ],
@@ -549,31 +562,31 @@ class TestSolveCommand:
         assert "error: lattice shift changed the action" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("initial_step", [1.0, 100.0])
-    def test_trial_outside_domain_backtracks(self, tmp_path, initial_step):
+    def test_trial_outside_domain_backtracks(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(
             cfg,
             grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [16]},
             potential={"kind": "expr", "expr": "exp(x1^2)"},
             init={"kind": "constant", "value": 2.0},
-            solver={"tol_residual": 1e-6, "initial_step": initial_step},
+            solver={"tol_residual": 1e-6},
             checks={"samples": 100},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "converged"
 
-    def test_trial_with_overflowing_differences_rejected(self, tmp_path):
+    def test_trial_with_overflowing_differences_rejected(self, tmp_path, monkeypatch):
         # the first trial's values are finite, but their differences
         # overflow; the line search backtracks instead of aborting, and
         # numpy does not warn about the points it rejects
+        monkeypatch.setattr(solver, "_INITIAL_STEP", 1e308)
         cfg = tmp_path / "c.json"
         write_config(
             cfg,
             grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
             init={"kind": "random", "seed": 5},
-            solver={"initial_step": 1e308, "max_iters": 1},
+            solver={"max_iters": 1},
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -854,15 +867,16 @@ class TestOracleLinear:
 
 class TestReportSchema:
     def test_solve_report_key_sets(self, tmp_path):
-        # a quadratic declares no periods, so the mean-in-cell audit reports
-        # a non-finite margin as null; half steps stop the run at max_iters
+        # F declares no periods, so the mean-in-cell audit reports a
+        # non-finite margin as null; its flat quartic minimum keeps the run
+        # going to max_iters (a quadratic converges in one unit step)
         cfg = tmp_path / "c.json"
         write_config(
             cfg,
             grid={"p": 1, "n": 2, "extents": [1.0], "nodes": [8]},
-            potential={"kind": "quadratic", "center": [1.0, -1.0]},
+            potential={"kind": "expr", "expr": "1 + x1^4 + x2^4"},
             init={"kind": "random", "seed": 3},
-            solver={"method": "gd", "initial_step": 0.5, "max_iters": 2},
+            solver={"method": "gd", "max_iters": 2},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
@@ -903,6 +917,14 @@ class TestReportSchema:
         assert set(report["certificate"]["wirtinger"]) == {
             "lhs", "rhs", "constant", "passed",
         }
+
+    def test_certificate_keys_are_certificate_fields(self, tmp_path):
+        # the report writes the certificate as it is, with nothing removed
+        cfg = tmp_path / "c.json"
+        write_config(cfg)
+        assert main(["--quiet", "solve", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report["certificate"]) == {f.name for f in fields(Certificate)}
 
 
 def test_parser_built_once_per_process():

@@ -22,6 +22,7 @@ from poisson_grad import (
     wirtinger_constant,
 )
 from poisson_grad.action import GridAction
+from poisson_grad.cli import read_field_csv, write_field_csv
 from poisson_grad.solver import SolverConfig
 
 from helpers import gaussian_field
@@ -67,6 +68,18 @@ class TestTransientMemory:
         # the nearest-node lookup copied the forcing: a peak of 2.0 field bytes
         rhs, pot, _ = problem
         assert peak_transient(pot.on_grid, rhs.spec) <= 0.01 * rhs.values.nbytes
+
+
+class TestCsvReaderMemory:
+    def test_read_field_csv(self, tmp_path):
+        # the certify-ladder's third transient, on the same 256^2, n = 2
+        # field: 3.26x its bytes (numpy 2.4), most of it the parsed table of
+        # p + n columns
+        spec = GridSpec((1.0, 1.0), (256, 256), n=2)
+        field = gaussian_field(spec, np.random.default_rng(12))
+        path = tmp_path / "f.csv"
+        write_field_csv(path, field)
+        assert peak_transient(read_field_csv, path, spec) <= 3.5 * field.values.nbytes
 
 
 class TestElResidual:
