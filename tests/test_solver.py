@@ -57,6 +57,7 @@ class TestSolverConfig:
             dict(tol_residual=0.0),
             dict(tol_residual=math.inf),
             dict(tol_residual=math.nan),
+            dict(max_iters=True),
             dict(max_iters=10.5),
         ],
     )
