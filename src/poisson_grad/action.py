@@ -78,10 +78,11 @@ class GridAction:
     """The action of a potential on one grid, and its L2 gradient, as
     functions of node values ``x`` of shape ``spec.shape``.
 
-    The potential is bound to the grid once (``Potential.on_grid``).  The
-    stencils are the ones ``forward_diff`` and ``laplacian`` use, and each
-    array they would wrap in a Field is checked for finiteness there too,
-    raising the same ValueError; ``x`` itself is taken as checked.
+    The potential is bound once, at the grid's node coordinates
+    (``Potential.bind``).  The stencils are the ones ``forward_diff`` and
+    ``laplacian`` use, and each array they would wrap in a Field is checked
+    for finiteness there too, raising the same ValueError; ``x`` itself is
+    taken as checked.
     A potential that fails raises PotentialDomainError with the node; one
     that declares another p or n than the grid raises ValueError.
     """
@@ -93,7 +94,7 @@ class GridAction:
                 f"but the grid has p = {spec.p}, n = {spec.n}"
             )
         self.spec = spec
-        self.potential = pot.on_grid(spec)
+        self.potential = pot.bind(node_coordinates(spec))
 
     def _located(self, fn, x: np.ndarray) -> np.ndarray:
         try:

@@ -146,6 +146,18 @@ def _number(value, path: str, integral: bool = False) -> float | int:
     return int(value)
 
 
+def _text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _floats(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path} must be a non-empty array of numbers")
@@ -237,19 +249,19 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             # falsify it by sampling
             built.periods = np.asarray(declared)
     elif kind == "linear":
-        path = _need(pot, "forcing_csv", "potential.forcing_csv")
+        path = _text(_need(pot, "forcing_csv", "potential.forcing_csv"), "potential.forcing_csv")
         if not Path(path).exists():
             raise ConfigError(f"potential.forcing_csv does not exist: {path}")
         built = LinearForcing(_read_open_field(path, spec, "potential.forcing_csv"))
     elif kind == "expr":
-        source = _need(pot, "expr", "potential.expr")
+        source = _text(_need(pot, "expr", "potential.expr"), "potential.expr")
         growth = pot.get("growth")
         built = ExpressionPotential(
             source,
             spec.p,
             spec.n,
             periods=_periods(pot, spec, required=False),
-            positivity_claim=bool(pot.get("positive", False)),
+            positivity_claim=_flag(pot.get("positive", False), "potential.positive"),
             growth=None if growth is None else _growth_from(growth),
         )
     else:
@@ -298,7 +310,7 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
             )
         return random_init(spec, periods=pot.periods, seed=seed)
     if kind == "csv":
-        path = _need(init, "path", "init.path")
+        path = _text(_need(init, "path", "init.path"), "init.path")
         if not Path(path).exists():
             raise ConfigError(f"init.path does not exist: {path}")
         return _read_open_field(path, spec, "init.path")
@@ -513,6 +525,10 @@ def cmd_solve(args) -> int:
     sampler = build_sampler(cfg, spec)
     solver_cfg = build_solver_config(cfg, args.seed)
     init = build_init(cfg, spec, pot, args.seed)
+    out = cfg.get("output", {})
+    field_csv = _text(out.get("field_csv", "field.csv"), "output.field_csv")
+    report_json = _text(out.get("report_json", "report.json"), "output.report_json")
+    closed_csv = _flag(out.get("closed_csv", False), "output.closed_csv")
 
     checks, notes = run_checks(pot, Sample(pot, sampler))
     failed = [c.name for c in checks if not c.passed]
@@ -534,16 +550,12 @@ def cmd_solve(args) -> int:
     audit = check_minimizing_bounds(report, spec, f_floor=f_floor)
     cert = certify(final, pot, solver_cfg.tol_residual)
 
-    out = cfg.get("output", {})
-    field_csv = out.get("field_csv", "field.csv")
-    report_json = out.get("report_json", "report.json")
     write_field_csv(field_csv, final)
-    if out.get("closed_csv", False):
-        closed_path = str(field_csv)
+    if closed_csv:
         closed_path = (
-            closed_path[: -len(".csv")] + ".closed.csv"
-            if closed_path.endswith(".csv")
-            else closed_path + ".closed"
+            field_csv[: -len(".csv")] + ".closed.csv"
+            if field_csv.endswith(".csv")
+            else field_csv + ".closed"
         )
         write_field_csv(closed_path, final, closed=True)
         _say(args, f"wrote closed field to {closed_path}")

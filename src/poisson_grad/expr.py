@@ -13,9 +13,9 @@ tangent components that are structurally zero (constants, t-only subtrees,
 components a subtree does not depend on) cost nothing.  A program is
 bound to t before it runs: the steps on constants and t alone run once, at
 binding, so a potential bound to a grid's nodes computes them once per
-solve.  Every failure mode is a positioned ExprError: lexical, syntactic,
-unknown identifier, or a numeric domain error pointing at the offending AST
-node.
+solve, and one bound to a drawn sample once for all the sampled checks.
+Every failure mode is a positioned ExprError: lexical, syntactic, unknown
+identifier, or a numeric domain error pointing at the offending AST node.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, node_coordinates
-from .potential import GridPotential, GrowthEnvelope, Potential
+from .potential import BoundPotential, GrowthEnvelope, Potential
 
 __all__ = [
     "ExprError",
@@ -606,26 +605,21 @@ def _value(value: np.ndarray, tangent: list) -> np.ndarray:
     return value
 
 
-def _partials(value: np.ndarray, tangent: list) -> np.ndarray:
+def _dual(value: np.ndarray, tangent: list) -> Dual:
     partials = np.zeros(value.shape + (len(tangent),))
     for i, d in enumerate(tangent):
         if d is not None:
             partials[..., i] = d
-    return partials
-
-
-def _dual(value: np.ndarray, tangent: list) -> Dual:
-    return Dual(value, _partials(value, tangent))
+    return Dual(value, partials)
 
 
 class Program:
     """An expression compiled once into two straight-line programs, one for
     F and one for F and its n partials, each bound to t before it runs:
-    ``value(t)(x)`` returns F, ``dual(t)(x)`` a Dual and ``gradient(t)(x)``
-    the partials alone.  Binding runs what needs no x; the function it
-    returns runs the rest."""
+    ``value(t)(x)`` returns F and ``dual(t)(x)`` a Dual.  Binding runs what
+    needs no x; the function it returns runs the rest."""
 
-    __slots__ = ("value", "dual", "gradient")
+    __slots__ = ("value", "dual")
 
     def __init__(self, ast: Node, n: int):
         builder = _Builder(n)
@@ -633,7 +627,6 @@ class Program:
         outputs = [value, *(tangent or [None] * n)]
         self.value = builder.program([value], _VALUE_CHECKS, _value)
         self.dual = builder.program(outputs, _DUAL_CHECKS, _dual)
-        self.gradient = builder.program(outputs, _DUAL_CHECKS, _partials)
 
 
 def _compiled(program: Program | Node, x) -> Program:
@@ -728,8 +721,8 @@ class ExpressionPotential(Potential):
     def gradient(self, t, x):
         return eval_dual(self.program, t, x).partials
 
-    def on_grid(self, spec: GridSpec) -> GridPotential:
-        """Both programs bound to the node coordinates: their steps that
-        need no x run once, here (see ``_bind``)."""
-        t = node_coordinates(spec)
-        return GridPotential(self.program.value(t), self.program.gradient(t))
+    def bind(self, t: np.ndarray) -> BoundPotential:
+        """Both programs bound to ``t``: their steps that need no x run
+        once, here (see ``_bind``); grad F is the partials of a Dual."""
+        dual = self.program.dual(t)
+        return BoundPotential(self.program.value(t), lambda x: dual(x).partials)

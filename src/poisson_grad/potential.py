@@ -21,7 +21,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .grid import Field, GridSpec, node_coordinates
+from .grid import Field, node_coordinates
 
 __all__ = [
     "GrowthEnvelope",
@@ -29,7 +29,7 @@ __all__ = [
     "Sample",
     "CheckReport",
     "Potential",
-    "GridPotential",
+    "BoundPotential",
     "CosineLattice",
     "ShiftedQuadratic",
     "LinearForcing",
@@ -81,9 +81,9 @@ class SampleSpec:
 class Sample:
     """One draw of a sampling plan for a potential.
 
-    F and grad F at the drawn points are evaluated on first use and kept, so
-    checks handed the same Sample evaluate each of them at most once.  The
-    drawn arrays are read-only; checks perturb copies.
+    The potential is bound once, at the drawn t.  F and grad F at the drawn
+    points are evaluated on first use and kept, so checks sharing a Sample
+    evaluate each at most once; they perturb copies of the read-only draw.
     """
 
     def __init__(self, pot: "Potential", sampler: SampleSpec):
@@ -92,14 +92,15 @@ class Sample:
         self.t, self.x = sampler.draw(pot.n)
         self.t.setflags(write=False)
         self.x.setflags(write=False)
+        self.bound = pot.bind(self.t)
 
     @cached_property
     def value(self) -> np.ndarray:
-        return self.pot.value(self.t, self.x)
+        return self.bound.value(self.x)
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        return self.pot.gradient(self.t, self.x)
+        return self.bound.gradient(self.x)
 
 
 def _sample(pot: "Potential", sampler: SampleSpec | Sample) -> Sample:
@@ -149,21 +150,17 @@ class Potential(ABC):
     def gradient(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Exact x-gradient of F, shape (..., n)."""
 
-    def on_grid(self, spec: GridSpec) -> "GridPotential":
-        """F and grad F as functions of node values ``x`` of shape
-        ``spec.shape``, at the node coordinates of ``spec``.
-
-        They must return exactly what ``value`` and ``gradient`` return at
-        ``node_coordinates(spec)``, bit for bit and with the same errors; a
-        subclass may override this to compute what depends on t alone once.
-        """
-        t = node_coordinates(spec)
-        return GridPotential(partial(self.value, t), partial(self.gradient, t))
+    def bind(self, t: np.ndarray) -> "BoundPotential":
+        """F and grad F at fixed points ``t`` of shape (..., p), as functions
+        of ``x`` of shape (..., n): the solver, the certificate and the
+        sampled checks evaluate F only through this.  A subclass may override
+        it to compute what depends on t alone once."""
+        return BoundPotential(partial(self.value, t), partial(self.gradient, t))
 
 
 @dataclass(frozen=True)
-class GridPotential:
-    """A potential bound to the node coordinates of one grid."""
+class BoundPotential:
+    """A potential bound to fixed points t: a grid's nodes or a drawn sample."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -231,15 +228,15 @@ class CosineLattice(Potential):
         return factor * (rates * np.sin(2.0 * np.pi * np.asarray(x) / self.periods))
 
     def value(self, t, x):
-        return self._well(self._time_factor(t), x)
+        return self.bind(t).value(x)
 
     def gradient(self, t, x):
-        return self._slope(self._time_factor(t)[..., np.newaxis], x)
+        return self.bind(t).gradient(x)
 
-    def on_grid(self, spec: GridSpec) -> GridPotential:
-        """The time factor is evaluated once, on the nodes."""
-        factor = self._time_factor(node_coordinates(spec))
-        return GridPotential(
+    def bind(self, t: np.ndarray) -> BoundPotential:
+        """The time factor is evaluated once, at ``t``."""
+        factor = self._time_factor(t)
+        return BoundPotential(
             partial(self._well, factor), partial(self._slope, factor[..., np.newaxis])
         )
 
@@ -288,7 +285,10 @@ class LinearForcing(Potential):
         self.growth = GrowthEnvelope(m=0.0, g_max=float(per_node.max()))
 
     def _forcing_at(self, t: np.ndarray) -> np.ndarray:
+        """f at the nearest nodes; at its own nodes, the forcing, not a copy."""
         spec = self.forcing.spec
+        if t is node_coordinates(spec):
+            return self.forcing.values
         t = np.asarray(t, dtype=np.float64)
         idx = tuple(
             np.mod(np.rint(t[..., a] / spec.spacings[a]).astype(int), spec.nodes[a])
@@ -297,10 +297,14 @@ class LinearForcing(Potential):
         return self.forcing.values[idx]
 
     def value(self, t, x):
-        return self._pairing(self._forcing_at(t), x)
+        return self.bind(t).value(x)
 
     def gradient(self, t, x):
-        return self._negated(self._forcing_at(t), x)
+        return self.bind(t).gradient(x)
+
+    def bind(self, t: np.ndarray) -> BoundPotential:
+        f = self._forcing_at(t)
+        return BoundPotential(partial(self._pairing, f), partial(self._negated, f))
 
     @staticmethod
     def _pairing(f: np.ndarray, x) -> np.ndarray:
@@ -310,27 +314,20 @@ class LinearForcing(Potential):
     def _negated(f: np.ndarray, x) -> np.ndarray:
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
 
-    def on_grid(self, spec: GridSpec) -> GridPotential:
-        """The forcing is looked up once, at the nodes; on its own grid the
-        lookup is the forcing itself, which is read-only and not copied."""
-        own = spec == self.forcing.spec
-        f = self.forcing.values if own else self._forcing_at(node_coordinates(spec))
-        return GridPotential(partial(self._pairing, f), partial(self._negated, f))
-
 
 def check_periodicity(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
     """Sampled test of F(t, x + P_i e_i) = F(t, x) for every component i."""
     if pot.periods is None:
         raise ValueError(f"potential '{pot.name}' declares no periods")
     sample = _sample(pot, sampler)
-    t, x, base = sample.t, sample.x, sample.value
+    x, base = sample.x, sample.value
     tol = 1e-9
     worst = 0.0
     ok = True
     for i in range(pot.n):
         shifted = x.copy()
         shifted[:, i] += pot.periods[i]
-        dev = np.abs(pot.value(t, shifted) - base)
+        dev = np.abs(sample.bound.value(shifted) - base)
         worst = max(worst, float(dev.max()))
         ok = ok and bool(np.all(dev <= tol * (1.0 + np.abs(base))))
     return CheckReport(
@@ -380,7 +377,7 @@ def check_gradient_growth(
 def check_grad_consistency(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
     """Central finite-difference probe of the declared gradient."""
     sample = _sample(pot, sampler)
-    t, x, grad = sample.t, sample.x, sample.gradient
+    x, grad = sample.x, sample.gradient
     step = 1e-6 * (1.0 + np.sqrt(np.sum(x * x, axis=-1)))
     fd = np.empty_like(grad)
     for i in range(pot.n):
@@ -388,7 +385,7 @@ def check_grad_consistency(pot: Potential, sampler: SampleSpec | Sample) -> Chec
         lo = x.copy()
         hi[:, i] += step
         lo[:, i] -= step
-        fd[:, i] = (pot.value(t, hi) - pot.value(t, lo)) / (2.0 * step)
+        fd[:, i] = (sample.bound.value(hi) - sample.bound.value(lo)) / (2.0 * step)
     rel = np.abs(fd - grad) / (1.0 + np.abs(grad))
     tol = 1e-5
     worst = float(rel.max())

@@ -1,7 +1,7 @@
 """Action minimization by descent with lattice-shift canonicalization.
 
-The minimizer runs gradient descent or Polak-Ribiere+ nonlinear conjugate
-gradient with Armijo backtracking on the discrete action, in a weighted
+The minimizer runs Polak-Ribiere+ nonlinear conjugate gradient with Armijo
+backtracking on the discrete action, in a weighted
 discrete H1 metric of the paper's direct method: the search direction is
 built from the Sobolev gradient z = (diag(c) - laplacian)^-1 G of the L2
 gradient G, one DFT pair per iteration (Neuberger's Sobolev gradient).  Its
@@ -75,8 +75,8 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in ("gd", "ncg"):
-            raise ValueError(f"method must be 'gd' or 'ncg', got {self.method!r}")
+        if self.method != "ncg":
+            raise ValueError(f"method must be 'ncg', got {self.method!r}")
         integral = isinstance(self.max_iters, numbers.Integral)
         if not integral or isinstance(self.max_iters, bool):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
@@ -257,14 +257,14 @@ def minimize(
     """Descend the action from ``init``; returns the final field and the
     full per-iteration report.
 
-    Both methods search along the Sobolev gradient
-    z = (diag(c) - laplacian)^-1 G: ``gd`` along -z, ``ncg`` along the
-    preconditioned Polak-Ribiere+ direction d = -z + beta d_prev with
-    beta = max(0, <G, z - z_prev> / <G_prev, z_prev>), restarting along -z
-    when d is not a descent direction.  Inner products are discrete L2, so
-    the Armijo slope is <G, d>.  The mass c has one entry per component and
-    starts at 1; after each accepted step s (taken unshifted: the lattice
-    shift is a constant and grad F is periodic) it is set to
+    The search runs along the preconditioned Polak-Ribiere+ direction
+    d = -z + beta d_prev, with z = (diag(c) - laplacian)^-1 G the Sobolev
+    gradient and beta = max(0, <G, z - z_prev> / <G_prev, z_prev>); the
+    first iteration, and any whose d is not a descent direction, search
+    along -z.  Inner products are discrete L2, so the Armijo slope is
+    <G, d>.  The mass c has one entry per component and starts at 1; after
+    each accepted step s (taken unshifted: the lattice shift is a constant
+    and grad F is periodic) it is set to
     c_i = max(1, (<G_k - G_{k-1}, s>_i - sum_alpha |D_alpha s|^2_i) / <s, s>_i),
     the Barzilai-Borwein secant curvature of the potential part.  A
     component with <s, s>_i = 0 or a non-finite quotient keeps its c_i.
@@ -319,7 +319,7 @@ def minimize(
     # points still raise, from the finiteness checks and the potential
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            if cfg.method == "ncg" and direction is not None:
+            if direction is not None:
                 beta = max(0.0, _inner(spec, grad, z - z_prev) / grad_z_prev)
                 cand_dir = -z + beta * direction
                 slope = _inner(spec, grad, cand_dir)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -10,13 +13,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from poisson_grad import Field, GridSpec, cli, laplacian, node_coordinates, solver
+from poisson_grad import Field, GridSpec, cli, expr, laplacian, node_coordinates, solver
 from poisson_grad.cli import (
     FormatError,
     main,
     read_field_csv,
     write_field_csv,
 )
+from poisson_grad.potential import BoundPotential
 from poisson_grad.verify import Certificate
 
 from helpers import gaussian_field
@@ -317,6 +321,62 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(body).replace("Infinity", "1e400"))
         assert main(["--quiet", command, str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, update, message",
+        [
+            ("output", {"report_json": 12}, "output.report_json must be a string, got 12"),
+            ("output", {"field_csv": 7.5}, "output.field_csv must be a string, got 7.5"),
+            ("output", {"field_csv": ["a"]}, 'output.field_csv must be a string, got ["a"]'),
+            ("potential", {"kind": "expr", "expr": 5}, "potential.expr must be a string, got 5"),
+            (
+                "potential",
+                {"kind": "linear", "forcing_csv": 5},
+                "potential.forcing_csv must be a string, got 5",
+            ),
+            ("init", {"kind": "csv", "path": 5}, "init.path must be a string, got 5"),
+            (
+                "output",
+                {"closed_csv": "no"},
+                'output.closed_csv must be true or false, got "no"',
+            ),
+            (
+                "potential",
+                {"kind": "expr", "expr": "1 + cos(x1)", "positive": "yes"},
+                'potential.positive must be true or false, got "yes"',
+            ),
+        ],
+    )
+    def test_mistyped_text_or_flag_exits_3_naming_key(
+        self, tmp_path, capsys, section, update, message
+    ):
+        # the output keys are read before the checks and the solve, so
+        # nothing is written
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body[section].update(update)
+        cfg.write_text(json.dumps(body))
+        assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
+    def test_boolean_field_csv_exits_3(self, tmp_path):
+        # in its own process: open(True, "w") would be the process's stdout
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body["output"]["field_csv"] = True
+        cfg.write_text(json.dumps(body))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "poisson_grad.cli", "--quiet", "solve", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: output.field_csv must be a string, got true\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestFieldCsv:
@@ -622,25 +682,32 @@ class TestSolveCommand:
         assert len(calls) == 1
 
     def test_checks_evaluate_the_drawn_sample_once(self):
-        # F and grad F at the base draw, once each over all four checks; the
-        # reports equal those of checks that each draw for themselves
+        # one binding at the drawn t, and F and grad F at the base draw, once
+        # each over all four checks; the reports equal those of checks that
+        # each draw for themselves
         pot = cli.CosineLattice([1.0], [TWO_PI], floor=0.1, p=2)
         sampler = cli.SampleSpec(count=200, seed=4, t_extents=(1.0, 1.0))
         _, base_x = sampler.draw(pot.n)
-        calls = {"value": 0, "gradient": 0}
+        calls = {"bind": 0, "value": 0, "gradient": 0}
 
         class Counted(cli.CosineLattice):
-            def value(self, t, x):
-                calls["value"] += np.array_equal(x, base_x)
-                return super().value(t, x)
+            def bind(self, t):
+                calls["bind"] += 1
+                bound = super().bind(t)
 
-            def gradient(self, t, x):
-                calls["gradient"] += np.array_equal(x, base_x)
-                return super().gradient(t, x)
+                def value(x):
+                    calls["value"] += np.array_equal(x, base_x)
+                    return bound.value(x)
+
+                def gradient(x):
+                    calls["gradient"] += np.array_equal(x, base_x)
+                    return bound.gradient(x)
+
+                return BoundPotential(value, gradient)
 
         counted = Counted([1.0], [TWO_PI], floor=0.1, p=2)
         reports, notes = cli.run_checks(counted, cli.Sample(counted, sampler))
-        assert calls == {"value": 1, "gradient": 1}
+        assert calls == {"bind": 1, "value": 1, "gradient": 1}
         assert notes == []
         assert reports == [
             cli.check_periodicity(pot, sampler),
@@ -648,6 +715,28 @@ class TestSolveCommand:
             cli.check_gradient_growth(pot, pot.growth, sampler),
             cli.check_grad_consistency(pot, sampler),
         ]
+
+    def test_checks_bind_an_expression_once(self, monkeypatch):
+        # one binding of the value program and one of the value+gradient
+        # program, both at the drawn t, serve all four checks
+        binds = []
+        bind = expr._bind
+
+        def counted(*args):
+            binds.append(args[-1])
+            return bind(*args)
+
+        monkeypatch.setattr(expr, "_bind", counted)  # before the programs compile
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = cli.load_config(configs / "expression_well.json")
+        spec = cli.build_grid(cfg)
+        pot = cli.build_potential(cfg, spec)
+        sample = cli.Sample(pot, cli.build_sampler(cfg, spec))
+        reports, notes = cli.run_checks(pot, sample)
+        assert [r.name for r in reports] == [
+            "periodicity", "positivity", "gradient_growth", "grad_consistency",
+        ]
+        assert len(binds) == 2 and all(t is sample.t for t in binds)
 
     def test_sample_of_another_potential_rejected(self):
         sampler = cli.SampleSpec(count=10, seed=0, t_extents=(1.0,))
@@ -660,7 +749,7 @@ class TestSolveCommand:
         write_config(
             cfg,
             init={"kind": "random", "seed": 5},
-            solver={"method": "gd", "max_iters": 3, "tol_residual": 1e-12},
+            solver={"method": "ncg", "max_iters": 3, "tol_residual": 1e-12},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
@@ -876,7 +965,7 @@ class TestReportSchema:
             grid={"p": 1, "n": 2, "extents": [1.0], "nodes": [8]},
             potential={"kind": "expr", "expr": "1 + x1^4 + x2^4"},
             init={"kind": "random", "seed": 3},
-            solver={"method": "gd", "max_iters": 2},
+            solver={"method": "ncg", "max_iters": 2},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())

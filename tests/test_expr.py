@@ -412,7 +412,7 @@ class TestCompiledSteps:
         program = expr.Program(parse("x1 * sin(2)", 0, 1), 1)
         assert calls == []  # compiling runs no step
         t, x = np.zeros((3, 0)), np.array([[1.0], [2.0], [3.0]])
-        for bind in (program.value, program.dual, program.gradient):
+        for bind in (program.value, program.dual):
             run = bind(t)
             assert calls == [()]
             for _ in range(3):
@@ -420,12 +420,12 @@ class TestCompiledSteps:
             assert calls == [()]
             calls.clear()
         npt.assert_array_equal(program.value(t)(x), x[:, 0] * sin(2.0))
-        npt.assert_array_equal(program.gradient(t)(x), np.full((3, 1), sin(2.0)))
+        npt.assert_array_equal(program.dual(t)(x).partials, np.full((3, 1), sin(2.0)))
 
 
 class TestOnGrid:
-    """ExpressionPotential.on_grid, whose programs run their t-only steps
-    once, against eval_value and eval_dual at the node coordinates."""
+    """ExpressionPotential.bind at the node coordinates, whose programs run
+    their t-only steps once, against eval_value and eval_dual."""
 
     GRIDS = {1: ((2.0,), (7,)), 2: ((1.5, 2.0), (4, 3)), 3: ((1.0, 2.0, 1.5), (3, 4, 3))}
 
@@ -443,13 +443,13 @@ class TestOnGrid:
         outcomes = set()
         for e, ast in enumerate(corpus):
             pot = ExpressionPotential(pretty(ast), p, 2)
-            grid = pot.on_grid(spec)
+            bound = pot.bind(t)
             x = draw(np.random.default_rng([p, e]), spec.shape)
             value = self.outcome(eval_value, pot.program, t, x)
             partials = self.outcome(lambda *a: eval_dual(*a).partials, pot.program, t, x)
             for _ in range(2):  # the steps run once are not changed by a call
-                assert self.outcome(grid.value, x) == value, pretty(ast)
-                assert self.outcome(grid.gradient, x) == partials, pretty(ast)
+                assert self.outcome(bound.value, x) == value, pretty(ast)
+                assert self.outcome(bound.gradient, x) == partials, pretty(ast)
             outcomes.add(value[0] if value[0] == "ok" else value[1])
         return outcomes
 

@@ -8,6 +8,7 @@ from poisson_grad import (
     GridSpec,
     GrowthEnvelope,
     LinearForcing,
+    Sample,
     SampleSpec,
     ShiftedQuadratic,
     check_grad_consistency,
@@ -18,6 +19,7 @@ from poisson_grad import (
     node_coordinates,
 )
 from poisson_grad.action import action_gradient
+from poisson_grad.potential import BoundPotential
 from poisson_grad.solver import SolverConfig
 from poisson_grad.verify import el_residual
 
@@ -136,11 +138,20 @@ class TestChecks:
         assert check_grad_consistency(cosine(), SAMPLER).passed
 
     def test_grad_consistency_detects_corruption(self):
-        pot = cosine()
-        true_grad = pot.gradient
-        pot.gradient = lambda t, x: 2.0 * true_grad(t, x)
-        report = check_grad_consistency(pot, SAMPLER)
-        assert not report.passed
+        # the checks evaluate through bind: a built-in corrupts what its own
+        # bind returns, a custom potential's gradient is what the base bind
+        # calls
+        class DoubledBound(CosineLattice):
+            def bind(self, t):
+                bound = super().bind(t)
+                return BoundPotential(bound.value, lambda x: 2.0 * bound.gradient(x))
+
+        class DoubledGradient(ShiftedQuadratic):
+            def gradient(self, t, x):
+                return 2.0 * super().gradient(t, x)
+
+        for pot in (DoubledBound([1.0], [TWO_PI], p=1), DoubledGradient([1.5])):
+            assert not check_grad_consistency(pot, SAMPLER).passed
 
 
 class TestDeclaredEnvelopes:
@@ -205,6 +216,9 @@ def bits(a) -> tuple:
 
 
 class TestOnGrid:
+    """Potential.bind at a grid's node coordinates, and at a drawn sample's
+    t, against value and gradient, bit for bit."""
+
     @pytest.mark.parametrize(
         "pot, spec",
         [
@@ -220,23 +234,26 @@ class TestOnGrid:
         ],
     )
     def test_bound_evaluations_match_unbound_bit_for_bit(self, pot, spec):
-        grid = pot.on_grid(spec)
         t = node_coordinates(spec)
+        sample = Sample(pot, SampleSpec(count=50, seed=2, t_extents=spec.extents))
         x = np.random.default_rng(3).uniform(-4.0, 4.0, spec.shape)
-        for _ in range(2):  # what is computed once is not changed by a call
-            assert bits(grid.value(x)) == bits(pot.value(t, x))
-            assert bits(grid.gradient(x)) == bits(pot.gradient(t, x))
+        for t, x in ((t, x), (sample.t, sample.x)):
+            bound = pot.bind(t)
+            for _ in range(2):  # what is computed once is not changed by a call
+                assert bits(bound.value(x)) == bits(pot.value(t, x))
+                assert bits(bound.gradient(x)) == bits(pot.gradient(t, x))
 
     def test_linear_forcing_bound_matches_unbound_bit_for_bit(self):
         spec = GridSpec((1.0, 2.0), (5, 4), n=2)
         rng = np.random.default_rng(8)
         pot = LinearForcing(Field(spec, rng.standard_normal(spec.shape)))
-        grid = pot.on_grid(spec)
-        t = node_coordinates(spec)
+        sample = Sample(pot, SampleSpec(count=50, seed=2, t_extents=spec.extents))
         x = rng.standard_normal(spec.shape)
-        for _ in range(2):
-            assert bits(grid.value(x)) == bits(pot.value(t, x))
-            assert bits(grid.gradient(x)) == bits(pot.gradient(t, x))
+        for t, x in ((node_coordinates(spec), x), (sample.t, sample.x)):
+            bound = pot.bind(t)
+            for _ in range(2):
+                assert bits(bound.value(x)) == bits(pot.value(t, x))
+                assert bits(bound.gradient(x)) == bits(pot.gradient(t, x))
 
     def test_linear_forcing_on_its_own_grid_is_the_forcing(self):
         spec = GridSpec((1.0, 1.0), (256, 256), n=2)
@@ -244,11 +261,11 @@ class TestOnGrid:
         pot = LinearForcing(forcing)
         t = node_coordinates(spec)
         x = np.zeros(spec.shape)
-        assert bits(pot._forcing_at(t)) == bits(forcing.values)
-        assert bits(pot.on_grid(spec).gradient(x)) == bits(pot.gradient(t, x))
+        assert pot._forcing_at(t) is forcing.values
+        assert bits(pot.bind(t).gradient(x)) == bits(-forcing.values)
         # another grid still looks the forcing up at its nodes
         half = GridSpec((1.0, 1.0), (128, 128), n=2)
-        gradient = pot.on_grid(half).gradient(np.zeros(half.shape))
+        gradient = pot.bind(node_coordinates(half)).gradient(np.zeros(half.shape))
         assert bits(gradient) == bits(-forcing.values[::2, ::2])
 
     def test_subclass_overriding_only_gradient_is_called(self):

@@ -26,7 +26,7 @@ from poisson_grad import (
 )
 from poisson_grad.action import PotentialDomainError
 from poisson_grad.expr import EvalDomainError
-from poisson_grad.potential import GridPotential
+from poisson_grad.potential import BoundPotential
 from poisson_grad.solver import (
     _BACKTRACK_FACTOR,
     IterationRecord,
@@ -59,6 +59,7 @@ class TestSolverConfig:
             dict(tol_residual=math.nan),
             dict(max_iters=True),
             dict(max_iters=10.5),
+            dict(method="gd"),
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -173,7 +174,7 @@ class TestMinimize:
         _, report = minimize(
             pot,
             random_init(spec, pot.periods, seed=1),
-            SolverConfig(method="gd", max_iters=3, tol_residual=1e-14),
+            SolverConfig(method="ncg", max_iters=3, tol_residual=1e-14),
         )
         assert report.status == "max_iters"
         assert report.final.index == 3
@@ -271,17 +272,17 @@ class TestMinimize:
         assert str(err.value) == f"{direct.value} at node {node}, t = {(0.25 * node[0],)}"
 
     def test_each_trial_priced_once(self, monkeypatch):
-        # the solve binds F to the grid once; F is evaluated once for the
-        # start, once per line-search trial and once more per shifted record,
-        # for the gauge assertion, and grad F once per accepted iterate
+        # the solve binds F to the grid's nodes once; F is evaluated once for
+        # the start, once per line-search trial and once more per shifted
+        # record, for the gauge assertion, and grad F once per accepted iterate
         spec = GridSpec((1.0,), (12,), n=2)
         pot = well_potential()
         binds, calls, gradients = [], [], []
-        on_grid = pot.on_grid
+        bind = pot.bind
 
-        def counting_on_grid(grid_spec):
-            binds.append(grid_spec)
-            bound = on_grid(grid_spec)
+        def counting_bind(t):
+            binds.append(t)
+            bound = bind(t)
 
             def value(x):
                 calls.append(1)
@@ -291,13 +292,13 @@ class TestMinimize:
                 gradients.append(1)
                 return bound.gradient(x)
 
-            return GridPotential(value, gradient)
+            return BoundPotential(value, gradient)
 
-        monkeypatch.setattr(pot, "on_grid", counting_on_grid)
+        monkeypatch.setattr(pot, "bind", counting_bind)
         cfg = SolverConfig(tol_residual=1e-6)
         _, report = minimize(pot, random_init(spec, pot.periods, seed=7), cfg)
         assert report.converged
-        assert binds == [spec]
+        assert len(binds) == 1 and binds[0] is node_coordinates(spec)
         trials = sum(
             1 + round(math.log(solver._INITIAL_STEP / r.step, 1.0 / _BACKTRACK_FACTOR))
             for r in report.iterations[1:]
@@ -431,7 +432,7 @@ class TestSecantMass:
         spec = GridSpec((1.0,), (8,), n=2)
         pot = ExpressionPotential("5*x1^2 + 0.25*x2^2", 1, 2)
         init = Field.constant(spec, (1.0, 1.0))
-        _, report = minimize(pot, init, SolverConfig(method="gd", max_iters=2))
+        _, report = minimize(pot, init, SolverConfig(method="ncg", max_iters=2))
         first, second = report.iterations[1:]
         assert first.h1_mass == (10.0, 1.0)
         assert second.step == 1.0

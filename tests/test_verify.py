@@ -67,7 +67,8 @@ class TestTransientMemory:
     def test_linear_forcing_bound_to_its_own_grid(self, problem):
         # the nearest-node lookup copied the forcing: a peak of 2.0 field bytes
         rhs, pot, _ = problem
-        assert peak_transient(pot.on_grid, rhs.spec) <= 0.01 * rhs.values.nbytes
+        t = node_coordinates(rhs.spec)
+        assert peak_transient(pot.bind, t) <= 0.01 * rhs.values.nbytes
 
 
 class TestCsvReaderMemory:
