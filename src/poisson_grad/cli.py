@@ -50,7 +50,7 @@ from .potential import (
 from .solver import SolverConfig, check_minimizing_bounds, minimize, random_init
 from .verify import boundary_check, certify
 
-__all__ = ["ConfigError", "FormatError", "main", "console_main"]
+__all__ = ["ConfigError", "FormatError", "main"]
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -239,15 +239,12 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         if len(center) != spec.n:
             raise ConfigError(f"potential.center must have length grid.n = {spec.n}")
         floor = _number(pot.get("floor", 1.0), "potential.floor")
+        # a periodicity *claim*, not a property: the checks falsify it
+        periods = _periods(pot, spec, required=False)
         try:
-            built = ShiftedQuadratic(center, floor=floor, p=spec.p)
+            built = ShiftedQuadratic(center, floor=floor, p=spec.p, periods=periods)
         except ValueError as err:
             raise ConfigError(f"invalid quadratic potential: {err}") from err
-        declared = _periods(pot, spec, required=False)
-        if declared is not None:
-            # a periodicity *claim*, not a property: the check command will
-            # falsify it by sampling
-            built.periods = np.asarray(declared)
     elif kind == "linear":
         path = _text(_need(pot, "forcing_csv", "potential.forcing_csv"), "potential.forcing_csv")
         if not Path(path).exists():
@@ -499,22 +496,23 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def run_checks(pot: Potential, sample: Sample) -> tuple[list[CheckReport], list[str]]:
-    """Run every applicable hypothesis check, in a fixed order, on one drawn
-    sample, so F and grad F at its points are evaluated at most once each;
-    a check the potential declares nothing for becomes a note."""
+def run_checks(sample: Sample) -> tuple[list[CheckReport], list[str]]:
+    """Run every applicable hypothesis check on the sample's potential, in a
+    fixed order, so F and grad F at its points are evaluated at most once
+    each; a check the potential declares nothing for becomes a note."""
+    pot = sample.pot
     reports: list[CheckReport] = []
     notes: list[str] = []
     if pot.periods is None:
         notes.append("periodicity: skipped, no periods declared")
     else:
-        reports.append(check_periodicity(pot, sample))
-    reports.append(check_positivity(pot, sample))
+        reports.append(check_periodicity(sample))
+    reports.append(check_positivity(sample))
     if pot.growth is None:
         notes.append("gradient_growth: skipped, no growth envelope declared")
     else:
-        reports.append(check_gradient_growth(pot, pot.growth, sample))
-    reports.append(check_grad_consistency(pot, sample))
+        reports.append(check_gradient_growth(sample))
+    reports.append(check_grad_consistency(sample))
     return reports, notes
 
 
@@ -529,8 +527,13 @@ def cmd_solve(args) -> int:
     field_csv = _text(out.get("field_csv", "field.csv"), "output.field_csv")
     report_json = _text(out.get("report_json", "report.json"), "output.report_json")
     closed_csv = _flag(out.get("closed_csv", False), "output.closed_csv")
+    # the closed CSV goes next to the open one
+    for key, path in (("output.field_csv", field_csv), ("output.report_json", report_json)):
+        folder = Path(path).parent
+        if not folder.is_dir():
+            raise ConfigError(f"{key}: directory {folder} does not exist")
 
-    checks, notes = run_checks(pot, Sample(pot, sampler))
+    checks, notes = run_checks(Sample(pot, sampler))
     failed = [c.name for c in checks if not c.passed]
     for c in checks:
         _say(args, str(c))
@@ -599,7 +602,7 @@ def cmd_check(args) -> int:
     spec = build_grid(cfg)
     pot = build_potential(cfg, spec)
     sampler = build_sampler(cfg, spec)
-    checks, notes = run_checks(pot, Sample(pot, sampler))
+    checks, notes = run_checks(Sample(pot, sampler))
     for c in checks:
         _say(args, str(c))
     for note in notes:
@@ -734,10 +737,6 @@ def _expr_source(args) -> str | None:
         return json.loads(Path(config).read_text())["potential"]["expr"]
     except Exception:
         return None
-
-
-def console_main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import BoundPotential, GrowthEnvelope, Potential
+from .potential import BoundPotential, GrowthEnvelope, Potential, declared_periods
 
 __all__ = [
     "ExprError",
@@ -707,11 +707,7 @@ class ExpressionPotential(Potential):
         self.program = Program(self.ast, n)
         self.p = p
         self.n = n
-        self.periods = None if periods is None else np.atleast_1d(
-            np.asarray(periods, dtype=np.float64)
-        )
-        if self.periods is not None and self.periods.size != n:
-            raise ValueError(f"expected {n} periods, got {self.periods.size}")
+        self.periods = declared_periods(periods, n)
         self.positivity_claim = positivity_claim
         self.growth = growth
 

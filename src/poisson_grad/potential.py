@@ -7,8 +7,8 @@ A potential evaluates batched: ``t`` has shape (..., p), ``x`` has shape
 probe.  Spatial periodicity (F(t, x + P_i e_i) = F(t, x)), positivity, and
 the linear gradient growth bound |grad F| <= M |x| + g_max are declared by
 the potential and verified by deterministic seeded sampling, never assumed.
-Each check takes a ``SampleSpec``, which it draws, or a ``Sample`` already
-drawn, whose F and grad F values it shares with the other checks.
+Each check takes the ``Sample`` it tests and reads the declarations from
+its potential; checks sharing a Sample share its F and grad F values.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "CosineLattice",
     "ShiftedQuadratic",
     "LinearForcing",
+    "declared_periods",
     "check_periodicity",
     "check_positivity",
     "check_gradient_growth",
@@ -103,12 +104,15 @@ class Sample:
         return self.bound.gradient(self.x)
 
 
-def _sample(pot: "Potential", sampler: SampleSpec | Sample) -> Sample:
-    if not isinstance(sampler, Sample):
-        return Sample(pot, sampler)
-    if sampler.pot is not pot:
-        raise ValueError("sample was drawn for another potential")
-    return sampler
+def declared_periods(periods, n: int) -> np.ndarray | None:
+    """A declared period vector: None, or n finite positive floats, read-only."""
+    if periods is None:
+        return None
+    vec = np.array(periods, dtype=np.float64, ndmin=1)
+    if vec.shape != (n,) or not np.all(np.isfinite(vec) & (vec > 0.0)):
+        raise ValueError(f"need {n} positive periods, got {vec}")
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -188,11 +192,9 @@ class CosineLattice(Potential):
         p: int = 1,
     ):
         self.amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=np.float64))
-        self.periods = np.atleast_1d(np.asarray(periods, dtype=np.float64))
-        if self.amplitudes.shape != self.periods.shape:
-            raise ValueError("amplitudes and periods must have equal length")
-        if np.any(self.amplitudes <= 0.0) or np.any(self.periods <= 0.0):
-            raise ValueError("amplitudes and periods must be positive")
+        self.periods = declared_periods(periods, self.amplitudes.size)
+        if np.any(self.amplitudes <= 0.0):
+            raise ValueError("amplitudes must be positive")
         if floor <= 0.0:
             raise ValueError(f"floor must be positive, got {floor}")
         if not -1.0 < modulation < 1.0:
@@ -242,18 +244,19 @@ class CosineLattice(Potential):
 
 
 class ShiftedQuadratic(Potential):
-    """F(t, x) = |x - center|^2 / 2 + floor; strictly convex, no periods."""
+    """F(t, x) = |x - center|^2 / 2 + floor; strictly convex, so not periodic:
+    ``periods`` is a periodicity claim, for the checks to falsify."""
 
     name = "quadratic"
 
-    def __init__(self, center, floor: float = 1.0, p: int = 1):
+    def __init__(self, center, floor: float = 1.0, p: int = 1, periods=None):
         self.center = np.atleast_1d(np.asarray(center, dtype=np.float64))
         if floor <= 0.0:
             raise ValueError(f"floor must be positive, got {floor}")
         self.n = self.center.size
         self.p = p
         self.floor = float(floor)
-        self.periods = None
+        self.periods = declared_periods(periods, self.n)
         self.positivity_claim = True
         self.growth = GrowthEnvelope(m=1.0, g_max=float(np.linalg.norm(self.center)))
 
@@ -285,9 +288,10 @@ class LinearForcing(Potential):
         self.growth = GrowthEnvelope(m=0.0, g_max=float(per_node.max()))
 
     def _forcing_at(self, t: np.ndarray) -> np.ndarray:
-        """f at the nearest nodes; at its own nodes, the forcing, not a copy."""
+        """f at the nearest nodes; at its own nodes, the forcing, not a copy
+        (their shape is compared first, so a sample builds no coordinates)."""
         spec = self.forcing.spec
-        if t is node_coordinates(spec):
+        if np.shape(t) == spec.nodes + (spec.p,) and t is node_coordinates(spec):
             return self.forcing.values
         t = np.asarray(t, dtype=np.float64)
         idx = tuple(
@@ -315,11 +319,11 @@ class LinearForcing(Potential):
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
 
 
-def check_periodicity(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
+def check_periodicity(sample: Sample) -> CheckReport:
     """Sampled test of F(t, x + P_i e_i) = F(t, x) for every component i."""
+    pot = sample.pot
     if pot.periods is None:
         raise ValueError(f"potential '{pot.name}' declares no periods")
-    sample = _sample(pot, sampler)
     x, base = sample.x, sample.value
     tol = 1e-9
     worst = 0.0
@@ -340,9 +344,8 @@ def check_periodicity(pot: Potential, sampler: SampleSpec | Sample) -> CheckRepo
     )
 
 
-def check_positivity(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
+def check_positivity(sample: Sample) -> CheckReport:
     """Sampled test of F(t, x) > 0; reports the minimum sampled value."""
-    sample = _sample(pot, sampler)
     lo = float(sample.value.min())
     return CheckReport(
         name="positivity",
@@ -354,11 +357,11 @@ def check_positivity(pot: Potential, sampler: SampleSpec | Sample) -> CheckRepor
     )
 
 
-def check_gradient_growth(
-    pot: Potential, env: GrowthEnvelope, sampler: SampleSpec | Sample
-) -> CheckReport:
+def check_gradient_growth(sample: Sample) -> CheckReport:
     """Sampled test of |grad F(t, x)| <= m |x| + g_max; zero violations pass."""
-    sample = _sample(pot, sampler)
+    env = sample.pot.growth
+    if env is None:
+        raise ValueError(f"potential '{sample.pot.name}' declares no growth envelope")
     x = sample.x
     g = np.sqrt(np.sum(sample.gradient**2, axis=-1))
     allowed = env.m * np.sqrt(np.sum(x * x, axis=-1)) + env.g_max
@@ -374,13 +377,12 @@ def check_gradient_growth(
     )
 
 
-def check_grad_consistency(pot: Potential, sampler: SampleSpec | Sample) -> CheckReport:
+def check_grad_consistency(sample: Sample) -> CheckReport:
     """Central finite-difference probe of the declared gradient."""
-    sample = _sample(pot, sampler)
     x, grad = sample.x, sample.gradient
     step = 1e-6 * (1.0 + np.sqrt(np.sum(x * x, axis=-1)))
     fd = np.empty_like(grad)
-    for i in range(pot.n):
+    for i in range(sample.pot.n):
         hi = x.copy()
         lo = x.copy()
         hi[:, i] += step

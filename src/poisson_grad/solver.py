@@ -30,6 +30,7 @@ against any report.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -41,7 +42,7 @@ import numpy as np
 from .action import ActionValue, GridAction, action, action_gradient  # noqa: F401
 from .grid import Field, GridSpec, h1_riesz_map
 from .grid import _forward, _inner, _node_mean, _norm, _require_finite
-from .potential import Potential
+from .potential import Potential, declared_periods
 from .verify import wirtinger_constant, wirtinger_floor
 
 __all__ = [
@@ -131,20 +132,13 @@ class RunReport:
 def canonicalize(u: Field, periods) -> tuple[Field, np.ndarray]:
     """Shift each component by an integer multiple of its period so the
     mean lands in [0, P_i); returns the shifted field and the integers."""
-    periods = _checked_periods(periods, u.spec.n)
+    if periods is None:
+        raise ValueError("canonicalize needs the potential's period vector")
+    periods = declared_periods(periods, u.spec.n)
     shifts = _lattice_shifts(u.values, u.spec, periods)
     if not shifts.any():
         return u, shifts
     return u.shifted(shifts * periods), shifts
-
-
-def _checked_periods(periods, n: int) -> np.ndarray:
-    if periods is None:
-        raise ValueError("canonicalize needs the potential's period vector")
-    periods = np.atleast_1d(np.asarray(periods, dtype=np.float64))
-    if periods.size != n or np.any(periods <= 0.0):
-        raise ValueError(f"need {n} positive periods, got {periods}")
-    return periods
 
 
 def _lattice_shifts(values: np.ndarray, spec: GridSpec, periods: np.ndarray) -> np.ndarray:
@@ -154,9 +148,9 @@ def _lattice_shifts(values: np.ndarray, spec: GridSpec, periods: np.ndarray) -> 
 def random_init(spec: GridSpec, periods=None, seed: int = 0) -> Field:
     """Seeded random start: uniform over the fundamental cell when periods
     exist, otherwise standard normal scaled by 0.1."""
+    periods = declared_periods(periods, spec.n)
     rng = np.random.default_rng(seed)
     if periods is not None:
-        periods = np.atleast_1d(np.asarray(periods, dtype=np.float64))
         return Field(spec, rng.uniform(0.0, 1.0, spec.shape) * periods)
     return Field(spec, 0.1 * rng.standard_normal(spec.shape))
 
@@ -232,7 +226,7 @@ def _canonical(
     act: GridAction, u: np.ndarray, priced: ActionValue, periods: np.ndarray | None
 ) -> tuple[np.ndarray, ActionValue, np.ndarray | None, float | None]:
     """Canonicalize an accepted point whose action is ``priced``, as
-    ``canonicalize`` does with checked ``periods``; a shifted field is
+    ``canonicalize`` does with declared ``periods``; a shifted field is
     priced again and must keep that action (gauge invariance)."""
     if periods is None:
         return u, priced, None, None
@@ -286,12 +280,14 @@ def minimize(
     canonicalized; trial points are priced as they are, without a shift.
 
     The potential is bound to the grid once per call (``GridAction``), and
-    the periods are checked once, where the start is canonicalized.
+    its periods pass ``declared_periods`` once.  Each iteration applies the
+    Riesz map to the gradient it starts from, so none runs after the last
+    accepted step.
     """
     spec = init.spec
     act = GridAction(pot, spec)
     a_init = act.value(init.values)
-    periods = None if pot.periods is None else _checked_periods(pot.periods, spec.n)
+    periods = declared_periods(pot.periods, spec.n)
     u, a_val, shifts0, gauge0 = _canonical(act, init.values, a_init, periods)
     grad = act.gradient(u)
     residual = _norm(spec, grad)
@@ -304,13 +300,7 @@ def minimize(
     report.iterations.append(
         _record(spec, 0, a_val, residual, u, 0.0, shifts0, gauge0, mass)
     )
-    if residual <= cfg.tol_residual:
-        report.status = "converged"
-        return Field(spec, u), report
-
     riesz = h1_riesz_map(spec)
-    z = riesz(grad, mass)
-    grad_z = _inner(spec, grad, z)
     direction: np.ndarray | None = None
     stagnant = 0
 
@@ -318,7 +308,17 @@ def minimize(
     # warnings about it would only report a rejection; failures at accepted
     # points still raise, from the finiteness checks and the potential
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(1, cfg.max_iters + 1):
+        for it in itertools.count(1):
+            if residual <= cfg.tol_residual:
+                report.status = "converged"
+                break
+            if stagnant >= 5:
+                report.status = "stalled"
+                break
+            if it > cfg.max_iters:
+                break  # the status stays "max_iters"
+            z = riesz(grad, mass)
+            grad_z = _inner(spec, grad, z)
             if direction is not None:
                 beta = max(0.0, _inner(spec, grad, z - z_prev) / grad_z_prev)
                 cand_dir = -z + beta * direction
@@ -341,33 +341,23 @@ def minimize(
                 step *= _BACKTRACK_FACTOR
             if accepted is None:
                 report.status = "line_search_failed"
-                return Field(spec, u), report
+                break
 
             u, a_new, shifts, gauge = _canonical(act, *accepted, periods)
             scale = max(abs(a_val.total), abs(a_new.total))
             rel_decrease = (a_val.total - a_new.total) / scale if scale > 0.0 else 0.0
+            stagnant = stagnant + 1 if rel_decrease < _TOL_ACTION else 0
             z_prev, grad_z_prev = z, grad_z
             direction = cand_dir
             a_val = a_new
             grad_prev = grad
             grad = act.gradient(u)
             mass = _secant_mass(spec, mass, grad - grad_prev, step * cand_dir)
-            z = riesz(grad, mass)
-            grad_z = _inner(spec, grad, z)
             residual = _norm(spec, grad)
             report.iterations.append(
                 _record(spec, it, a_val, residual, u, step, shifts, gauge, mass)
             )
 
-            if residual <= cfg.tol_residual:
-                report.status = "converged"
-                return Field(spec, u), report
-            stagnant = stagnant + 1 if rel_decrease < _TOL_ACTION else 0
-            if stagnant >= 5:
-                report.status = "stalled"
-                return Field(spec, u), report
-
-    report.status = "max_iters"
     return Field(spec, u), report
 
 

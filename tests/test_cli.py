@@ -360,6 +360,51 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
 
+    @pytest.mark.parametrize("key", ["field_csv", "report_json"])
+    def test_missing_output_directory_exits_3_before_checks(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def unreachable(*args):
+            raise AssertionError("minimize must not run")
+
+        monkeypatch.setattr(cli, "minimize", unreachable)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body["output"].update({key: "missing_dir/f.csv", "closed_csv": True})
+        cfg.write_text(json.dumps(body))
+        assert main(["solve", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: output.{key}: directory missing_dir does not exist\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "potential, prefix",
+        [
+            ({"kind": "cosine", "amplitudes": [1.0]}, "invalid cosine potential: "),
+            ({"kind": "quadratic", "center": [0.0]}, "invalid quadratic potential: "),
+            ({"kind": "expr", "expr": "1 + cos(x1)"}, ""),
+        ],
+        ids=["cosine", "quadratic", "expr"],
+    )
+    def test_non_positive_period_exits_3_before_checks(
+        self, tmp_path, capsys, potential, prefix, period, command
+    ):
+        # shifting x by a zero period changes nothing, so the periodicity
+        # check would pass it; the potential rejects it when it is built
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg, grid=dict(self.GRID_1D), potential={**potential, "periods": [period]}
+        )
+        assert main([command, str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {prefix}need 1 positive periods, got [{period:.0f}.]\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
     def test_boolean_field_csv_exits_3(self, tmp_path):
         # in its own process: open(True, "w") would be the process's stdout
         cfg = tmp_path / "c.json"
@@ -671,9 +716,9 @@ class TestSolveCommand:
         calls = []
         sampled = cli.check_positivity
 
-        def counted(pot, sampler):
-            calls.append(sampler)
-            return sampled(pot, sampler)
+        def counted(sample):
+            calls.append(sample)
+            return sampled(sample)
 
         monkeypatch.setattr(cli, "check_positivity", counted)
         cfg = tmp_path / "c.json"
@@ -706,14 +751,17 @@ class TestSolveCommand:
                 return BoundPotential(value, gradient)
 
         counted = Counted([1.0], [TWO_PI], floor=0.1, p=2)
-        reports, notes = cli.run_checks(counted, cli.Sample(counted, sampler))
+        reports, notes = cli.run_checks(cli.Sample(counted, sampler))
         assert calls == {"bind": 1, "value": 1, "gradient": 1}
         assert notes == []
         assert reports == [
-            cli.check_periodicity(pot, sampler),
-            cli.check_positivity(pot, sampler),
-            cli.check_gradient_growth(pot, pot.growth, sampler),
-            cli.check_grad_consistency(pot, sampler),
+            check(cli.Sample(pot, sampler))
+            for check in (
+                cli.check_periodicity,
+                cli.check_positivity,
+                cli.check_gradient_growth,
+                cli.check_grad_consistency,
+            )
         ]
 
     def test_checks_bind_an_expression_once(self, monkeypatch):
@@ -732,17 +780,11 @@ class TestSolveCommand:
         spec = cli.build_grid(cfg)
         pot = cli.build_potential(cfg, spec)
         sample = cli.Sample(pot, cli.build_sampler(cfg, spec))
-        reports, notes = cli.run_checks(pot, sample)
+        reports, notes = cli.run_checks(sample)
         assert [r.name for r in reports] == [
             "periodicity", "positivity", "gradient_growth", "grad_consistency",
         ]
         assert len(binds) == 2 and all(t is sample.t for t in binds)
-
-    def test_sample_of_another_potential_rejected(self):
-        sampler = cli.SampleSpec(count=10, seed=0, t_extents=(1.0,))
-        pot = cli.ShiftedQuadratic([0.5])
-        with pytest.raises(ValueError, match="another potential"):
-            cli.check_positivity(pot, cli.Sample(cli.ShiftedQuadratic([0.5]), sampler))
 
     def test_not_converged_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -754,6 +796,41 @@ class TestSolveCommand:
         assert main(["--quiet", "solve", str(cfg)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "max_iters"
+
+
+class TestThreeTimes:
+    """A solve on a p = 3 grid, certified from its open and its closed CSV."""
+
+    @pytest.mark.parametrize(
+        "amplitudes, periods",
+        [([100.0], [TWO_PI]), ([100.0, 1.0], [TWO_PI, 3.0])],
+        ids=["n1", "n2"],
+    )
+    def test_cosine_lattice_solves_and_certifies(self, tmp_path, capsys, amplitudes, periods):
+        cfg = tmp_path / "c.json"
+        body = write_config(
+            cfg,
+            grid={"p": 3, "n": len(periods), "extents": [1.0] * 3, "nodes": [16] * 3},
+            potential={
+                "kind": "cosine",
+                "amplitudes": amplitudes,
+                "periods": periods,
+                "modulation": 0.5,
+                "modulation_axis": 2,
+            },
+            init={"kind": "random", "seed": 3},
+        )
+        body["output"]["closed_csv"] = True
+        cfg.write_text(json.dumps(body))
+        assert main(["--quiet", "solve", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "converged" and report["final"]["residual_l2"] <= 1e-8
+        assert report["bound_audit"]["all_passed"]
+        assert all(c["passed"] for c in report["checks"])
+        certified = f"residual_l2={report['certificate']['residual_l2']:.6e} "
+        for csv in ("field.csv", "field.closed.csv"):
+            assert main(["residual", str(tmp_path / csv), str(cfg)]) == 0
+            assert capsys.readouterr().out.startswith(certified)
 
 
 class TestDeterminism:

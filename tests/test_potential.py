@@ -19,8 +19,8 @@ from poisson_grad import (
     node_coordinates,
 )
 from poisson_grad.action import action_gradient
-from poisson_grad.potential import BoundPotential
-from poisson_grad.solver import SolverConfig
+from poisson_grad.potential import BoundPotential, declared_periods
+from poisson_grad.solver import SolverConfig, random_init
 from poisson_grad.verify import el_residual
 
 TWO_PI = 2.0 * np.pi
@@ -69,6 +69,8 @@ class TestCosineLattice:
             dict(amplitudes=[0.0]),
             dict(periods=[-1.0]),
             dict(amplitudes=[1.0, 2.0]),
+            dict(periods=[0.0]),
+            dict(periods=[np.inf]),
         ],
     )
     def test_invalid_construction(self, kw):
@@ -76,66 +78,96 @@ class TestCosineLattice:
             cosine(**kw)
 
 
+BAD_PERIODS = [[0.0], [-1.0], [np.nan], [np.inf], [1.0, 2.0], [[1.0]]]
+
+
+class TestDeclaredPeriods:
+    @pytest.mark.parametrize("periods", BAD_PERIODS)
+    def test_rejected(self, periods):
+        with pytest.raises(ValueError, match="need 1 positive periods, got"):
+            declared_periods(periods, 1)
+
+    @pytest.mark.parametrize("periods", BAD_PERIODS)
+    def test_random_init_rejects(self, periods):
+        spec = GridSpec((1.0,), (8,), n=1)
+        with pytest.raises(ValueError, match="need 1 positive periods, got"):
+            random_init(spec, periods=periods, seed=0)
+
+    def test_read_only_copy(self):
+        given = np.array([TWO_PI, 3.0])
+        periods = declared_periods(given, 2)
+        assert periods.dtype == np.float64 and not periods.flags.writeable
+        assert given.flags.writeable
+        npt.assert_array_equal(periods, given)
+        assert declared_periods(None, 2) is None
+
+
 class TestChecks:
     def test_cosine_periodicity_passes(self):
-        report = check_periodicity(cosine(), SAMPLER)
+        report = check_periodicity(Sample(cosine(), SAMPLER))
         assert report.passed and report.worst <= 1e-12
 
     def test_expression_style_periodic_by_value(self):
         # same content as a parsed "1 - cos(x1)" potential with P = 2 pi
         pot = cosine(floor=1e-9)
-        report = check_periodicity(pot, SAMPLER)
+        report = check_periodicity(Sample(pot, SAMPLER))
         assert report.passed
 
     def test_wrongly_declared_periods_fail(self):
-        quad = ShiftedQuadratic([0.0], floor=1.0)
-        quad.periods = np.array([1.0])  # bogus claim
-        report = check_periodicity(quad, SAMPLER)
+        quad = ShiftedQuadratic([0.0], floor=1.0, periods=[1.0])  # bogus claim
+        report = check_periodicity(Sample(quad, SAMPLER))
         assert not report.passed and report.worst > 0.0
 
     def test_periodicity_requires_periods(self):
         with pytest.raises(ValueError, match="periods"):
-            check_periodicity(ShiftedQuadratic([0.0]), SAMPLER)
+            check_periodicity(Sample(ShiftedQuadratic([0.0]), SAMPLER))
 
     def test_positivity_cosine(self):
-        report = check_positivity(cosine(floor=0.1), SAMPLER)
+        report = check_positivity(Sample(cosine(floor=0.1), SAMPLER))
         assert report.passed and report.worst >= 0.1
 
     def test_positivity_linear_forcing_fails(self):
         spec = GridSpec((1.0,), (8,), n=1)
         t = node_coordinates(spec)[..., 0]
         pot = LinearForcing(Field(spec, 0.5 * np.sin(2 * np.pi * t)))
-        report = check_positivity(pot, SAMPLER)
+        report = check_positivity(Sample(pot, SAMPLER))
         assert not report.passed and report.worst < 0.0
 
     def test_positivity_quadratic(self):
-        report = check_positivity(ShiftedQuadratic([0.5], floor=1.0), SAMPLER)
+        report = check_positivity(Sample(ShiftedQuadratic([0.5], floor=1.0), SAMPLER))
         assert report.passed and report.worst >= 1.0
 
     def test_growth_cosine_unit_envelope(self):
-        report = check_gradient_growth(
-            cosine(), GrowthEnvelope(m=0.0, g_max=1.0), SAMPLER
-        )
+        pot = cosine()
+        pot.growth = GrowthEnvelope(m=0.0, g_max=1.0)
+        report = check_gradient_growth(Sample(pot, SAMPLER))
         assert report.passed and report.worst <= 0.0
 
     def test_growth_quadratic(self):
         center = [3.0, -4.0]
         pot = ShiftedQuadratic(center, floor=1.0)
-        report = check_gradient_growth(pot, GrowthEnvelope(m=1.0, g_max=5.0), SAMPLER)
+        pot.growth = GrowthEnvelope(m=1.0, g_max=5.0)
+        report = check_gradient_growth(Sample(pot, SAMPLER))
         assert report.passed
 
     def test_growth_zero_envelope_fails(self):
-        report = check_gradient_growth(
-            cosine(), GrowthEnvelope(m=0.0, g_max=0.0), SAMPLER
-        )
+        pot = cosine()
+        pot.growth = GrowthEnvelope(m=0.0, g_max=0.0)
+        report = check_gradient_growth(Sample(pot, SAMPLER))
         assert not report.passed and "violations" in report.detail
 
+    def test_growth_requires_envelope(self):
+        pot = cosine()
+        pot.growth = None
+        with pytest.raises(ValueError, match="growth envelope"):
+            check_gradient_growth(Sample(pot, SAMPLER))
+
     def test_grad_consistency_quadratic_tight(self):
-        report = check_grad_consistency(ShiftedQuadratic([1.5], floor=1.0), SAMPLER)
+        report = check_grad_consistency(Sample(ShiftedQuadratic([1.5], floor=1.0), SAMPLER))
         assert report.passed and report.worst <= 1e-7
 
     def test_grad_consistency_cosine(self):
-        assert check_grad_consistency(cosine(), SAMPLER).passed
+        assert check_grad_consistency(Sample(cosine(), SAMPLER)).passed
 
     def test_grad_consistency_detects_corruption(self):
         # the checks evaluate through bind: a built-in corrupts what its own
@@ -151,7 +183,7 @@ class TestChecks:
                 return 2.0 * super().gradient(t, x)
 
         for pot in (DoubledBound([1.0], [TWO_PI], p=1), DoubledGradient([1.5])):
-            assert not check_grad_consistency(pot, SAMPLER).passed
+            assert not check_grad_consistency(Sample(pot, SAMPLER)).passed
 
 
 class TestDeclaredEnvelopes:
@@ -165,14 +197,14 @@ class TestDeclaredEnvelopes:
         ids=["cosine", "cosine-modulated", "quadratic"],
     )
     def test_builtin_envelope_has_zero_violations(self, pot):
-        report = check_gradient_growth(pot, pot.growth, BIG_SAMPLER)
+        report = check_gradient_growth(Sample(pot, BIG_SAMPLER))
         assert report.passed
 
     def test_linear_forcing_envelope(self):
         spec = GridSpec((1.0,), (16,), n=2)
         rng = np.random.default_rng(9)
         pot = LinearForcing(Field(spec, rng.standard_normal(spec.shape)))
-        report = check_gradient_growth(pot, pot.growth, BIG_SAMPLER)
+        report = check_gradient_growth(Sample(pot, BIG_SAMPLER))
         assert report.passed
 
     @pytest.mark.parametrize(
@@ -181,7 +213,7 @@ class TestDeclaredEnvelopes:
         ids=["cosine", "quadratic"],
     )
     def test_builtin_gradients_match_fd(self, pot):
-        report = check_grad_consistency(pot, SAMPLER)
+        report = check_grad_consistency(Sample(pot, SAMPLER))
         assert report.passed and report.worst <= 1e-5
 
 
