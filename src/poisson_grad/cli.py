@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -364,6 +365,14 @@ def write_field_csv(path: str | Path, field: Field, closed: bool = False) -> Non
             fh.write(row * len(block) % tuple(cells.ravel().tolist()))
 
 
+# numpy's loadtxt decompresses a path with one of these suffixes; the text
+# scanned for the header is the file's own, so such a path is parsed from
+# that text instead
+_COMPRESSED_SUFFIXES = frozenset({".gz", ".bz2", ".xz", ".lzma"})
+
+_LOADTXT = {"dtype": np.float64, "delimiter": ",", "comments": None, "ndmin": 2}
+
+
 def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray, bool]:
     """Read a field CSV against a grid.
 
@@ -371,35 +380,25 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     ``(values, True)`` for the closed form (N_alpha + 1 rows per axis, wrap
     faces duplicated).  Node order, column count, and node coordinates are
     all validated, and every cell must be finite; any mismatch raises
-    FormatError.  Blank lines and spaces around cells are ignored; cells are
-    plain decimal or exponent floats.
+    FormatError, as does text the locale's codec cannot decode.  Blank lines
+    and spaces around cells are ignored; cells are plain decimal or exponent
+    floats.
+
+    Python scans the lines up to the header and the first data row; numpy
+    then parses the rows from the path, in chunks.  Where numpy rejects the
+    rows (a whitespace-only line reads as a one-cell row), they are parsed
+    again from the scanned text with whitespace-only lines dropped, which
+    either accepts the file or names the malformed row.
     """
     try:
         fh = open(path)
     except OSError as err:
         raise FormatError(f"cannot read field CSV {path}: {err}") from err
     with fh:
-        # whitespace-only lines, which numpy's parser would read as one-cell
-        # rows, are dropped as the lines stream past
-        lines = itertools.filterfalse(str.isspace, fh)
-        if next(lines, "").strip() != _header(spec):
-            raise FormatError(
-                f"field CSV {path} must start with header {_header(spec)!r}"
-            )
-        # a header-only file must fail here: loadtxt would warn on no rows
-        first = next(lines, None)
-        if first is None:
-            raise FormatError(f"field CSV {path} has no data rows")
         try:
-            data = np.loadtxt(
-                itertools.chain([first], lines),
-                dtype=np.float64,
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-            )
-        except ValueError as err:
-            raise FormatError(f"field CSV {path} has a malformed row: {err}") from err
+            data = _data_rows(path, fh, spec)
+        except UnicodeDecodeError as err:
+            raise FormatError(f"field CSV {path} cannot be decoded: {err}") from err
     if data.shape[1] != spec.p + spec.n:
         raise FormatError(
             f"field CSV {path} must have {spec.p + spec.n} columns"
@@ -435,6 +434,36 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     if closed:
         return values, True
     return Field(spec, values), False
+
+
+def _data_rows(path: str | Path, fh, spec: GridSpec) -> np.ndarray:
+    """The rows after the header of the field CSV open as ``fh``, as one
+    float table; see ``read_field_csv``."""
+    # whitespace-only lines, which numpy's parser would read as one-cell
+    # rows, are dropped as the lines stream past
+    lines = ((k, line) for k, line in enumerate(fh, 1) if not line.isspace())
+    header_lines, header = next(lines, (0, ""))
+    if header.strip() != _header(spec):
+        raise FormatError(f"field CSV {path} must start with header {_header(spec)!r}")
+    # a header-only file must fail here: loadtxt would warn on no rows
+    _, first = next(lines, (0, None))
+    if first is None:
+        raise FormatError(f"field CSV {path} has no data rows")
+    # absolute, so that numpy never takes the path for a URL
+    source = os.path.abspath(path)
+    if os.path.splitext(source)[1] not in _COMPRESSED_SUFFIXES:
+        try:
+            return np.loadtxt(source, skiprows=header_lines, **_LOADTXT)
+        except ValueError:
+            pass  # the re-read below accepts the file or reports the error
+    try:
+        return np.loadtxt(
+            itertools.chain([first], (line for _, line in lines)), **_LOADTXT
+        )
+    except UnicodeDecodeError:
+        raise
+    except ValueError as err:
+        raise FormatError(f"field CSV {path} has a malformed row: {err}") from err
 
 
 def _read_open_field(path: str | Path, spec: GridSpec, what: str) -> Field:

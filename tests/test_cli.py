@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -567,8 +568,8 @@ class TestFieldCsv:
 
     def test_io_memory_follows_field_size(self, tmp_path):
         # a whole-file text costs about 16x the field's bytes in each
-        # direction; the block writer stays near 1x, the streamed reader
-        # near 5x (the parsed table alone is 2x)
+        # direction; the block writer stays near 1x, the reader near 3.3x
+        # (the parsed table alone is 2x)
         spec = GridSpec((1.0, 1.0), (256, 256), n=2)
         field = gaussian_field(spec, np.random.default_rng(2))
         path = tmp_path / "f.csv"
@@ -601,6 +602,152 @@ class TestFieldCsv:
         finally:
             tracemalloc.stop()
         assert written <= 2 * field.values.nbytes, (written, field.values.nbytes)
+
+    @pytest.mark.parametrize("where", ["header", "first row", "beyond 8 KiB"])
+    def test_undecodable_byte_names_the_file(self, tmp_path, where):
+        path = write_undecodable_csv(tmp_path / "f.csv", where)
+        with pytest.raises(FormatError) as caught:
+            read_field_csv(path, UNDECODABLE_SPEC)
+        assert str(caught.value).startswith(f"field CSV {path} cannot be decoded: ")
+        assert "0xff" in str(caught.value)
+
+
+# a grid whose field CSV is well over 8 KiB, the text buffer that the header
+# scan decodes at once
+UNDECODABLE_SPEC = GridSpec((1.0,), (1024,), n=1)
+
+
+def write_undecodable_csv(path, where):
+    """A field CSV on UNDECODABLE_SPEC with one 0xff byte, which no UTF-8
+    text holds, in the header, in the first data row or past 8 KiB."""
+    write_field_csv(path, gaussian_field(UNDECODABLE_SPEC, np.random.default_rng(5)))
+    data = bytearray(path.read_bytes())
+    at = {
+        "header": 1,
+        "first row": data.index(b"\n") + 3,
+        "beyond 8 KiB": data.index(b"\n", 3 * 8192) + 3,
+    }[where]
+    data[at] = 0xFF
+    path.write_bytes(bytes(data))
+    return path
+
+
+def padded_cells(text):
+    """A field CSV's text with spaces and tabs around every data cell and
+    spaces around the header."""
+    header, *rows = text.splitlines()
+    return " " + header + " \n" + "".join(
+        " " + " ,\t".join(row.split(",")) + "  \n" for row in rows
+    )
+
+
+class TestFieldCsvFastPath:
+    """numpy parses the rows from the path; Python re-reads them only when
+    numpy rejects them."""
+
+    SPEC = GridSpec((1.0, 1.3), (5, 4), n=2)
+
+    @pytest.fixture
+    def canonical(self, tmp_path):
+        values = np.random.default_rng(9).standard_normal(self.SPEC.shape)
+        values.reshape(-1)[: len(GOLDEN_VALUES)] = GOLDEN_VALUES
+        path = tmp_path / "canonical.csv"
+        write_field_csv(path, Field(self.SPEC, values))
+        return path.read_text(), values
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            calls.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(cli.np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            pytest.param(lambda text: text.encode(), id="canonical"),
+            pytest.param(lambda text: text.replace("\n", "\r\n").encode(), id="crlf"),
+            pytest.param(lambda text: text.replace("\n", "\r").encode(), id="cr"),
+            pytest.param(lambda text: b"\n \t\n\r\n  \n" + text.encode(), id="lines-before-header"),
+            pytest.param(
+                lambda text: text.replace("\n", "\n\n").encode() + b"\n", id="empty-body-lines"
+            ),
+            pytest.param(lambda text: padded_cells(text).encode(), id="padded"),
+        ],
+    )
+    def test_numpy_reads_the_path(self, tmp_path, canonical, loadtxt_calls, rewrite):
+        text, values = canonical
+        path = tmp_path / "f.csv"
+        path.write_bytes(rewrite(text))
+        field, closed = read_field_csv(path, self.SPEC)
+        assert not closed
+        assert loadtxt_calls == [os.path.abspath(path)]
+        npt.assert_array_equal(field.values, values)
+        assert np.signbit(field.values.reshape(-1)[0])  # -0.0 kept
+
+    def test_relative_path_goes_to_numpy_absolute(
+        self, tmp_path, monkeypatch, canonical, loadtxt_calls
+    ):
+        (tmp_path / "f.csv").write_text(canonical[0])
+        monkeypatch.chdir(tmp_path)
+        read_field_csv("f.csv", self.SPEC)
+        assert loadtxt_calls == [str(tmp_path / "f.csv")]
+
+    @pytest.mark.parametrize("blank", [" ", "\t", " \t \r"])
+    def test_whitespace_only_body_line_is_re_read(
+        self, tmp_path, canonical, loadtxt_calls, blank
+    ):
+        text, values = canonical
+        lines = text.splitlines(keepends=True)
+        lines.insert(7, blank + "\n")
+        path = tmp_path / "f.csv"
+        path.write_text("".join(lines))
+        field, _ = read_field_csv(path, self.SPEC)
+        assert len(loadtxt_calls) == 2
+        assert loadtxt_calls[0] == os.path.abspath(path)
+        assert not isinstance(loadtxt_calls[1], str)
+        npt.assert_array_equal(field.values, values)
+
+    def test_malformed_row_after_a_whitespace_line_is_named(self, tmp_path, loadtxt_calls):
+        # numpy stops at the whitespace-only line, a one-cell row; the re-read
+        # drops it and names the bad cell
+        path = tmp_path / "f.csv"
+        path.write_text("\n\nt1,u1\n0,1\n \t\n0.25,1\n\n0.5,x\n0.75,1\n")
+        with pytest.raises(FormatError) as caught:
+            read_field_csv(path, GridSpec((1.0,), (4,), n=1))
+        assert str(caught.value) == (
+            f"field CSV {path} has a malformed row: "
+            "could not convert string 'x' to float64 at row 2, column 2."
+        )
+        assert len(loadtxt_calls) == 2
+
+    def test_gzip_is_rejected_by_the_header_scan(self, tmp_path, canonical, loadtxt_calls):
+        # numpy would decompress a .gz path by itself; the header scan reads
+        # the file's own bytes first, and gzip's second byte, 0x8b, starts
+        # no UTF-8 character
+        path = tmp_path / "f.csv.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write(canonical[0])
+        with pytest.raises(FormatError) as caught:
+            read_field_csv(path, self.SPEC)
+        assert str(caught.value).startswith(f"field CSV {path} cannot be decoded: ")
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix_is_read_as_text(
+        self, tmp_path, canonical, loadtxt_calls, suffix
+    ):
+        text, values = canonical
+        path = tmp_path / f"f.csv{suffix}"
+        path.write_text(text)
+        field, _ = read_field_csv(path, self.SPEC)
+        assert len(loadtxt_calls) == 1 and not isinstance(loadtxt_calls[0], str)
+        npt.assert_array_equal(field.values, values)
 
 
 class TestSolveCommand:
@@ -1003,6 +1150,20 @@ class TestResidualCommand:
             assert "boundary axis 0: value=5.000e+00" in out.out
         else:
             assert "non-finite cell in data row 9" in out.err
+
+    @pytest.mark.parametrize("where", ["header", "first row", "beyond 8 KiB"])
+    def test_undecodable_byte_exits_3_naming_the_file(self, tmp_path, capsys, where):
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [1024]},
+            potential={"kind": "quadratic", "center": [0.0]},
+        )
+        path = write_undecodable_csv(tmp_path / "f.csv", where)
+        assert main(["residual", str(path), str(cfg)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: field CSV {path} cannot be decoded: ")
 
 
 class TestOracleLinear:

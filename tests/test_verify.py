@@ -86,7 +86,7 @@ class TestTransientMemory:
 class TestCsvReaderMemory:
     def test_read_field_csv(self, tmp_path):
         # the certify-ladder's third transient, on the same 256^2, n = 2
-        # field: 3.26x its bytes (numpy 2.4), most of it the parsed table of
+        # field: 3.33x its bytes (numpy 2.4), most of it the parsed table of
         # p + n columns
         spec = GridSpec((1.0, 1.0), (256, 256), n=2)
         field = gaussian_field(spec, np.random.default_rng(12))
