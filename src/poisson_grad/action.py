@@ -51,10 +51,10 @@ class ActionValue:
 
     kinetic: float
     potential: float
-    total: float = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", self.kinetic + self.potential)
+    @property
+    def total(self) -> float:
+        return self.kinetic + self.potential
 
 
 class PotentialDomainError(ValueError):

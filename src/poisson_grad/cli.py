@@ -70,18 +70,21 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
-# the potential keys each kind reads, besides "kind"
-_POTENTIAL_KEYS = {
-    "cosine": {"amplitudes", "periods", "floor", "modulation", "modulation_axis"},
-    "quadratic": {"center", "floor", "periods"},
-    "linear": {"forcing_csv"},
-    "expr": {"expr", "periods", "positive", "growth"},
+# the keys each kind of potential and of init reads, besides "kind"
+_KIND_KEYS = {
+    "potential": {
+        "cosine": {"amplitudes", "periods", "floor", "modulation", "modulation_axis"},
+        "quadratic": {"center", "floor", "periods"},
+        "linear": {"forcing_csv"},
+        "expr": {"expr", "periods", "positive", "growth"},
+    },
+    "init": {"constant": {"value"}, "random": {"seed"}, "csv": {"path"}},
 }
 
 _SECTIONS = {
     "grid": {"p", "n", "extents", "nodes"},
-    "potential": {"kind"}.union(*_POTENTIAL_KEYS.values()),
-    "init": {"kind", "value", "seed", "path"},
+    "potential": {"kind"}.union(*_KIND_KEYS["potential"].values()),
+    "init": {"kind"}.union(*_KIND_KEYS["init"].values()),
     "solver": {f.name for f in fields(SolverConfig)},
     "output": {"field_csv", "closed_csv", "report_json"},
     "checks": {"samples", "seed"},
@@ -159,20 +162,28 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-def _floats(value, path: str) -> list[float]:
+def _floats(value, path: str, n: int | None = None) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path} must be a non-empty array of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    floats = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if n is not None and len(floats) != n:
+        raise ConfigError(f"{path} must have length grid.n = {n}")
+    return floats
+
+
+def _only_kind_keys(section: str, body: dict, kind: str) -> None:
+    """Reject a key of the section that its kind does not read; called once
+    the kind's own keys have been read."""
+    unread = sorted(body.keys() - _KIND_KEYS[section][kind] - {"kind"})
+    if unread:
+        raise ConfigError(f"config key {section}.{unread[0]} is not read by kind {kind!r}")
 
 
 def _periods(pot: dict, spec: GridSpec, required: bool) -> list[float] | None:
     """potential.periods as grid.n floats; None when optional and absent."""
     if not required and pot.get("periods") is None:
         return None
-    periods = _floats(_need(pot, "periods", "potential.periods"), "potential.periods")
-    if len(periods) != spec.n:
-        raise ConfigError(f"potential.periods must have length grid.n = {spec.n}")
-    return periods
+    return _floats(_need(pot, "periods", "potential.periods"), "potential.periods", spec.n)
 
 
 def build_grid(cfg: dict) -> GridSpec:
@@ -212,10 +223,8 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
     if kind == "cosine":
         periods = _periods(pot, spec, required=True)
         amplitudes = _floats(
-            pot.get("amplitudes", [1.0] * spec.n), "potential.amplitudes"
+            pot.get("amplitudes", [1.0] * spec.n), "potential.amplitudes", spec.n
         )
-        if len(amplitudes) != spec.n:
-            raise ConfigError(f"potential.amplitudes must have length grid.n = {spec.n}")
         axis = _number(
             pot.get("modulation_axis", 0), "potential.modulation_axis", integral=True
         )
@@ -236,9 +245,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         except ValueError as err:
             raise ConfigError(f"invalid cosine potential: {err}") from err
     elif kind == "quadratic":
-        center = _floats(_need(pot, "center", "potential.center"), "potential.center")
-        if len(center) != spec.n:
-            raise ConfigError(f"potential.center must have length grid.n = {spec.n}")
+        center = _floats(_need(pot, "center", "potential.center"), "potential.center", spec.n)
         floor = _number(pot.get("floor", 1.0), "potential.floor")
         # a periodicity *claim*, not a property: the checks falsify it
         periods = _periods(pot, spec, required=False)
@@ -253,22 +260,21 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         built = LinearForcing(_read_open_field(path, spec, "potential.forcing_csv"))
     elif kind == "expr":
         source = _text(_need(pot, "expr", "potential.expr"), "potential.expr")
+        periods = _periods(pot, spec, required=False)
+        _flag(pot.get("positive", False), "potential.positive")  # typed, read by nothing
         growth = pot.get("growth")
         built = ExpressionPotential(
             source,
             spec.p,
             spec.n,
-            periods=_periods(pot, spec, required=False),
-            positivity_claim=_flag(pot.get("positive", False), "potential.positive"),
+            periods=periods,
             growth=None if growth is None else _growth_from(growth),
         )
     else:
         raise ConfigError(
             f"potential.kind must be cosine|quadratic|linear|expr, got {kind!r}"
         )
-    unread = sorted(pot.keys() - _POTENTIAL_KEYS[kind] - {"kind"})
-    if unread:
-        raise ConfigError(f"config key potential.{unread[0]} is not read by kind {kind!r}")
+    _only_kind_keys("potential", pot, kind)
     return built
 
 
@@ -296,8 +302,8 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
             vec = [_number(value, "init.value")]
         if len(vec) not in (1, spec.n):
             raise ConfigError(f"init.value must be a scalar or length {spec.n}")
-        return Field.constant(spec, vec if len(vec) == spec.n else vec[0])
-    if kind == "random":
+        start = Field.constant(spec, vec if len(vec) == spec.n else vec[0])
+    elif kind == "random":
         if seed_override is not None:
             seed = seed_override
         elif "seed" in init:
@@ -306,13 +312,16 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
             seed = _number(
                 cfg.get("solver", {}).get("rng_seed", 0), "solver.rng_seed", integral=True
             )
-        return random_init(spec, periods=pot.periods, seed=seed)
-    if kind == "csv":
+        start = random_init(spec, periods=pot.periods, seed=seed)
+    elif kind == "csv":
         path = _text(_need(init, "path", "init.path"), "init.path")
         if not Path(path).exists():
             raise ConfigError(f"init.path does not exist: {path}")
-        return _read_open_field(path, spec, "init.path")
-    raise ConfigError(f"init.kind must be constant|random|csv, got {kind!r}")
+        start = _read_open_field(path, spec, "init.path")
+    else:
+        raise ConfigError(f"init.kind must be constant|random|csv, got {kind!r}")
+    _only_kind_keys("init", init, kind)
+    return start
 
 
 def build_sampler(cfg: dict, spec: GridSpec) -> SampleSpec:
@@ -380,9 +389,9 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     ``(values, True)`` for the closed form (N_alpha + 1 rows per axis, wrap
     faces duplicated).  Node order, column count, and node coordinates are
     all validated, and every cell must be finite; any mismatch raises
-    FormatError, as does text the locale's codec cannot decode.  Blank lines
-    and spaces around cells are ignored; cells are plain decimal or exponent
-    floats.
+    FormatError, as does text the locale's codec cannot decode (named by its
+    byte offset in the file).  Blank lines and spaces around cells are
+    ignored; cells are plain decimal or exponent floats.
 
     Python scans the lines up to the header and the first data row; numpy
     then parses the rows from the path, in chunks.  Where numpy rejects the
@@ -398,6 +407,11 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
         try:
             data = _data_rows(path, fh, spec)
         except UnicodeDecodeError as err:
+            # decoded again whole: a text reader counts from its chunk's start
+            try:
+                Path(path).read_bytes().decode(err.encoding)
+            except UnicodeDecodeError as whole:
+                err = whole
             raise FormatError(f"field CSV {path} cannot be decoded: {err}") from err
     if data.shape[1] != spec.p + spec.n:
         raise FormatError(
@@ -679,10 +693,7 @@ def cmd_oracle_linear(args) -> int:
     cfg = load_config(args.config)
     spec = build_grid(cfg)
     rhs = _read_open_field(args.rhs_csv, spec, "oracle-linear rhs_csv")
-    try:
-        solution = solve_linear_poisson(rhs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    solution = solve_linear_poisson(rhs)
     write_field_csv(args.output, solution)
     _say(
         args,
@@ -709,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true", help="abort solve when hypothesis checks fail"
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="override init/solver random seed"
+        "--seed", type=int, default=None, help="override the random start's seed"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -699,7 +699,6 @@ class ExpressionPotential(Potential):
         p: int,
         n: int,
         periods=None,
-        positivity_claim: bool = False,
         growth: GrowthEnvelope | None = None,
     ):
         self.source = source
@@ -708,7 +707,6 @@ class ExpressionPotential(Potential):
         self.p = p
         self.n = n
         self.periods = declared_periods(periods, n)
-        self.positivity_claim = positivity_claim
         self.growth = growth
 
     def value(self, t, x):

@@ -4,9 +4,10 @@ A potential evaluates batched: ``t`` has shape (..., p), ``x`` has shape
 (..., n), values come back with shape (...) and gradients with shape
 (..., n).  The gradient is always the exact x-derivative of the value;
 ``check_grad_consistency`` guards that contract with a finite-difference
-probe.  Spatial periodicity (F(t, x + P_i e_i) = F(t, x)), positivity, and
-the linear gradient growth bound |grad F| <= M |x| + g_max are declared by
-the potential and verified by deterministic seeded sampling, never assumed.
+probe.  Spatial periodicity (F(t, x + P_i e_i) = F(t, x)) and the linear
+gradient growth bound |grad F| <= M |x| + g_max are declared by the
+potential; they and positivity are verified by deterministic seeded
+sampling, never assumed.
 Each check takes the ``Sample`` it tests and reads the declarations from
 its potential; checks sharing a Sample share its F and grad F values.
 """
@@ -17,7 +18,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -82,9 +83,9 @@ class SampleSpec:
 class Sample:
     """One draw of a sampling plan for a potential.
 
-    The potential is bound once, at the drawn t.  F and grad F at the drawn
-    points are evaluated on first use and kept, so checks sharing a Sample
-    evaluate each at most once; they perturb copies of the read-only draw.
+    The potential is bound once, at the drawn t, and F and grad F are
+    evaluated once, at the drawn points, so checks sharing a Sample share
+    them; they perturb copies of the read-only draw.
     """
 
     def __init__(self, pot: "Potential", sampler: SampleSpec):
@@ -94,14 +95,8 @@ class Sample:
         self.t.setflags(write=False)
         self.x.setflags(write=False)
         self.bound = pot.bind(self.t)
-
-    @cached_property
-    def value(self) -> np.ndarray:
-        return self.bound.value(self.x)
-
-    @cached_property
-    def gradient(self) -> np.ndarray:
-        return self.bound.gradient(self.x)
+        self.value = self.bound.value(self.x)
+        self.gradient = self.bound.gradient(self.x)
 
 
 def declared_periods(periods, n: int) -> np.ndarray | None:
@@ -142,7 +137,6 @@ class Potential(ABC):
     n: int
     p: int
     periods: np.ndarray | None
-    positivity_claim: bool
     growth: GrowthEnvelope | None
     name: str = "potential"
 
@@ -209,15 +203,12 @@ class CosineLattice(Potential):
         self.modulation = float(modulation)
         self.mod_axis = mod_axis
         self.mod_extent = float(mod_extent)
-        self.positivity_claim = True
-        rates = self.amplitudes * (2.0 * np.pi / self.periods)
+        self._rates = self.amplitudes * (2.0 * np.pi / self.periods)
         self.growth = GrowthEnvelope(
-            m=0.0, g_max=(1.0 + abs(modulation)) * float(np.sqrt(np.sum(rates**2)))
+            m=0.0, g_max=(1.0 + abs(modulation)) * float(np.sqrt(np.sum(self._rates**2)))
         )
 
     def _time_factor(self, t: np.ndarray) -> np.ndarray:
-        if self.modulation == 0.0:
-            return np.ones(np.asarray(t).shape[:-1])
         phase = 2.0 * np.pi * np.asarray(t)[..., self.mod_axis] / self.mod_extent
         return 1.0 + self.modulation * np.cos(phase)
 
@@ -226,8 +217,7 @@ class CosineLattice(Potential):
         return self.floor + factor * np.add.reduce(terms, axis=-1)
 
     def _slope(self, factor: np.ndarray, x) -> np.ndarray:
-        rates = self.amplitudes * (2.0 * np.pi / self.periods)
-        return factor * (rates * np.sin(2.0 * np.pi * np.asarray(x) / self.periods))
+        return factor * (self._rates * np.sin(2.0 * np.pi * np.asarray(x) / self.periods))
 
     def value(self, t, x):
         return self.bind(t).value(x)
@@ -257,7 +247,6 @@ class ShiftedQuadratic(Potential):
         self.p = p
         self.floor = float(floor)
         self.periods = declared_periods(periods, self.n)
-        self.positivity_claim = True
         self.growth = GrowthEnvelope(m=1.0, g_max=float(np.linalg.norm(self.center)))
 
     def value(self, t, x):
@@ -283,7 +272,6 @@ class LinearForcing(Potential):
         self.n = forcing.spec.n
         self.p = forcing.spec.p
         self.periods = None
-        self.positivity_claim = False
         per_node = np.sqrt(np.sum(forcing.values**2, axis=-1))
         self.growth = GrowthEnvelope(m=0.0, g_max=float(per_node.max()))
 

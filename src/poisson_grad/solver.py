@@ -350,9 +350,9 @@ def minimize(
             z_prev, grad_z_prev = z, grad_z
             direction = cand_dir
             a_val = a_new
-            grad_prev = grad
-            grad = act.gradient(u)
-            mass = _secant_mass(spec, mass, grad - grad_prev, step * cand_dir)
+            grad_new = act.gradient(u)
+            mass = _secant_mass(spec, mass, grad_new - grad, step * cand_dir)
+            grad = grad_new
             residual = _norm(spec, grad)
             report.iterations.append(
                 _record(spec, it, a_val, residual, u, step, shifts, gauge, mass)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -17,6 +18,18 @@ def random_field(spec: GridSpec, rng, low: float = 0.0, high: float = 1.0) -> Fi
 
 def gaussian_field(spec: GridSpec, rng, scale: float = 1.0) -> Field:
     return Field(spec, scale * rng.standard_normal(spec.shape))
+
+
+def peak_transient(fn, *args) -> int:
+    """Bytes allocated by fn(*args) at its peak, above what was allocated
+    before the call, as traced by tracemalloc (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def action_fsum_oracle(field: Field, pot) -> float:

@@ -160,6 +160,44 @@ class TestConfigValidation:
             f"error: config key potential.{key} is not read by kind '{kind}'\n"
         )
 
+    @pytest.mark.parametrize(
+        "init, key, kind",
+        [
+            ({"kind": "constant", "value": 0.6, "seed": 7}, "seed", "constant"),
+            ({"kind": "constant", "value": 0.6, "path": "x.csv"}, "path", "constant"),
+            ({"kind": "random", "value": 0.6}, "value", "random"),
+            ({"kind": "csv", "path": "u0.csv", "value": 0.6}, "value", "csv"),
+            ({"value": 0.6}, "value", "random"),  # no kind reads as random
+        ],
+    )
+    def test_init_key_of_another_kind(self, tmp_path, capsys, monkeypatch, init, key, kind):
+        monkeypatch.chdir(tmp_path)
+        write_field_csv(tmp_path / "u0.csv", Field.zeros(GridSpec((1.0, 1.0), (16, 16), n=1)))
+        cfg = tmp_path / "c.json"
+        write_config(cfg, init=init)
+        assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: config key init.{key} is not read by kind '{kind}'\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "u0.csv"]
+
+    @pytest.mark.parametrize(
+        "potential, key",
+        [
+            ({"kind": "cosine", "periods": [TWO_PI, TWO_PI]}, "periods"),
+            ({"kind": "cosine", "periods": [TWO_PI], "amplitudes": [1.0, 2.0]}, "amplitudes"),
+            ({"kind": "quadratic", "center": [0.0, 0.0]}, "center"),
+            ({"kind": "expr", "expr": "1.1 - cos(x1)", "periods": [1.0, 2.0]}, "periods"),
+        ],
+    )
+    def test_vector_of_another_length_than_grid_n(self, tmp_path, capsys, potential, key):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential=potential)
+        assert main(["check", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: potential.{key} must have length grid.n = 1\n"
+        )
+
     def test_kind_reads_its_own_keys_first(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         write_config(cfg, potential={"kind": "cosine", "growth": {"m": 0.0}})
@@ -610,6 +648,9 @@ class TestFieldCsv:
             read_field_csv(path, UNDECODABLE_SPEC)
         assert str(caught.value).startswith(f"field CSV {path} cannot be decoded: ")
         assert "0xff" in str(caught.value)
+        # the byte's offset in the file, not in the text decoder's chunk
+        offset = path.read_bytes().index(0xFF)
+        assert f"position {offset}:" in str(caught.value)
 
 
 # a grid whose field CSV is well over 8 KiB, the text buffer that the header
@@ -1164,6 +1205,7 @@ class TestResidualCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: field CSV {path} cannot be decoded: ")
+        assert f"position {path.read_bytes().index(0xFF)}:" in out.err
 
 
 class TestOracleLinear:
@@ -1183,13 +1225,16 @@ class TestOracleLinear:
         u, _ = read_field_csv(out, spec)
         npt.assert_allclose(laplacian(u).values, rhs.values, atol=1e-10)
 
-    def test_nonzero_mean_rhs_exits_3(self, tmp_path):
+    def test_nonzero_mean_rhs_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]})
         spec = GridSpec((1.0,), (8,), n=1)
         rhs_path = tmp_path / "rhs.csv"
         write_field_csv(rhs_path, Field.constant(spec, 1.0))
         assert main(["--quiet", "oracle-linear", str(rhs_path), str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "error: right-hand side must have zero mean per component, got [1.]\n"
+        )
 
 
 class TestReportSchema:
@@ -1269,3 +1314,16 @@ def test_readme_config_block_names_every_key(tmp_path):
     cli.load_config(path)
     assert {section: set(body) for section, body in reference.items()} == cli._SECTIONS
     assert set(reference["potential"]["growth"]) == cli._GROWTH_KEYS
+
+
+def test_readme_library_examples_run(capsys):
+    # each ```python block of README runs as it stands, in a fresh namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    printed = []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+        printed.append(capsys.readouterr().out)
+    assert printed[0].split()[:1] == ["converged"]
+    assert printed[1] == "False\n"

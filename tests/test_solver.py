@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,7 @@ from poisson_grad import (
     ShiftedQuadratic,
     canonicalize,
     check_minimizing_bounds,
+    cli,
     laplacian,
     mean,
     minimize,
@@ -34,6 +36,8 @@ from poisson_grad.solver import (
     SolverConfig,
     _secant_mass,
 )
+
+from helpers import peak_transient
 
 TWO_PI = 2.0 * np.pi
 
@@ -187,7 +191,6 @@ class TestMinimize:
             n = 1
             p = 1
             periods = None
-            positivity_claim = True
             growth = None
 
             def value(self, t, x):
@@ -488,6 +491,27 @@ class TestSecantMass:
         assert report.final.index <= 40
         assert report.final.h1_mass[0] > 0.5 * amplitude
         assert check_minimizing_bounds(report, spec).all_passed
+
+
+class TestMinimizeMemory:
+    def test_stiff_cosine_peak(self):
+        # configs/stiff_cosine.json's solve: 64^2, 19 iterations.  Its peak
+        # was 18.5 field bytes while the previous gradient outlived the
+        # secant update, through the next line search
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = cli.load_config(configs / "stiff_cosine.json")
+        spec = cli.build_grid(cfg)
+        pot = cli.build_potential(cfg, spec)
+        init = cli.build_init(cfg, spec, pot, None)
+        solver_cfg = cli.build_solver_config(cfg, None)
+        # a first solve builds what a process keeps: the grid's node
+        # coordinates and numpy's FFT caches, which are not transients
+        minimize(pot, init, solver_cfg)
+        runs = []
+        peak = peak_transient(lambda: runs.append(minimize(pot, init, solver_cfg)))
+        _, report = runs[0]
+        assert (report.status, report.final.index) == ("converged", 19)
+        assert peak <= 18.0 * init.values.nbytes, peak / init.values.nbytes
 
 
 class TestCheckMinimizingBounds:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -27,21 +25,9 @@ from poisson_grad.action import GridAction
 from poisson_grad.cli import read_field_csv, write_field_csv
 from poisson_grad.solver import SolverConfig
 
-from helpers import gaussian_field
+from helpers import gaussian_field, peak_transient
 
 TWO_PI = 2.0 * np.pi
-
-
-def peak_transient(fn, *args) -> int:
-    """Bytes allocated by fn(*args) at its peak, above what was allocated
-    before the call, as traced by tracemalloc (numpy reports its arrays)."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 class TestTransientMemory:
