@@ -18,6 +18,7 @@ malformed input, 4 expression error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import itertools
@@ -350,28 +351,54 @@ def _header(spec: GridSpec) -> str:
 _BLOCK_ROWS = 4096
 
 
-def write_field_csv(path: str | Path, field: Field, closed: bool = False) -> None:
-    """Write a field as CSV; 17 significant digits round-trip float64 exactly.
+def write_field_csv(
+    path: str | Path, field: Field, closed_path: str | Path | None = None
+) -> None:
+    """Write a field as CSV to ``path``, and in closed form to ``closed_path``
+    when one is given; 17 significant digits round-trip float64 exactly.
 
-    Each lattice coordinate is formatted once per axis; a row's coordinate
-    prefix joins one string per axis, drawn lazily in node order.  Rows go
-    out in blocks of ``_BLOCK_ROWS``, one ``%`` per block over the prefixes
-    interleaved with the values, so the writer holds one block of text."""
+    Each row is formatted once, in node order of the closed layout when a
+    closed file is asked for: the closed file gets every row, and the open
+    file the rows off the wrap faces, whose text is the same in both.  Each
+    lattice coordinate is formatted once per axis; a row's coordinate prefix
+    joins one string per axis, drawn lazily in node order.  Rows are
+    formatted in blocks of ``_BLOCK_ROWS``, one ``%`` per block over the
+    prefixes interleaved with the values, so the writer holds one block of
+    text."""
     spec = field.spec
-    values = field.closed_values() if closed else field.values
+    if closed_path is None:
+        values, interior = field.values, None
+    else:
+        values = field.closed_values()
+        # the rows of the closed layout that the open file gets
+        interior = np.pad(np.ones(spec.nodes, dtype=bool), [(0, 1)] * spec.p).ravel()
     shape = values.shape[:-1]
     axes = [["%.17g," % t for t in a.tolist()] for a in lattice_axes(spec.spacings, shape)]
     prefixes = map("".join, itertools.product(*axes))
     values = values.reshape(-1, spec.n)
     row = "%s" + ",".join(["%.17g"] * spec.n) + "\n"
-    with open(path, "w") as fh:
-        fh.write(_header(spec) + "\n")
+    header = _header(spec) + "\n"
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(open(path, "w"))
+        fh.write(header)
+        if interior is not None:
+            closed_fh = files.enter_context(open(closed_path, "w"))
+            closed_fh.write(header)
         for start in range(0, len(values), _BLOCK_ROWS):
             block = values[start : start + _BLOCK_ROWS]
             cells = np.empty((len(block), 1 + spec.n), dtype=object)
             cells[:, 0] = list(itertools.islice(prefixes, len(block)))
             cells[:, 1:] = block
-            fh.write(row * len(block) % tuple(cells.ravel().tolist()))
+            text = row * len(block) % tuple(cells.ravel().tolist())
+            # only the text is held from here, and not while the next block
+            # is formatted
+            del cells
+            if interior is not None:
+                closed_fh.write(text)
+                keep = interior[start : start + len(block)].tolist()
+                text = "".join(itertools.compress(text.splitlines(True), keep))
+            fh.write(text)
+            del text
 
 
 # numpy's loadtxt decompresses a path with one of these suffixes; the text
@@ -571,10 +598,31 @@ def cmd_solve(args) -> int:
     report_json = _text(out.get("report_json", "report.json"), "output.report_json")
     closed_csv = _flag(out.get("closed_csv", False), "output.closed_csv")
     # the closed CSV goes next to the open one
-    for key, path in (("output.field_csv", field_csv), ("output.report_json", report_json)):
-        folder = Path(path).parent
-        if not folder.is_dir():
-            raise ConfigError(f"{key}: directory {folder} does not exist")
+    closed_path = None
+    if closed_csv:
+        closed_path = (
+            field_csv[: -len(".csv")] + ".closed.csv"
+            if field_csv.endswith(".csv")
+            else field_csv + ".closed"
+        )
+    # every output file is checked before any work, so a bad one writes
+    # nothing; two keys naming one file would leave only the last written
+    claimed: dict[Path, str] = {}
+    for key, path in (
+        ("output.field_csv", field_csv),
+        ("output.closed_csv", closed_path),
+        ("output.report_json", report_json),
+    ):
+        if path is None:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise ConfigError(f"{key}: directory {target.parent} does not exist")
+        if target.is_dir():
+            raise ConfigError(f"{key}: {path} is a directory")
+        other = claimed.setdefault(target.resolve(), key)
+        if other != key:
+            raise ConfigError(f"{other} and {key} name the same file {path}")
 
     checks, notes = run_checks(Sample(pot, sampler))
     failed = [c.name for c in checks if not c.passed]
@@ -596,14 +644,8 @@ def cmd_solve(args) -> int:
     audit = check_minimizing_bounds(report, spec, f_floor=f_floor)
     cert = certify(final, pot, solver_cfg.tol_residual)
 
-    write_field_csv(field_csv, final)
-    if closed_csv:
-        closed_path = (
-            field_csv[: -len(".csv")] + ".closed.csv"
-            if field_csv.endswith(".csv")
-            else field_csv + ".closed"
-        )
-        write_field_csv(closed_path, final, closed=True)
+    write_field_csv(field_csv, final, closed_path)
+    if closed_path is not None:
         _say(args, f"wrote closed field to {closed_path}")
 
     iterations = [r.to_dict() for r in report.iterations]
