@@ -80,9 +80,11 @@ class GridAction:
 
     The potential is bound once, at the grid's node coordinates
     (``Potential.bind``).  The stencils are the ones ``forward_diff`` and
-    ``laplacian`` use, and each array they would wrap in a Field is checked
-    for finiteness there too, raising the same ValueError; ``x`` itself is
-    taken as checked.
+    ``laplacian`` use; the gradient checks each array they would wrap in a
+    Field for finiteness there too, raising the same ValueError.  The value
+    admits ``x`` exactly when its action is finite; otherwise it raises that
+    ValueError for the kinetic sum, or PotentialDomainError at the first
+    node where F is not finite (node 0 when only the sum overflowed).
     A potential that fails raises PotentialDomainError with the node; one
     that declares another p or n than the grid raises ValueError.
     """
@@ -108,10 +110,15 @@ class GridAction:
         kin_density = np.zeros(self.spec.nodes)
         for axis, h in enumerate(self.spec.spacings):
             d = _forward(x, axis, h)
-            _require_finite(d)
             kin_density += np.add.reduce(d * d, axis=-1)
         kinetic = self.spec.cell_volume * _reduce(0.5 * kin_density)
+        if not math.isfinite(kinetic):
+            raise ValueError("field contains non-finite values")
         potential = self.spec.cell_volume * _reduce(nodes)
+        if not math.isfinite(potential):
+            bad = np.flatnonzero(~np.isfinite(nodes))
+            idx, t = _locate(self.spec, int(bad[0]) if bad.size else 0)
+            raise PotentialDomainError("F is not finite", idx, t)
         return ActionValue(kinetic=kinetic, potential=potential)
 
     def potential_gradient(self, x: np.ndarray) -> np.ndarray:

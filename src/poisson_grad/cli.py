@@ -151,6 +151,13 @@ def _number(value, path: str, integral: bool = False) -> float | int:
     return int(value)
 
 
+def _seed(value, path: str) -> int:
+    seed = _number(value, path, integral=True)
+    if seed < 0:
+        raise ConfigError(f"{path} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _text(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path} must be a string, got {json.dumps(value)}")
@@ -256,8 +263,6 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             raise ConfigError(f"invalid quadratic potential: {err}") from err
     elif kind == "linear":
         path = _text(_need(pot, "forcing_csv", "potential.forcing_csv"), "potential.forcing_csv")
-        if not Path(path).exists():
-            raise ConfigError(f"potential.forcing_csv does not exist: {path}")
         built = LinearForcing(_read_open_field(path, spec, "potential.forcing_csv"))
     elif kind == "expr":
         source = _text(_need(pot, "expr", "potential.expr"), "potential.expr")
@@ -284,8 +289,10 @@ def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:
     for key in ("max_iters", "tol_residual"):
         if key in s:
             s[key] = _number(s[key], f"solver.{key}", integral=key == "max_iters")
+    if "rng_seed" in s:
+        s["rng_seed"] = _seed(s["rng_seed"], "solver.rng_seed")
     if seed_override is not None:
-        s["rng_seed"] = seed_override
+        s["rng_seed"] = _seed(seed_override, "--seed")
     try:
         return SolverConfig(**s)
     except (TypeError, ValueError) as err:
@@ -306,18 +313,14 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
         start = Field.constant(spec, vec if len(vec) == spec.n else vec[0])
     elif kind == "random":
         if seed_override is not None:
-            seed = seed_override
+            seed, key = seed_override, "--seed"
         elif "seed" in init:
-            seed = _number(init["seed"], "init.seed", integral=True)
+            seed, key = init["seed"], "init.seed"
         else:
-            seed = _number(
-                cfg.get("solver", {}).get("rng_seed", 0), "solver.rng_seed", integral=True
-            )
-        start = random_init(spec, periods=pot.periods, seed=seed)
+            seed, key = cfg.get("solver", {}).get("rng_seed", 0), "solver.rng_seed"
+        start = random_init(spec, periods=pot.periods, seed=_seed(seed, key))
     elif kind == "csv":
         path = _text(_need(init, "path", "init.path"), "init.path")
-        if not Path(path).exists():
-            raise ConfigError(f"init.path does not exist: {path}")
         start = _read_open_field(path, spec, "init.path")
     else:
         raise ConfigError(f"init.kind must be constant|random|csv, got {kind!r}")
@@ -328,7 +331,7 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
 def build_sampler(cfg: dict, spec: GridSpec) -> SampleSpec:
     checks = cfg.get("checks", {})
     samples = _number(checks.get("samples", 1000), "checks.samples", integral=True)
-    seed = _number(checks.get("seed", 0), "checks.seed", integral=True)
+    seed = _seed(checks.get("seed", 0), "checks.seed")
     try:
         return SampleSpec(count=samples, seed=seed, t_extents=spec.extents)
     except ValueError as err:
@@ -509,7 +512,9 @@ def _data_rows(path: str | Path, fh, spec: GridSpec) -> np.ndarray:
 
 def _read_open_field(path: str | Path, spec: GridSpec, what: str) -> Field:
     """``read_field_csv`` for inputs that must be open; ``what`` names the
-    key or command whose input a closed CSV is."""
+    key or command whose input is missing or closed."""
+    if not Path(path).exists():
+        raise ConfigError(f"{what} does not exist: {path}")
     field, closed = read_field_csv(path, spec)
     if closed:
         raise FormatError(f"{what} must be an open (wrapped) field CSV")
@@ -519,27 +524,12 @@ def _read_open_field(path: str | Path, spec: GridSpec, what: str) -> Field:
 # ---------------------------------------------------------------------------
 # report JSON
 
-def _finite_or_none(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
+def _json_fields(items: list[tuple[str, object]]) -> dict:
+    """``asdict``'s dict_factory for a report section: a non-finite float is null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in items}
 
 
-def _audit_dict(audit) -> dict:
-    def one(result):
-        return {
-            "passed": result.passed,
-            "worst_margin": _finite_or_none(result.worst),
-            "note": result.note,
-        }
-
-    return {
-        "energy_descent": one(audit.energy),
-        "wirtinger": one(audit.wirtinger),
-        "mean_in_cell": one(audit.mean_cell),
-        "f_floor": audit.f_floor,
-        "all_passed": audit.all_passed,
-    }
+_section = functools.partial(asdict, dict_factory=_json_fields)
 
 
 # the keys of the last iteration record that the report's ``final`` repeats
@@ -586,33 +576,19 @@ def run_checks(sample: Sample) -> tuple[list[CheckReport], list[str]]:
     return reports, notes
 
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    spec = build_grid(cfg)
-    pot = build_potential(cfg, spec)
-    sampler = build_sampler(cfg, spec)
-    solver_cfg = build_solver_config(cfg, args.seed)
-    init = build_init(cfg, spec, pot, args.seed)
-    out = cfg.get("output", {})
-    field_csv = _text(out.get("field_csv", "field.csv"), "output.field_csv")
-    report_json = _text(out.get("report_json", "report.json"), "output.report_json")
-    closed_csv = _flag(out.get("closed_csv", False), "output.closed_csv")
-    # the closed CSV goes next to the open one
-    closed_path = None
-    if closed_csv:
-        closed_path = (
-            field_csv[: -len(".csv")] + ".closed.csv"
-            if field_csv.endswith(".csv")
-            else field_csv + ".closed"
-        )
-    # every output file is checked before any work, so a bad one writes
-    # nothing; two keys naming one file would leave only the last written
-    claimed: dict[Path, str] = {}
-    for key, path in (
-        ("output.field_csv", field_csv),
-        ("output.closed_csv", closed_path),
-        ("output.report_json", report_json),
-    ):
+def _check_phase(args, pot: Potential, sampler: SampleSpec) -> tuple[list[CheckReport], list[str]]:
+    """``run_checks`` on one drawn sample, saying each check line, then each note."""
+    checks, notes = run_checks(Sample(pot, sampler))
+    for line in [*map(str, checks), *notes]:
+        _say(args, line)
+    return checks, notes
+
+
+def _claim_outputs(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
+    """Refuse, before any work, an output in a missing directory, a directory,
+    or one that names an input or another output; a None path is skipped."""
+    claimed = {Path(path).resolve(): key for key, path in inputs.items() if path is not None}
+    for key, path in outputs.items():
         if path is None:
             continue
         target = Path(path)
@@ -624,12 +600,38 @@ def cmd_solve(args) -> int:
         if other != key:
             raise ConfigError(f"{other} and {key} name the same file {path}")
 
-    checks, notes = run_checks(Sample(pot, sampler))
+
+def cmd_solve(args) -> int:
+    cfg = load_config(args.config)
+    spec = build_grid(cfg)
+    pot = build_potential(cfg, spec)
+    sampler = build_sampler(cfg, spec)
+    solver_cfg = build_solver_config(cfg, args.seed)
+    init = build_init(cfg, spec, pot, args.seed)
+    out = cfg.get("output", {})
+    field_csv = _text(out.get("field_csv", "field.csv"), "output.field_csv")
+    report_json = _text(out.get("report_json", "report.json"), "output.report_json")
+    # the closed CSV goes next to the open one: f.closed.csv for f.csv
+    closed_path = None
+    if _flag(out.get("closed_csv", False), "output.closed_csv"):
+        stem = field_csv.removesuffix(".csv")
+        closed_path = stem + ".closed" + field_csv[len(stem) :]
+    # each input path was typed when built, and only its own kind reads it
+    _claim_outputs(
+        {
+            "config": args.config,
+            "potential.forcing_csv": cfg["potential"].get("forcing_csv"),
+            "init.path": cfg.get("init", {}).get("path"),
+        },
+        {
+            "output.field_csv": field_csv,
+            "output.closed_csv": closed_path,
+            "output.report_json": report_json,
+        },
+    )
+
+    checks, notes = _check_phase(args, pot, sampler)
     failed = [c.name for c in checks if not c.passed]
-    for c in checks:
-        _say(args, str(c))
-    for note in notes:
-        _say(args, note)
     if failed:
         print(
             f"warning: hypothesis checks failed: {', '.join(failed)}", file=sys.stderr
@@ -656,13 +658,13 @@ def cmd_solve(args) -> int:
         "command": "solve",
         "config": cfg,
         "seed": args.seed,
-        "checks": [{**asdict(c), "worst": _finite_or_none(c.worst)} for c in checks],
+        "checks": [_section(c) for c in checks],
         "check_notes": notes,
         "status": report.status,
         "iterations": iterations,
         "final": {key: iterations[-1][key] for key in _FINAL_KEYS},
-        "bound_audit": _audit_dict(audit),
-        "certificate": asdict(cert),
+        "bound_audit": {**_section(audit), "all_passed": audit.all_passed},
+        "certificate": _section(cert),
         "assumptions": {
             "potential_term_weak_lower_semicontinuity": (
                 "assumed; has no finite-grid test"
@@ -686,12 +688,7 @@ def cmd_check(args) -> int:
     cfg = load_config(args.config)
     spec = build_grid(cfg)
     pot = build_potential(cfg, spec)
-    sampler = build_sampler(cfg, spec)
-    checks, notes = run_checks(Sample(pot, sampler))
-    for c in checks:
-        _say(args, str(c))
-    for note in notes:
-        _say(args, note)
+    checks, _ = _check_phase(args, pot, build_sampler(cfg, spec))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_NOT_CONVERGED
 
 
@@ -734,6 +731,7 @@ def cmd_residual(args) -> int:
 def cmd_oracle_linear(args) -> int:
     cfg = load_config(args.config)
     spec = build_grid(cfg)
+    _claim_outputs({"config": args.config, "rhs_csv": args.rhs_csv}, {"--output": args.output})
     rhs = _read_open_field(args.rhs_csv, spec, "oracle-linear rhs_csv")
     solution = solve_linear_poisson(rhs)
     write_field_csv(args.output, solution)

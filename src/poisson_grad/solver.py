@@ -189,11 +189,8 @@ def _record(
 
 
 def _price_trial(act: GridAction, values: np.ndarray) -> tuple[np.ndarray, ActionValue] | None:
-    """Price a trial point; None when its values or their differences
-    overflow or F fails there, which the line search rejects like an Armijo
-    failure."""
-    if not np.isfinite(values).all():
-        return None
+    """Price a trial point; None when its action is not finite or F fails
+    there, which the line search rejects like an Armijo failure."""
     try:
         return values, act.value(values)
     except ValueError:
@@ -272,12 +269,13 @@ def minimize(
     the residual test was met (near a strictly positive minimum the action
     gap falls below float resolution around residual ~ sqrt(eps), so tight
     residual targets on such problems end here); ``max_iters`` and
-    ``line_search_failed`` are what they say.  A trial point whose values or
-    differences overflow or where F leaves its domain counts as an Armijo
-    rejection; a PotentialDomainError at the initial point or in the
-    gradient at an accepted point still propagates.  Whenever the potential
-    declares periods, the initial point and every accepted iterate are
-    canonicalized; trial points are priced as they are, without a shift.
+    ``line_search_failed`` are what they say.  A trial point whose action is
+    not finite or where F leaves its domain counts as an Armijo rejection;
+    a non-finite action or a PotentialDomainError at the initial point, or
+    one in the gradient at an accepted point, still propagates.  Whenever
+    the potential declares periods, the initial point and every accepted
+    iterate are canonicalized; trial points are priced as they are, without
+    a shift.
 
     The potential is bound to the grid once per call (``GridAction``), and
     its periods pass ``declared_periods`` once.  Each iteration applies the
@@ -364,20 +362,20 @@ def minimize(
 @dataclass(frozen=True)
 class BoundResult:
     passed: bool
-    worst: float  # worst signed margin; <= 0 when the bound holds
+    worst_margin: float  # worst signed margin; <= 0 when the bound holds
     note: str = ""
 
 
 @dataclass(frozen=True)
 class BoundAudit:
-    energy: BoundResult
+    energy_descent: BoundResult
     wirtinger: BoundResult
-    mean_cell: BoundResult
+    mean_in_cell: BoundResult
     f_floor: float
 
     @property
     def all_passed(self) -> bool:
-        return self.energy.passed and self.wirtinger.passed and self.mean_cell.passed
+        return all(r.passed for r in (self.energy_descent, self.wirtinger, self.mean_in_cell))
 
 
 def check_minimizing_bounds(
@@ -385,10 +383,10 @@ def check_minimizing_bounds(
 ) -> BoundAudit:
     """Audit the recorded iterates against the a-priori descent bounds.
 
-    (a) energy: 1/2 |du_k|^2 <= phi(u_0) - Vol * f_floor for every iterate,
+    (a) energy_descent: 1/2 |du_k|^2 <= phi(u_0) - Vol * f_floor for every iterate,
         with f_floor a certified lower bound for F (0 when positivity holds);
     (b) wirtinger: |u_k - mean| <= C_h |du_k| with the sharp discrete constant;
-    (c) mean_cell: each post-shift mean sits inside [0, P_i].
+    (c) mean_in_cell: each post-shift mean sits inside [0, P_i].
 
     Margins are reported signed; 1e-12 relative slack absorbs roundoff.
     """
@@ -399,7 +397,7 @@ def check_minimizing_bounds(
     worst_energy = max(0.5 * r.du_norm_sq - c2 for r in report.iterations)
     energy = BoundResult(
         passed=worst_energy <= 1e-12 * (1.0 + abs(c2)),
-        worst=worst_energy,
+        worst_margin=worst_energy,
         note=f"bound {c2!r} from initial action with floor {f_floor!r}",
     )
 
@@ -411,10 +409,10 @@ def check_minimizing_bounds(
         atol = wirtinger_floor(spec, max(abs(m) for m in r.mean))
         worst_w = max(worst_w, r.tilde_norm - rhs)
         ok_w = ok_w and r.tilde_norm <= rhs * (1.0 + 1e-12) + atol
-    wirtinger = BoundResult(passed=ok_w, worst=worst_w, note=f"constant {c_h!r}")
+    wirtinger = BoundResult(passed=ok_w, worst_margin=worst_w, note=f"constant {c_h!r}")
 
     if report.periods is None:
-        mean_cell = BoundResult(passed=True, worst=-math.inf, note="no periods declared")
+        mean_cell = BoundResult(passed=True, worst_margin=-math.inf, note="no periods declared")
     else:
         periods = np.asarray(report.periods)
         worst_m = -math.inf
@@ -428,8 +426,8 @@ def check_minimizing_bounds(
             ok_m = ok_m and bool(
                 np.all(m >= -1e-12 * periods) and np.all(m <= periods * (1.0 + 1e-12))
             )
-        mean_cell = BoundResult(passed=ok_m, worst=worst_m, note="post-shift means")
+        mean_cell = BoundResult(passed=ok_m, worst_margin=worst_m, note="post-shift means")
 
     return BoundAudit(
-        energy=energy, wirtinger=wirtinger, mean_cell=mean_cell, f_floor=f_floor
+        energy_descent=energy, wirtinger=wirtinger, mean_in_cell=mean_cell, f_floor=f_floor
     )

@@ -201,9 +201,9 @@ def test_criterion_4_direct_method_pipeline():
     ok = (
         action_ok
         and mean_ok
-        and audit.energy.passed
+        and audit.energy_descent.passed
         and audit.wirtinger.passed
-        and audit.mean_cell.passed
+        and audit.mean_in_cell.passed
         and monotone
         and elapsed < 30.0
     )

@@ -21,7 +21,8 @@ from poisson_grad.cli import (
     read_field_csv,
     write_field_csv,
 )
-from poisson_grad.potential import BoundPotential
+from poisson_grad.potential import BoundPotential, CheckReport
+from poisson_grad.solver import BoundAudit, BoundResult
 from poisson_grad.verify import Certificate
 
 from helpers import gaussian_field, peak_transient
@@ -238,6 +239,24 @@ class TestConfigValidation:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {reader} must be an open (wrapped) field CSV\n"
 
+    @pytest.mark.parametrize(
+        "reader", ["potential.forcing_csv", "init.path", "oracle-linear rhs_csv"]
+    )
+    def test_missing_csv_named_by_its_reader(self, tmp_path, capsys, reader):
+        ghost = tmp_path / "ghost.csv"
+        cfg = tmp_path / "c.json"
+        argv = ["solve", str(cfg)]
+        if reader == "potential.forcing_csv":
+            write_config(cfg, potential={"kind": "linear", "forcing_csv": str(ghost)})
+        elif reader == "init.path":
+            write_config(cfg, init={"kind": "csv", "path": str(ghost)})
+        else:
+            write_config(cfg)
+            argv = ["oracle-linear", str(ghost), str(cfg), "--output", str(tmp_path / "u.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {reader} does not exist: {ghost}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
     def test_expression_error_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         write_config(cfg, potential={"kind": "expr", "expr": "cos("})
@@ -350,6 +369,12 @@ class TestConfigValidation:
                 "solver.tol_residual is out of range: Infinity",
                 "solve",
             ),
+            # the start is constant, so no random start reads the seed
+            ("solver", {"rng_seed": "abc"}, 'solver.rng_seed must be a number, got "abc"', "solve"),
+            ("solver", {"rng_seed": 1.5}, "solver.rng_seed must be an integer, got 1.5", "solve"),
+            ("solver", {"rng_seed": True}, "solver.rng_seed must be a number, got true", "solve"),
+            ("solver", {"rng_seed": None}, "solver.rng_seed must be a number, got null", "solve"),
+            ("solver", {"rng_seed": math.nan}, "solver.rng_seed must be a number, got NaN", "solve"),
         ],
     )
     def test_mistyped_number_exits_3_naming_key(
@@ -361,6 +386,32 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(body).replace("Infinity", "1e400"))
         assert main(["--quiet", command, str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, update, flag, key, command",
+        [
+            ("checks", {"seed": -1}, [], "checks.seed", "check"),
+            ("checks", {"seed": -1}, [], "checks.seed", "solve"),
+            ("init", {"kind": "random", "seed": -1}, [], "init.seed", "solve"),
+            ("solver", {"rng_seed": -1}, [], "solver.rng_seed", "solve"),
+            ("init", {"kind": "random"}, ["--seed", "-1"], "--seed", "solve"),
+        ],
+    )
+    def test_negative_seed_exits_3_naming_key(
+        self, tmp_path, capsys, section, update, flag, key, command
+    ):
+        # each seed is typed before any check line is printed
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body[section] = {**body[section], **update}
+        if section == "init":
+            body["init"].pop("value")
+        cfg.write_text(json.dumps(body))
+        assert main(["--quiet", *flag, command, str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {key} must be a non-negative integer, got -1\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize(
         "section, update, message",
@@ -440,6 +491,11 @@ class TestConfigValidation:
                 "output.closed_csv: out.closed.csv is a directory",
             ),
             ({"report_json": "out"}, "output.report_json: out is a directory"),
+            ({"report_json": "c.json"}, "config and output.report_json name the same file c.json"),
+            (
+                {"field_csv": "out/../c.json"},
+                "config and output.field_csv name the same file out/../c.json",
+            ),
         ],
         ids=[
             "report-is-field",
@@ -448,6 +504,8 @@ class TestConfigValidation:
             "field-is-dir",
             "closed-is-dir",
             "report-is-dir",
+            "report-is-config",
+            "field-is-config-respelled",
         ],
     )
     def test_unwritable_output_exits_3_before_checks(
@@ -476,6 +534,34 @@ class TestConfigValidation:
             "out.closed.csv",
         ]
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("key", ["init.path", "potential.forcing_csv"])
+    def test_output_naming_an_input_exits_3_before_checks(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def unreachable(*args):
+            raise AssertionError("minimize must not run")
+
+        monkeypatch.setattr(cli, "minimize", unreachable)
+        monkeypatch.chdir(tmp_path)
+        spec = GridSpec((1.0,), (16,), n=1)
+        t = node_coordinates(spec)[..., 0]
+        write_field_csv(tmp_path / "in.csv", Field(spec, 0.01 * np.sin(TWO_PI * t)))
+        before = (tmp_path / "in.csv").read_bytes()
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        if key == "init.path":
+            body["init"] = {"kind": "csv", "path": "in.csv"}
+        else:
+            body["potential"] = {"kind": "linear", "forcing_csv": "in.csv"}
+        body["output"] = {"field_csv": "f.csv", "report_json": "in.csv"}
+        cfg.write_text(json.dumps(body))
+        assert main(["solve", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {key} and output.report_json name the same file in.csv\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "in.csv"]
+        assert (tmp_path / "in.csv").read_bytes() == before
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     @pytest.mark.parametrize("period", [0.0, -1.0])
@@ -993,6 +1079,23 @@ class TestSolveCommand:
         assert main(["--quiet", "solve", str(cfg)]) == 3
         assert "non-finite result (offset 0) at node (0,)" in capsys.readouterr().err
 
+    def test_infinite_potential_at_start_exits_3_writing_nothing(self, tmp_path, capsys):
+        # F overflows to inf at the start without a domain error of its own;
+        # the solve fails there, before the field CSV or the report is written
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "expr", "expr": "1 + 1e305*x1^2"},
+            init={"kind": "constant", "value": 100.0},
+            checks={"samples": 100},
+        )
+        with np.errstate(over="ignore"):
+            assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: F is not finite at node (0,), t = (0.0,)\n"
+        assert not (tmp_path / "field.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_positivity_sampled_once_per_solve(self, tmp_path, monkeypatch):
         calls = []
         sampled = cli.check_positivity
@@ -1329,6 +1432,39 @@ class TestOracleLinear:
             "error: right-hand side must have zero mean per component, got [1.]\n"
         )
 
+    @pytest.mark.parametrize(
+        "output, message",
+        [
+            ("c.json", "config and --output name the same file c.json"),
+            ("rhs.csv", "rhs_csv and --output name the same file rhs.csv"),
+            ("out/../rhs.csv", "rhs_csv and --output name the same file out/../rhs.csv"),
+            ("out", "--output: out is a directory"),
+            ("nodir/u.csv", "--output: directory nodir does not exist"),
+        ],
+        ids=["config", "rhs", "rhs-respelled", "dir", "missing-dir"],
+    )
+    def test_unwritable_output_exits_3_before_reading(
+        self, tmp_path, capsys, monkeypatch, output, message
+    ):
+        def unreachable(*args):
+            raise AssertionError("the right-hand side must not be read")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]})
+        spec = GridSpec((1.0,), (8,), n=1)
+        t = node_coordinates(spec)[..., 0]
+        write_field_csv(tmp_path / "rhs.csv", Field(spec, np.sin(TWO_PI * t)))
+        before = {path: path.read_bytes() for path in (cfg, tmp_path / "rhs.csv")}
+        monkeypatch.setattr(cli, "read_field_csv", unreachable)
+        argv = ["--quiet", "oracle-linear", "rhs.csv", str(cfg), "--output", output]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "out", "rhs.csv"]
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestReportSchema:
     def test_solve_report_key_sets(self, tmp_path):
@@ -1384,12 +1520,37 @@ class TestReportSchema:
         }
 
     def test_certificate_keys_are_certificate_fields(self, tmp_path):
-        # the report writes the certificate as it is, with nothing removed
+        # the report writes the certificate, the bound audit and the checks
+        # as they are, with nothing removed or renamed
         cfg = tmp_path / "c.json"
         write_config(cfg)
         assert main(["--quiet", "solve", str(cfg)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["certificate"]) == {f.name for f in fields(Certificate)}
+        audit = report["bound_audit"]
+        assert set(audit) == {f.name for f in fields(BoundAudit)} | {"all_passed"}
+        for f in fields(BoundAudit):
+            if f.name != "f_floor":
+                assert set(audit[f.name]) == {g.name for g in fields(BoundResult)}
+        assert report["checks"]
+        for check in report["checks"]:
+            assert set(check) == {f.name for f in fields(CheckReport)}
+
+
+@pytest.mark.parametrize(
+    "name", ["pendulum.json", "expression_well.json", "stiff_cosine.json"]
+)
+def test_check_output_is_the_start_of_solve_output(tmp_path, capsys, monkeypatch, name):
+    # solve's check phase is the check command
+    config = str(Path(__file__).resolve().parents[1] / "configs" / name)
+    monkeypatch.chdir(tmp_path)
+    check_code = main(["check", config])
+    check_out = capsys.readouterr().out
+    assert check_code == 0
+    assert main(["solve", config]) == 0
+    solve_out = capsys.readouterr().out
+    assert check_out and solve_out.startswith(check_out)
+    assert len(solve_out) > len(check_out)
 
 
 def test_parser_built_once_per_process():

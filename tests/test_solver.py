@@ -220,7 +220,7 @@ class TestMinimize:
 
     def test_trial_with_overflowing_differences_is_rejected(self, monkeypatch):
         # the first trial's values are finite but their forward differences
-        # overflow, which the Field of differences refuses
+        # overflow, so its kinetic sum is not finite
         monkeypatch.setattr(solver, "_INITIAL_STEP", 1e308)
         spec = GridSpec((1.0,), (8,), n=1)
         pot = CosineLattice([1.0], [TWO_PI], floor=0.1, p=1)
@@ -236,6 +236,35 @@ class TestMinimize:
         with pytest.raises(PotentialDomainError, match="non-finite result") as err:
             minimize(pot, Field.constant(spec, 30.0), SolverConfig())
         assert err.value.node_index == (0,)
+
+    def test_infinite_potential_at_initial_point_raises(self):
+        # F overflows to inf at every node without a domain error of its own
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = ExpressionPotential("1 + 1e305*x1^2", 1, 1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(PotentialDomainError, match="F is not finite") as err:
+                minimize(pot, Field.constant(spec, 100.0), SolverConfig())
+        assert err.value.node_index == (0,)
+
+    def test_infinite_potential_at_one_node_is_located(self):
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = ExpressionPotential("1 + 1e305*x1^2", 1, 1)
+        init = Field(spec, np.where(np.arange(8) == 5, 100.0, 0.0)[:, None])
+        with np.errstate(over="ignore"):
+            with pytest.raises(PotentialDomainError, match="F is not finite") as err:
+                minimize(pot, init, SolverConfig())
+        assert err.value.node_index == (5,)
+
+    def test_trial_with_infinite_potential_is_rejected(self, monkeypatch):
+        # the first trial's values and differences are finite, but F
+        # overflows there; the line search backtracks to a finite action
+        monkeypatch.setattr(solver, "_INITIAL_STEP", 1e200)
+        spec = GridSpec((1.0,), (8,), n=1)
+        pot = ExpressionPotential("1 + x1^2", 1, 1)
+        _, report = minimize(pot, Field.constant(spec, 1.0), SolverConfig(max_iters=1))
+        assert report.status == "max_iters"
+        assert 1.0 <= report.final.action_total < report.initial_action
+        assert report.iterations[1].step < 1.0
 
     def test_gradient_failure_at_accepted_point_raises(self):
         class GradientFailsNearCenter(ShiftedQuadratic):
@@ -534,7 +563,7 @@ class TestCheckMinimizingBounds:
         init = random_init(spec, pot.periods, seed=6)
         _, report = minimize(pot, init, SolverConfig(max_iters=4000))
         audit = check_minimizing_bounds(report, spec)
-        assert audit.energy.passed and audit.wirtinger.passed and audit.mean_cell.passed
+        assert audit.energy_descent.passed and audit.wirtinger.passed and audit.mean_in_cell.passed
 
     def test_fabricated_out_of_cell_mean_fails(self):
         spec = GridSpec((1.0,), (8,), n=1)
@@ -554,8 +583,8 @@ class TestCheckMinimizingBounds:
         )
         report = RunReport(status="converged", iterations=[record], periods=(TWO_PI,))
         audit = check_minimizing_bounds(report, spec)
-        assert not audit.mean_cell.passed
-        assert audit.energy.passed and audit.wirtinger.passed
+        assert not audit.mean_in_cell.passed
+        assert audit.energy_descent.passed and audit.wirtinger.passed
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="no recorded iterations"):
