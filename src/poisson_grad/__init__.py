@@ -9,8 +9,6 @@ from .grid import (
     Field,
     GridSpec,
     forward_diff,
-    h1_inner,
-    h1_norm,
     l2_inner,
     l2_norm,
     laplacian,
@@ -56,8 +54,6 @@ __all__ = [
     "Field",
     "GridSpec",
     "forward_diff",
-    "h1_inner",
-    "h1_norm",
     "l2_inner",
     "l2_norm",
     "laplacian",

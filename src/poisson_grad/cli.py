@@ -48,6 +48,7 @@ from .potential import (
     check_gradient_growth,
     check_periodicity,
     check_positivity,
+    fp_policy,
 )
 from .solver import SolverConfig, check_minimizing_bounds, minimize, random_init
 from .verify import boundary_check, certify
@@ -556,29 +557,31 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def run_checks(sample: Sample) -> tuple[list[CheckReport], list[str]]:
-    """Run every applicable hypothesis check on the sample's potential, in a
-    fixed order, so F and grad F at its points are evaluated at most once
-    each; a check the potential declares nothing for becomes a note."""
-    pot = sample.pot
+def run_checks(pot: Potential, sampler: SampleSpec) -> tuple[list[CheckReport], list[str]]:
+    """Draw one sample of ``pot`` and run every applicable hypothesis check
+    on it, in a fixed order, under ``fp_policy``, so F and grad F at its
+    points are evaluated at most once each; a check the potential declares
+    nothing for becomes a note."""
     reports: list[CheckReport] = []
     notes: list[str] = []
-    if pot.periods is None:
-        notes.append("periodicity: skipped, no periods declared")
-    else:
-        reports.append(check_periodicity(sample))
-    reports.append(check_positivity(sample))
-    if pot.growth is None:
-        notes.append("gradient_growth: skipped, no growth envelope declared")
-    else:
-        reports.append(check_gradient_growth(sample))
-    reports.append(check_grad_consistency(sample))
+    with fp_policy():
+        sample = Sample(pot, sampler)
+        if pot.periods is None:
+            notes.append("periodicity: skipped, no periods declared")
+        else:
+            reports.append(check_periodicity(sample))
+        reports.append(check_positivity(sample))
+        if pot.growth is None:
+            notes.append("gradient_growth: skipped, no growth envelope declared")
+        else:
+            reports.append(check_gradient_growth(sample))
+        reports.append(check_grad_consistency(sample))
     return reports, notes
 
 
 def _check_phase(args, pot: Potential, sampler: SampleSpec) -> tuple[list[CheckReport], list[str]]:
-    """``run_checks`` on one drawn sample, saying each check line, then each note."""
-    checks, notes = run_checks(Sample(pot, sampler))
+    """``run_checks``, saying each check line, then each note."""
+    checks, notes = run_checks(pot, sampler)
     for line in [*map(str, checks), *notes]:
         _say(args, line)
     return checks, notes

@@ -31,8 +31,6 @@ __all__ = [
     "node_coordinates",
     "l2_inner",
     "l2_norm",
-    "h1_inner",
-    "h1_norm",
     "forward_diff",
     "backward_diff",
     "laplacian",
@@ -222,19 +220,6 @@ def _inner(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
 
 def _norm(spec: GridSpec, a: np.ndarray) -> float:
     return math.sqrt(max(_inner(spec, a, a), 0.0))
-
-
-def h1_inner(u: Field, v: Field) -> float:
-    """L2 pairing of values plus L2 pairings of all forward differences."""
-    _require_same_spec(u, v)
-    total = l2_inner(u, v)
-    for axis in range(u.spec.p):
-        total += l2_inner(forward_diff(u, axis), forward_diff(v, axis))
-    return total
-
-
-def h1_norm(u: Field) -> float:
-    return math.sqrt(max(h1_inner(u, u), 0.0))
 
 
 def _neighbor(values: np.ndarray, axis: int, step: int) -> np.ndarray:

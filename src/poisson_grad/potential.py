@@ -9,7 +9,9 @@ gradient growth bound |grad F| <= M |x| + g_max are declared by the
 potential; they and positivity are verified by deterministic seeded
 sampling, never assumed.
 Each check takes the ``Sample`` it tests and reads the declarations from
-its potential; checks sharing a Sample share its F and grad F values.
+its potential; checks sharing a Sample share its F and grad F values.  A
+sample whose checked quantity is not finite fails the check, is counted in
+its detail and is left out of its worst.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "GrowthEnvelope",
     "SampleSpec",
     "Sample",
+    "fp_policy",
     "CheckReport",
     "Potential",
     "BoundPotential",
@@ -97,6 +100,13 @@ class Sample:
         self.bound = pot.bind(self.t)
         self.value = self.bound.value(self.x)
         self.gradient = self.bound.gradient(self.x)
+
+
+def fp_policy() -> np.errstate:
+    """The floating-point error policy of each phase that evaluates F: numpy
+    ignores overflow, invalid and divide, and the phase's finite-value tests
+    decide.  A fresh errstate per call: numpy 2 enters an instance once."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def declared_periods(periods, n: int) -> np.ndarray | None:
@@ -307,6 +317,16 @@ class LinearForcing(Potential):
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
 
 
+def _finite(quantity: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where a per-sample quantity is finite, and how many samples are not."""
+    finite = np.isfinite(quantity)
+    return finite, int(np.count_nonzero(~finite.reshape(len(finite), -1).all(axis=1)))
+
+
+def _counted(detail: str, bad: int) -> str:
+    return detail + (f"; {bad} samples not finite" if bad else "")
+
+
 def check_periodicity(sample: Sample) -> CheckReport:
     """Sampled test of F(t, x + P_i e_i) = F(t, x) for every component i."""
     pot = sample.pot
@@ -314,34 +334,33 @@ def check_periodicity(sample: Sample) -> CheckReport:
         raise ValueError(f"potential '{pot.name}' declares no periods")
     x, base = sample.x, sample.value
     tol = 1e-9
-    worst = 0.0
-    ok = True
+    dev = np.empty((sample.count, pot.n))
     for i in range(pot.n):
         shifted = x.copy()
         shifted[:, i] += pot.periods[i]
-        dev = np.abs(sample.bound.value(shifted) - base)
-        worst = max(worst, float(dev.max()))
-        ok = ok and bool(np.all(dev <= tol * (1.0 + np.abs(base))))
+        dev[:, i] = np.abs(sample.bound.value(shifted) - base)
+    finite, bad = _finite(dev)
     return CheckReport(
         name="periodicity",
-        passed=ok,
+        passed=bad == 0 and bool(np.all(dev <= tol * (1.0 + np.abs(base))[:, np.newaxis])),
         samples=sample.count,
-        worst=worst,
+        worst=float(dev.max(where=finite, initial=0.0)),
         threshold=tol,
-        detail="max |F(t,x+P_i e_i) - F(t,x)| over samples and components",
+        detail=_counted("max |F(t,x+P_i e_i) - F(t,x)| over samples and components", bad),
     )
 
 
 def check_positivity(sample: Sample) -> CheckReport:
     """Sampled test of F(t, x) > 0; reports the minimum sampled value."""
-    lo = float(sample.value.min())
+    finite, bad = _finite(sample.value)
+    lo = float(sample.value.min(where=finite, initial=math.inf))
     return CheckReport(
         name="positivity",
-        passed=lo > 0.0,
+        passed=bad == 0 and lo > 0.0,
         samples=sample.count,
         worst=lo,
         threshold=0.0,
-        detail="minimum sampled F",
+        detail=_counted("minimum sampled F", bad),
     )
 
 
@@ -354,14 +373,15 @@ def check_gradient_growth(sample: Sample) -> CheckReport:
     g = np.sqrt(np.sum(sample.gradient**2, axis=-1))
     allowed = env.m * np.sqrt(np.sum(x * x, axis=-1)) + env.g_max
     margin = g - allowed
-    violations = int(np.count_nonzero(margin > 0.0))
+    finite, bad = _finite(margin)
+    violations = int(np.count_nonzero(finite & (margin > 0.0)))
     return CheckReport(
         name="gradient_growth",
-        passed=violations == 0,
+        passed=violations == 0 and bad == 0,
         samples=sample.count,
-        worst=float(margin.max()),
+        worst=float(margin.max(where=finite, initial=-math.inf)),
         threshold=0.0,
-        detail=f"{violations} violations of |grad F| <= m|x| + g_max",
+        detail=_counted(f"{violations} violations of |grad F| <= m|x| + g_max", bad),
     )
 
 
@@ -377,13 +397,14 @@ def check_grad_consistency(sample: Sample) -> CheckReport:
         lo[:, i] -= step
         fd[:, i] = (sample.bound.value(hi) - sample.bound.value(lo)) / (2.0 * step)
     rel = np.abs(fd - grad) / (1.0 + np.abs(grad))
+    finite, bad = _finite(rel)
     tol = 1e-5
-    worst = float(rel.max())
+    worst = float(rel.max(where=finite, initial=0.0))
     return CheckReport(
         name="grad_consistency",
-        passed=worst <= tol,
+        passed=bad == 0 and worst <= tol,
         samples=sample.count,
         worst=worst,
         threshold=tol,
-        detail="max relative gap between gradient and central differences",
+        detail=_counted("max relative gap between gradient and central differences", bad),
     )

@@ -42,7 +42,7 @@ import numpy as np
 from .action import ActionValue, GridAction, action, action_gradient  # noqa: F401
 from .grid import Field, GridSpec, h1_riesz_map
 from .grid import _forward, _inner, _node_mean, _norm, _require_finite
-from .potential import Potential, declared_periods
+from .potential import Potential, declared_periods, fp_policy
 from .verify import wirtinger_constant, wirtinger_floor
 
 __all__ = [
@@ -272,7 +272,8 @@ def minimize(
     ``line_search_failed`` are what they say.  A trial point whose action is
     not finite or where F leaves its domain counts as an Armijo rejection;
     a non-finite action or a PotentialDomainError at the initial point, or
-    one in the gradient at an accepted point, still propagates.  Whenever
+    one in the gradient at an accepted point, still propagates; all of it
+    runs under ``fp_policy``, so these tests decide.  Whenever
     the potential declares periods, the initial point and every accepted
     iterate are canonicalized; trial points are priced as they are, without
     a shift.
@@ -282,30 +283,27 @@ def minimize(
     Riesz map to the gradient it starts from, so none runs after the last
     accepted step.
     """
-    spec = init.spec
-    act = GridAction(pot, spec)
-    a_init = act.value(init.values)
-    periods = declared_periods(pot.periods, spec.n)
-    u, a_val, shifts0, gauge0 = _canonical(act, init.values, a_init, periods)
-    grad = act.gradient(u)
-    residual = _norm(spec, grad)
+    with fp_policy():
+        spec = init.spec
+        act = GridAction(pot, spec)
+        a_init = act.value(init.values)
+        periods = declared_periods(pot.periods, spec.n)
+        u, a_val, shifts0, gauge0 = _canonical(act, init.values, a_init, periods)
+        grad = act.gradient(u)
+        residual = _norm(spec, grad)
 
-    report = RunReport(
-        status="max_iters",
-        periods=None if periods is None else tuple(float(x) for x in periods),
-    )
-    mass = np.ones(spec.n)
-    report.iterations.append(
-        _record(spec, 0, a_val, residual, u, 0.0, shifts0, gauge0, mass)
-    )
-    riesz = h1_riesz_map(spec)
-    direction: np.ndarray | None = None
-    stagnant = 0
+        report = RunReport(
+            status="max_iters",
+            periods=None if periods is None else tuple(float(x) for x in periods),
+        )
+        mass = np.ones(spec.n)
+        report.iterations.append(
+            _record(spec, 0, a_val, residual, u, 0.0, shifts0, gauge0, mass)
+        )
+        riesz = h1_riesz_map(spec)
+        direction: np.ndarray | None = None
+        stagnant = 0
 
-    # a trial that overflows or leaves F's domain is rejected, so numpy's
-    # warnings about it would only report a rejection; failures at accepted
-    # points still raise, from the finiteness checks and the potential
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in itertools.count(1):
             if residual <= cfg.tol_residual:
                 report.status = "converged"
@@ -414,18 +412,14 @@ def check_minimizing_bounds(
     if report.periods is None:
         mean_cell = BoundResult(passed=True, worst_margin=-math.inf, note="no periods declared")
     else:
-        periods = np.asarray(report.periods)
         worst_m = -math.inf
         ok_m = True
         for r in report.iterations:
             if r.shifts is None:
                 continue
-            m = np.asarray(r.mean)
-            margin = float(np.max(np.maximum(-m, m - periods)))
-            worst_m = max(worst_m, margin)
-            ok_m = ok_m and bool(
-                np.all(m >= -1e-12 * periods) and np.all(m <= periods * (1.0 + 1e-12))
-            )
+            for m, period in zip(r.mean, report.periods):
+                worst_m = max(worst_m, -m, m - period)
+                ok_m = ok_m and -1e-12 * period <= m <= period * (1.0 + 1e-12)
         mean_cell = BoundResult(passed=ok_m, worst_margin=worst_m, note="post-shift means")
 
     return BoundAudit(

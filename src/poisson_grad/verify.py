@@ -32,7 +32,7 @@ from .grid import (  # noqa: F401
     node_coordinates,
     split_mean,
 )
-from .potential import Potential
+from .potential import Potential, fp_policy
 
 __all__ = [
     "ResidualReport",
@@ -189,13 +189,15 @@ class Certificate:
 
 
 def certify(u: Field, pot: Potential, residual_tol: float) -> Certificate:
-    """Bundle the residual and Wirtinger checks; the face matching of a
-    closed import is ``boundary_check``, which needs the closed grid."""
-    _, norms = el_residual(u, pot)
-    return Certificate(
-        residual_l2=norms.l2,
-        residual_linf=norms.linf,
-        residual_tol=residual_tol,
-        residual_ok=norms.l2 <= residual_tol,
-        wirtinger=wirtinger_check(u),
-    )
+    """Bundle the residual and Wirtinger checks, under ``fp_policy``; the
+    face matching of a closed import is ``boundary_check``, which needs the
+    closed grid."""
+    with fp_policy():
+        _, norms = el_residual(u, pot)
+        return Certificate(
+            residual_l2=norms.l2,
+            residual_linf=norms.linf,
+            residual_tol=residual_tol,
+            residual_ok=norms.l2 <= residual_tol,
+            wirtinger=wirtinger_check(u),
+        )

@@ -1090,8 +1090,7 @@ class TestSolveCommand:
             init={"kind": "constant", "value": 100.0},
             checks={"samples": 100},
         )
-        with np.errstate(over="ignore"):
-            assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert main(["--quiet", "solve", str(cfg)]) == 3
         assert capsys.readouterr().err == "error: F is not finite at node (0,), t = (0.0,)\n"
         assert not (tmp_path / "field.csv").exists()
         assert not (tmp_path / "report.json").exists()
@@ -1135,7 +1134,7 @@ class TestSolveCommand:
                 return BoundPotential(value, gradient)
 
         counted = Counted([1.0], [TWO_PI], floor=0.1, p=2)
-        reports, notes = cli.run_checks(cli.Sample(counted, sampler))
+        reports, notes = cli.run_checks(counted, sampler)
         assert calls == {"bind": 1, "value": 1, "gradient": 1}
         assert notes == []
         assert reports == [
@@ -1163,12 +1162,13 @@ class TestSolveCommand:
         cfg = cli.load_config(configs / "expression_well.json")
         spec = cli.build_grid(cfg)
         pot = cli.build_potential(cfg, spec)
-        sample = cli.Sample(pot, cli.build_sampler(cfg, spec))
-        reports, notes = cli.run_checks(sample)
+        sampler = cli.build_sampler(cfg, spec)
+        reports, notes = cli.run_checks(pot, sampler)
         assert [r.name for r in reports] == [
             "periodicity", "positivity", "gradient_growth", "grad_consistency",
         ]
-        assert len(binds) == 2 and all(t is sample.t for t in binds)
+        assert len(binds) == 2 and binds[0] is binds[1]
+        npt.assert_array_equal(binds[0], sampler.draw(pot.n)[0])
 
     def test_not_converged_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -1296,6 +1296,28 @@ class TestCheckCommand:
         )
         assert main(["--quiet", "check", str(cfg)]) == 2
 
+    def test_overflowing_potential_fails_named_checks(self, tmp_path, capsys):
+        # F = 1 + 1e307 x1^2 overflows where |x1| > 4.24, inside the sampled
+        # cube [-8, 8]; the checks that read F there fail and count those
+        # samples, numpy warns of none, and no line shows nan
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "expr", "expr": "1 + 1e307*x1^2"},
+            init={"kind": "constant", "value": 100.0},
+            checks={"samples": 100},
+        )
+        assert main(["check", str(cfg)]) == 2
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        x1 = cli.SampleSpec(count=100, seed=0).draw(1)[1][:, 0]
+        overflowing = int(np.count_nonzero(np.abs(x1) > math.sqrt(np.finfo(float).max / 1e307)))
+        failed = [line for line in out.splitlines() if " FAIL " in line]
+        assert [line.split()[0] for line in failed] == ["positivity", "grad_consistency"]
+        for line in failed:
+            assert line.endswith(f"; {overflowing} samples not finite)")
+
 
 class TestResidualCommand:
     def test_solve_output_certifies(self, tmp_path):
@@ -1338,6 +1360,20 @@ class TestResidualCommand:
         bad = tmp_path / "bad.csv"
         write_field_csv(bad, Field.zeros(other))
         assert main(["--quiet", "residual", str(bad), str(cfg)]) == 3
+
+    def test_gradient_overflow_exits_3(self, tmp_path, capsys):
+        # grad F = 2e305 x1 overflows at the field's value 1e4; the
+        # certificate's finite-value test refuses it, and numpy warns of none
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "expr", "expr": "1 + 1e305*x1^2"},
+        )
+        field = tmp_path / "u.csv"
+        write_field_csv(field, Field.constant(GridSpec((1.0,), (8,), n=1), 1e4))
+        assert main(["residual", str(field), str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: field contains non-finite values\n"
 
     @pytest.mark.parametrize("nodes", [128, 256])
     def test_oracle_solution_certifies_on_fine_grids(self, tmp_path, nodes):

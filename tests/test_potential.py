@@ -19,6 +19,7 @@ from poisson_grad import (
     node_coordinates,
 )
 from poisson_grad.action import action_gradient
+from poisson_grad.cli import run_checks
 from poisson_grad.potential import BoundPotential, declared_periods
 from poisson_grad.solver import SolverConfig, random_init
 from poisson_grad.verify import el_residual
@@ -184,6 +185,35 @@ class TestChecks:
 
         for pot in (DoubledBound([1.0], [TWO_PI], p=1), DoubledGradient([1.5])):
             assert not check_grad_consistency(Sample(pot, SAMPLER)).passed
+
+    def test_non_finite_samples_fail_every_check_that_reads_them(self):
+        # where x1 > 6, F is +inf and grad F is nan; elsewhere every check
+        # holds.  Each check fails, counts the samples whose quantity is not
+        # finite and takes its worst over the others; the check phase
+        # enters fp_policy, so numpy warns of none of the inf or nan
+        class Spiked(ShiftedQuadratic):
+            def value(self, t, x):
+                return np.where(x[..., 0] > 6.0, np.inf, super().value(t, x))
+
+            def gradient(self, t, x):
+                return np.where(x[..., :1] > 6.0, np.nan, super().gradient(t, x))
+
+        pot = Spiked([0.0], floor=1.0, periods=[1.0])
+        pot.growth = GrowthEnvelope(m=1.0, g_max=0.0)
+        reports, _ = run_checks(pot, SAMPLER)  # under fp_policy
+        assert [r.name for r in reports] == [
+            "periodicity", "positivity", "gradient_growth", "grad_consistency",
+        ]
+        x1 = SAMPLER.draw(pot.n)[1][:, 0]
+        spiked = int(np.count_nonzero(x1 > 6.0))
+        # the periodicity check also reads F at x1 + 1
+        expected = [int(np.count_nonzero(x1 > 5.0)), spiked, spiked, spiked]
+        assert spiked > 0
+        for report, count in zip(reports, expected):
+            assert not report.passed and np.isfinite(report.worst)
+            assert report.detail.endswith(f"; {count} samples not finite")
+        assert reports[1].worst == 1.0 + 0.5 * np.min(x1[x1 <= 6.0] ** 2)
+        assert reports[2].detail.startswith("0 violations")
 
 
 class TestDeclaredEnvelopes:

@@ -225,8 +225,7 @@ class TestMinimize:
         spec = GridSpec((1.0,), (8,), n=1)
         pot = CosineLattice([1.0], [TWO_PI], floor=0.1, p=1)
         cfg = SolverConfig(max_iters=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, report = minimize(pot, random_init(spec, pot.periods, seed=5), cfg)
+        _, report = minimize(pot, random_init(spec, pot.periods, seed=5), cfg)
         assert report.status == "max_iters"
         assert report.final.action_total < report.initial_action
 
@@ -241,18 +240,16 @@ class TestMinimize:
         # F overflows to inf at every node without a domain error of its own
         spec = GridSpec((1.0,), (8,), n=1)
         pot = ExpressionPotential("1 + 1e305*x1^2", 1, 1)
-        with np.errstate(over="ignore"):
-            with pytest.raises(PotentialDomainError, match="F is not finite") as err:
-                minimize(pot, Field.constant(spec, 100.0), SolverConfig())
+        with pytest.raises(PotentialDomainError, match="F is not finite") as err:
+            minimize(pot, Field.constant(spec, 100.0), SolverConfig())
         assert err.value.node_index == (0,)
 
     def test_infinite_potential_at_one_node_is_located(self):
         spec = GridSpec((1.0,), (8,), n=1)
         pot = ExpressionPotential("1 + 1e305*x1^2", 1, 1)
         init = Field(spec, np.where(np.arange(8) == 5, 100.0, 0.0)[:, None])
-        with np.errstate(over="ignore"):
-            with pytest.raises(PotentialDomainError, match="F is not finite") as err:
-                minimize(pot, init, SolverConfig())
+        with pytest.raises(PotentialDomainError, match="F is not finite") as err:
+            minimize(pot, init, SolverConfig())
         assert err.value.node_index == (5,)
 
     def test_trial_with_infinite_potential_is_rejected(self, monkeypatch):
