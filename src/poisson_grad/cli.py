@@ -5,9 +5,11 @@ rejected, so typos fail fast).  Fields travel as CSV with header
 ``t1,...,tp,u1,...,un``, one row per node in lexicographic node order and
 17 significant digits, which round-trips float64 exactly; the optional
 closed form repeats the wrap faces (N_alpha + 1 rows per axis) for
-interchange with external producers.  Run reports are JSON with sorted
-keys; identical config and seed reproduce them byte-for-byte except for
-the single isolated ``timestamp`` field.
+interchange with external producers.  Run reports are JSON laid out
+exactly as ``json.dumps(report, indent=2, sort_keys=True)`` lays them out
+(sorted keys, two-space indent, ``,`` and ``: `` separators, one value per
+line) and end in a newline; identical config and seed reproduce them
+byte-for-byte except for the single isolated ``timestamp`` line.
 
 Exit codes: 0 success/converged, 2 not converged or failed checks
 (including a failed internal consistency check, such as the gauge
@@ -26,7 +28,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +267,11 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             raise ConfigError(f"invalid quadratic potential: {err}") from err
     elif kind == "linear":
         path = _text(_need(pot, "forcing_csv", "potential.forcing_csv"), "potential.forcing_csv")
-        built = LinearForcing(_read_open_field(path, spec, "potential.forcing_csv"))
+        forcing = _read_open_field(path, spec, "potential.forcing_csv")
+        try:
+            built = LinearForcing(forcing)
+        except ValueError as err:
+            raise ConfigError(f"invalid linear potential: {err}") from err
     elif kind == "expr":
         source = _text(_need(pot, "expr", "potential.expr"), "potential.expr")
         periods = _periods(pot, spec, required=False)
@@ -375,7 +382,9 @@ def write_field_csv(
     else:
         values = field.closed_values()
         # the rows of the closed layout that the open file gets
-        interior = np.pad(np.ones(spec.nodes, dtype=bool), [(0, 1)] * spec.p).ravel()
+        interior = np.zeros(values.shape[:-1], dtype=bool)
+        interior[tuple(slice(0, k) for k in spec.nodes)] = True
+        interior = interior.ravel()
     shape = values.shape[:-1]
     axes = [["%.17g," % t for t in a.tolist()] for a in lattice_axes(spec.spacings, shape)]
     prefixes = map("".join, itertools.product(*axes))
@@ -525,12 +534,18 @@ def _read_open_field(path: str | Path, spec: GridSpec, what: str) -> Field:
 # ---------------------------------------------------------------------------
 # report JSON
 
-def _json_fields(items: list[tuple[str, object]]) -> dict:
-    """``asdict``'s dict_factory for a report section: a non-finite float is null."""
-    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in items}
-
-
-_section = functools.partial(asdict, dict_factory=_json_fields)
+def _section(obj) -> dict:
+    """A report section: a dataclass's fields by name, a nested dataclass as
+    its own section, a non-finite float as null."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _section(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = None
+        out[f.name] = value
+    return out
 
 
 # the keys of the last iteration record that the report's ``final`` repeats
@@ -544,9 +559,89 @@ _FINAL_KEYS = (
 )
 
 
+def _json_scalar(o) -> str:
+    """JSON text of a value that is no list, tuple or dict, tested in the
+    order ``json`` tests types, so a float or int subclass is written as its
+    base type's repr."""
+    if isinstance(o, str):
+        return _json_string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _emit(o, nl: str, out: list[str], heads: dict[str, str]) -> None:
+    """Append the JSON text of ``o`` to ``out``, laid out as
+    ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)`` lays it
+    out; dict keys are strings.  ``nl`` is a newline and the indent of the
+    line ``o`` starts on, and ``heads`` holds each key's ``"key": `` text.
+
+    A container writes its items of exact type int or finite float, whose
+    repr is their JSON text, and its None items itself; any other item
+    recurses.  A report is mostly such numbers, so this is its hot path."""
+    append = out.append
+    if isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(o):
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _json_string(key) + ": "
+            value = o[key]
+            kind = type(value)
+            # value - value is 0.0 exactly when a float is finite
+            if kind is int or kind is float and value - value == 0.0:
+                append(sep + head + repr(value))
+            elif value is None:
+                append(sep + head + "null")
+            else:
+                append(sep + head)
+                _emit(value, inner, out, heads)
+            sep = comma
+        append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for value in o:
+            kind = type(value)
+            if kind is int or kind is float and value - value == 0.0:
+                append(sep + repr(value))
+            elif value is None:
+                append(sep + "null")
+            else:
+                append(sep)
+                _emit(value, inner, out, heads)
+            sep = comma
+        append(nl + "]")
+    else:
+        append(_json_scalar(o))
+
+
 def write_report(path: str | Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline would, in one pass."""
+    out: list[str] = []
+    _emit(payload, "\n", out, {})
+    out.append("\n")
+    Path(path).write_text("".join(out))
 
 
 # ---------------------------------------------------------------------------

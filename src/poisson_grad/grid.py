@@ -168,9 +168,14 @@ class Field:
         return Field(self.spec, self.values + vec)
 
     def closed_values(self) -> np.ndarray:
-        """Values with the wrap faces duplicated: N_alpha + 1 nodes per axis."""
-        pad = [(0, 1)] * self.spec.p + [(0, 0)]
-        return np.pad(self.values, pad, mode="wrap")
+        """Values with the wrap faces duplicated: N_alpha + 1 nodes per axis.
+        Each axis in turn appends its first slab, so the faces of later axes
+        copy the earlier axes' wrap nodes too."""
+        out = self.values
+        for axis in range(self.spec.p):
+            first = out[(slice(None),) * axis + (slice(0, 1),)]
+            out = np.concatenate([out, first], axis=axis)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Field(nodes={self.spec.nodes}, n={self.spec.n})"

@@ -282,7 +282,10 @@ class LinearForcing(Potential):
         self.n = forcing.spec.n
         self.p = forcing.spec.p
         self.periods = None
-        per_node = np.sqrt(np.sum(forcing.values**2, axis=-1))
+        # a forcing whose norm overflows has no finite envelope, which
+        # GrowthEnvelope refuses
+        with fp_policy():
+            per_node = np.sqrt(np.sum(forcing.values**2, axis=-1))
         self.growth = GrowthEnvelope(m=0.0, g_max=float(per_node.max()))
 
     def _forcing_at(self, t: np.ndarray) -> np.ndarray:

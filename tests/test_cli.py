@@ -1318,6 +1318,25 @@ class TestCheckCommand:
         for line in failed:
             assert line.endswith(f"; {overflowing} samples not finite)")
 
+    def test_overflowing_linear_forcing_exits_3(self, tmp_path, capsys):
+        # the squares of a +-1e200 forcing overflow its growth envelope; the
+        # kind is named, and numpy warns of none
+        spec = GridSpec((1.0,), (8,), n=1)
+        forcing = tmp_path / "forcing.csv"
+        write_field_csv(forcing, Field(spec, np.array([[1e200], [-1e200]] * 4)))
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "linear", "forcing_csv": str(forcing)},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--quiet", "check", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "error: invalid linear potential: g_max must be finite and nonnegative, got inf\n"
+        )
+
 
 class TestResidualCommand:
     def test_solve_output_certifies(self, tmp_path):
@@ -1363,7 +1382,8 @@ class TestResidualCommand:
 
     def test_gradient_overflow_exits_3(self, tmp_path, capsys):
         # grad F = 2e305 x1 overflows at the field's value 1e4; the
-        # certificate's finite-value test refuses it, and numpy warns of none
+        # certificate's finite-value test refuses it at its first node, and
+        # numpy warns of none
         cfg = tmp_path / "c.json"
         write_config(
             cfg,
@@ -1373,7 +1393,7 @@ class TestResidualCommand:
         field = tmp_path / "u.csv"
         write_field_csv(field, Field.constant(GridSpec((1.0,), (8,), n=1), 1e4))
         assert main(["residual", str(field), str(cfg)]) == 3
-        assert capsys.readouterr().err == "error: field contains non-finite values\n"
+        assert capsys.readouterr().err == "error: grad F is not finite at node (0,), t = (0.0,)\n"
 
     @pytest.mark.parametrize("nodes", [128, 256])
     def test_oracle_solution_certifies_on_fine_grids(self, tmp_path, nodes):
@@ -1571,6 +1591,101 @@ class TestReportSchema:
         assert report["checks"]
         for check in report["checks"]:
             assert set(check) == {f.name for f in fields(CheckReport)}
+
+
+# code points for the encoder's strings: controls, the quote and the
+# backslash, "/" and "%", ASCII, Latin-1, CJK and one outside the BMP, which
+# JSON writes as a surrogate pair
+_CODE_POINTS = [0, 1, 8, 9, 10, 13, 31, 34, 37, 47, 92, 127, 0xE9, 0x4E2D, 0x1F600] + list(
+    range(32, 127, 7)
+)
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1.0, 0.1, 2.0**53, -1.7976931348623157e308]
+
+
+def _random_json(rng, depth):
+    """A random payload for the report encoder: every JSON type, tuples,
+    empty containers, float and int edge cases and an np.float64."""
+    kind = int(rng.integers(0, 11 if depth < 4 else 7))
+    if kind == 0:
+        return "".join(chr(c) for c in rng.choice(_CODE_POINTS, size=int(rng.integers(0, 6))))
+    if kind == 1:
+        return None
+    if kind == 2:
+        return bool(rng.integers(0, 2))
+    if kind == 3:
+        return int(rng.choice([0, -1, 7, 2**63, -(10**30), 10**40]))
+    if kind == 4:
+        return _SPECIAL_FLOATS[int(rng.integers(0, len(_SPECIAL_FLOATS)))]
+    if kind == 5:
+        return float(rng.standard_normal() * 10.0 ** int(rng.integers(-12, 13)))
+    if kind == 6:
+        return np.float64(rng.standard_normal())
+    items = [_random_json(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+    if kind == 7:
+        return items
+    if kind == 8:
+        return tuple(items)
+    return {_random_json_key(rng): item for item in items}
+
+
+def _random_json_key(rng):
+    return "".join(chr(c) for c in rng.choice(_CODE_POINTS, size=int(rng.integers(0, 4))))
+
+
+class TestReportEncoder:
+    """``write_report`` writes what ``json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)`` writes, and a newline."""
+
+    @staticmethod
+    def encoded(tmp_path, payload):
+        path = tmp_path / "r.json"
+        cli.write_report(path, payload)
+        return path.read_text()
+
+    def test_matches_json_dumps_on_random_payloads(self, tmp_path):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            payload = {_random_json_key(rng): _random_json(rng, 1) for _ in range(4)}
+            expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            assert self.encoded(tmp_path, payload) == expected + "\n"
+
+    def test_matches_json_dumps_on_edge_cases(self, tmp_path):
+        payload = {
+            "floats": [-0.0, 5e-324, 1e16, 1e-7, np.float64(0.1), np.float64(-2.5e-300)],
+            "ints": [2**70, -(2**70), True, False, None],
+            "strings": ["\x00\x1f\"\\/", "é中\U0001F600", "%s %r", ""],
+            "empty": {"dict": {}, "list": [], "tuple": ()},
+            "nested": ((1, (2.5, [])), {"b": {"a": ()}}),
+            "": "empty key",
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        assert self.encoded(tmp_path, payload) == expected + "\n"
+        for scalar in (1.5, "x", None, True, 3, [], {}):
+            assert self.encoded(tmp_path, scalar) == json.dumps(scalar, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
+    )
+    @pytest.mark.parametrize("where", ["top", "dict", "list", "nested"])
+    def test_non_finite_float_raises(self, tmp_path, bad, where):
+        payload = {
+            "top": bad,
+            "dict": {"x": 1.0, "y": bad},
+            "list": [1.0, bad],
+            "nested": {"a": [(0.5, bad)]},
+        }[where]
+        with pytest.raises(ValueError):
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_report(tmp_path / "r.json", payload)
+
+    @pytest.mark.parametrize("bad", [np.int64(1), {1, 2}, b"x", object()])
+    def test_unserializable_value_raises_type_error(self, tmp_path, bad):
+        payload = {"a": [bad]}
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli.write_report(tmp_path / "r.json", payload)
 
 
 @pytest.mark.parametrize(

@@ -158,6 +158,15 @@ class TestField:
         assert closed.shape == (4, 5, 2)
         npt.assert_array_equal(closed[3], closed[0])
         npt.assert_array_equal(closed[:, 4], closed[:, 0])
+        # the closed layout is numpy's wrap padding, bit for bit, including
+        # the corners that several axes wrap to
+        for nodes in [(5,), (3, 4), (3, 4, 5)]:
+            spec = GridSpec((1.0,) * len(nodes), nodes, n=2)
+            f = Field(spec, rng.standard_normal(spec.shape) * 1e-300)
+            closed = f.closed_values()
+            padded = np.pad(f.values, [(0, 1)] * spec.p + [(0, 0)], mode="wrap")
+            assert closed.shape == padded.shape
+            assert closed.tobytes() == padded.tobytes()
 
 
 class TestL2:

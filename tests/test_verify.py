@@ -4,6 +4,7 @@ import pytest
 
 from poisson_grad import (
     CosineLattice,
+    ExpressionPotential,
     Field,
     GridSpec,
     LinearForcing,
@@ -21,9 +22,10 @@ from poisson_grad import (
     wirtinger_check,
     wirtinger_constant,
 )
-from poisson_grad.action import GridAction
+from poisson_grad.action import GridAction, PotentialDomainError
 from poisson_grad.cli import read_field_csv, write_field_csv
 from poisson_grad.solver import SolverConfig
+from poisson_grad.verify import certify
 
 from helpers import gaussian_field, peak_transient
 
@@ -127,6 +129,18 @@ class TestElResidual:
         monkeypatch.setattr(GridAction, "gradient", skewed)
         with pytest.raises(RuntimeError, match="assemblies disagree"):
             el_residual(u, pot)
+
+    def test_overflowing_gradient_names_its_first_node(self):
+        # grad F = 2e305 x1 overflows at the two nodes at +-1e4 of a finite
+        # field, whose Laplacian stays finite; the first of them is named
+        spec = GridSpec((1.0,), (8,), n=1)
+        values = np.zeros(spec.shape)
+        values[5:7, 0] = (1e4, -1e4)
+        pot = ExpressionPotential("1 + 1e305*x1^2", 1, 1)
+        with pytest.raises(PotentialDomainError, match="grad F is not finite") as err:
+            certify(Field(spec, values), pot, 1e-6)
+        assert err.value.node_index == (5,)
+        assert err.value.coords == (0.625,)
 
     def test_converged_solve_satisfies_tolerance(self):
         spec = GridSpec((1.0,), (32,), n=1)
