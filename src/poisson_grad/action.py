@@ -66,27 +66,18 @@ class PotentialDomainError(ValueError):
         super().__init__(f"{message} at node {node_index}, t = {coords}")
 
 
-def _locate(spec, element: int | None) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    if element is None:
-        element = 0
-    idx = np.unravel_index(element, spec.nodes)
-    coords = tuple(float(t) for t in node_coordinates(spec)[idx])
-    return tuple(int(k) for k in idx), coords
-
-
 class GridAction:
     """The action of a potential on one grid, and its L2 gradient, as
     functions of node values ``x`` of shape ``spec.shape``.
 
     The potential is bound once, at the grid's node coordinates
     (``Potential.bind``).  The stencils are the ones ``forward_diff`` and
-    ``laplacian`` use; the gradient checks each array they would wrap in a
-    Field for finiteness there too, raising the same ValueError.  The value
-    admits ``x`` exactly when its action is finite; otherwise it raises that
-    ValueError for the kinetic sum, or PotentialDomainError at the first
-    node where F is not finite (node 0 when only the sum overflowed).
-    A potential that fails raises PotentialDomainError with the node; one
-    that declares another p or n than the grid raises ValueError.
+    ``laplacian`` use.  This class alone names where F or grad F fails on a
+    grid: PotentialDomainError carries the first node where the potential
+    raises or grad F is not finite, or, once the action's potential sum is
+    not finite, where F is not (node 0 when only the sum overflowed).  A
+    kinetic sum or a gradient that is not finite otherwise raises the
+    ValueError a Field raises; a potential of another p or n, ValueError.
     """
 
     def __init__(self, pot: Potential, spec: GridSpec):
@@ -98,12 +89,22 @@ class GridAction:
         self.spec = spec
         self.potential = pot.bind(node_coordinates(spec))
 
+    def _at(self, message: str, element: int | None) -> PotentialDomainError:
+        """The error at the node of flat index ``element``, node 0 for None."""
+        idx = np.unravel_index(element or 0, self.spec.nodes)
+        coords = tuple(float(t) for t in node_coordinates(self.spec)[idx])
+        return PotentialDomainError(message, tuple(int(k) for k in idx), coords)
+
     def _located(self, fn, x: np.ndarray) -> np.ndarray:
         try:
             return fn(x)
         except ValueError as err:
-            idx, t = _locate(self.spec, getattr(err, "element", None))
-            raise PotentialDomainError(str(err), idx, t) from err
+            raise self._at(str(err), getattr(err, "element", None)) from err
+
+    def _not_finite(self, name: str, nodes: np.ndarray) -> PotentialDomainError:
+        """The error at the first node where ``nodes`` is not finite, or node 0."""
+        finite = np.isfinite(nodes).reshape(self.spec.node_count, -1).all(axis=1)
+        return self._at(f"{name} is not finite", int(finite.argmin()))
 
     def value(self, x: np.ndarray) -> ActionValue:
         nodes = self._located(self.potential.value, x)
@@ -116,20 +117,21 @@ class GridAction:
             raise ValueError("field contains non-finite values")
         potential = self.spec.cell_volume * _reduce(nodes)
         if not math.isfinite(potential):
-            bad = np.flatnonzero(~np.isfinite(nodes))
-            idx, t = _locate(self.spec, int(bad[0]) if bad.size else 0)
-            raise PotentialDomainError("F is not finite", idx, t)
+            raise self._not_finite("F", nodes)
         return ActionValue(kinetic=kinetic, potential=potential)
 
     def potential_gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad F(t, x) at the nodes."""
-        return self._located(self.potential.gradient, x)
+        """grad F(t, x) at the nodes, all finite."""
+        grad_f = self._located(self.potential.gradient, x)
+        if not np.isfinite(grad_f).all():
+            raise self._not_finite("grad F", grad_f)
+        return grad_f
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """-laplacian(x) + grad F(t, x), a new array."""
+        """-laplacian(x) + grad F(t, x), a new array; with grad F finite, it
+        is not finite where the Laplacian is not."""
         grad_f = self.potential_gradient(x)
         lap = _laplacian(x, self.spec.spacings)
-        _require_finite(lap)
         grad = np.subtract(grad_f, lap, out=lap)
         _require_finite(grad)
         return grad

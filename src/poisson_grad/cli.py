@@ -831,13 +831,14 @@ def cmd_oracle_linear(args) -> int:
     spec = build_grid(cfg)
     _claim_outputs({"config": args.config, "rhs_csv": args.rhs_csv}, {"--output": args.output})
     rhs = _read_open_field(args.rhs_csv, spec, "oracle-linear rhs_csv")
-    solution = solve_linear_poisson(rhs)
-    write_field_csv(args.output, solution)
-    _say(
-        args,
-        f"solved stencil Poisson problem: |u|_L2={l2_norm(solution):.6e}, "
-        f"mean={mean(solution)}; wrote {args.output}",
-    )
+    with fp_policy():
+        solution = solve_linear_poisson(rhs)
+        write_field_csv(args.output, solution)
+        _say(
+            args,
+            f"solved stencil Poisson problem: |u|_L2={l2_norm(solution):.6e}, "
+            f"mean={mean(solution)}; wrote {args.output}",
+        )
     return EXIT_OK
 
 

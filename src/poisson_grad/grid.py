@@ -344,16 +344,18 @@ def h1_riesz_map(spec: GridSpec) -> Callable[..., np.ndarray]:
 def solve_linear_poisson(f: Field) -> Field:
     """Solve laplacian(u) = f for the unique zero-mean u by DFT.
 
-    Oracle for manufactured solutions: the right-hand side must have zero
-    mean per component (within 1e-10 times its L2 norm), otherwise no
-    periodic solution exists and a ValueError is raised.
+    Oracle for manufactured solutions: the right-hand side must have a
+    finite L2 norm (its squares overflow silently under ``fp_policy``) and,
+    since no periodic solution exists otherwise, zero mean per component
+    within 1e-10 times that norm; else a ValueError is raised.
     """
     spec = f.spec
+    norm = l2_norm(f)
+    if not math.isfinite(norm):
+        raise ValueError(f"right-hand side must have a finite L2 norm, got {norm}")
     fbar = mean(f)
-    if np.any(np.abs(fbar) > 1e-10 * l2_norm(f)):
-        raise ValueError(
-            f"right-hand side must have zero mean per component, got {fbar}"
-        )
+    if np.any(np.abs(fbar) > 1e-10 * norm):
+        raise ValueError(f"right-hand side must have zero mean per component, got {fbar}")
     zero = (0,) * spec.p
 
     def divide(uhat: np.ndarray) -> None:

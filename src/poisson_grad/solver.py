@@ -272,11 +272,11 @@ def minimize(
     ``line_search_failed`` are what they say.  A trial point whose action is
     not finite or where F leaves its domain counts as an Armijo rejection;
     a non-finite action or a PotentialDomainError at the initial point, or
-    one in the gradient at an accepted point, still propagates; all of it
-    runs under ``fp_policy``, so these tests decide.  Whenever
-    the potential declares periods, the initial point and every accepted
-    iterate are canonicalized; trial points are priced as they are, without
-    a shift.
+    one in the gradient at an accepted point, as where grad F is not finite,
+    propagates; all of it runs under ``fp_policy``, so these tests decide.
+    Whenever the potential declares periods, the initial point and every
+    accepted iterate are canonicalized; trial points are priced as they
+    are, without a shift.
 
     The potential is bound to the grid once per call (``GridAction``), and
     its periods pass ``declared_periods`` once.  Each iteration applies the

@@ -22,7 +22,7 @@ import numpy as np
 
 # action_gradient and node_coordinates are not called here; they stay bound
 # in this module because perfbench/spans.py traces them by these names
-from .action import GridAction, PotentialDomainError, _locate
+from .action import GridAction
 from .action import action_gradient, stacked_diff_norm  # noqa: F401
 from .grid import (  # noqa: F401
     Field,
@@ -71,8 +71,8 @@ def el_residual(u: Field, pot: Potential) -> tuple[Field, ResidualReport]:
     each assembly rounds in proportion to its stencil terms, about
     4 max|u| / h_alpha^2 per axis, and to grad F, not to the residual,
     which is tiny at a solution.  Both assemblies use one binding of the
-    potential to the grid.  Where grad F is not finite, PotentialDomainError
-    names its first such node.
+    potential to the grid, whose ``potential_gradient`` raises
+    PotentialDomainError at the first node where grad F is not finite.
     """
     spec = u.spec
     lap = np.zeros_like(u.values)
@@ -80,14 +80,7 @@ def el_residual(u: Field, pot: Potential) -> tuple[Field, ResidualReport]:
         lap += backward_diff(forward_diff(u, axis), axis).values
     act = GridAction(pot, spec)
     grad_f = act.potential_gradient(u.values)
-    try:
-        residual = Field(spec, np.subtract(lap, grad_f, out=lap))
-    except ValueError:
-        # a finite field's residual is not finite where grad F is not
-        bad = np.flatnonzero(~np.isfinite(grad_f).all(axis=-1))
-        if not bad.size:
-            raise
-        raise PotentialDomainError("grad F is not finite", *_locate(spec, int(bad[0]))) from None
+    residual = Field(spec, np.subtract(lap, grad_f, out=lap))
     grad_f_max = float(np.max(np.abs(grad_f)))
     del grad_f  # the second assembly evaluates grad F afresh
     grad = act.gradient(u.values)

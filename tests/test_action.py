@@ -19,7 +19,8 @@ from poisson_grad import (
     laplacian,
     minimize,
 )
-from poisson_grad.action import PotentialDomainError
+from poisson_grad.action import GridAction, PotentialDomainError
+from poisson_grad.potential import fp_policy
 from poisson_grad.verify import certify
 
 from helpers import action_fsum_oracle, gaussian_field, random_field
@@ -138,6 +139,32 @@ class TestActionGradient:
             action(u, pot)
         assert err.value.node_index == (2,)
         assert err.value.coords == (0.5,)
+
+    def test_gradient_names_first_node_where_grad_f_overflows(self):
+        # F = 1 + 1/x1 is finite at x1 = 1e-160, where grad F = -1e320 is not;
+        # of the two such nodes the first is named, by both gradients
+        spec = GridSpec((1.0,), (8,), n=1)
+        values = np.ones(spec.shape)
+        values[[3, 6], 0] = 1e-160
+        act = GridAction(ExpressionPotential("1 + 1/x1", 1, 1), spec)
+        with fp_policy():
+            assert np.isfinite(act.value(values).total)
+            for evaluate in (act.potential_gradient, act.gradient):
+                with pytest.raises(PotentialDomainError, match="grad F is not finite") as err:
+                    evaluate(values)
+                assert err.value.node_index == (3,)
+                assert err.value.coords == (0.375,)
+
+    def test_overflowing_laplacian_is_no_domain_error(self):
+        # grad F = x1 stays finite at +-1e308, while the Laplacian overflows
+        spec = GridSpec((1.0,), (8,), n=1)
+        values = np.array([[1e308], [-1e308]] * 4)
+        act = GridAction(ShiftedQuadratic([0.0]), spec)
+        with fp_policy():
+            npt.assert_array_equal(act.potential_gradient(values), values)
+            with pytest.raises(ValueError, match="^field contains non-finite values$") as err:
+                act.gradient(values)
+        assert type(err.value) is ValueError
 
 
 class TestGridContract:

@@ -1095,6 +1095,29 @@ class TestSolveCommand:
         assert not (tmp_path / "field.csv").exists()
         assert not (tmp_path / "report.json").exists()
 
+    def test_gradient_overflow_at_start_exits_3_writing_nothing(self, tmp_path, capsys):
+        # F = 1 + 1/x1 is finite at the start 1e-160, where grad F = -1e320
+        # is not; solve names its node as residual does, warns of nothing and
+        # writes nothing.  The 10 points of checks seed 0 pass both checks.
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "expr", "expr": "1 + 1/x1"},
+            init={"kind": "constant", "value": 1e-160},
+            checks={"samples": 10, "seed": 0},
+        )
+        message = "error: grad F is not finite at node (0,), t = (0.0,)\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert capsys.readouterr().err == message
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
+        start = tmp_path / "start.csv"
+        write_field_csv(start, Field.constant(GridSpec((1.0,), (8,), n=1), 1e-160))
+        assert main(["--quiet", "residual", str(start), str(cfg)]) == 3
+        assert capsys.readouterr().err == message
+
     def test_positivity_sampled_once_per_solve(self, tmp_path, monkeypatch):
         calls = []
         sampled = cli.check_positivity
@@ -1487,6 +1510,27 @@ class TestOracleLinear:
         assert capsys.readouterr().err == (
             "error: right-hand side must have zero mean per component, got [1.]\n"
         )
+
+    @pytest.mark.parametrize(
+        "values", [(-1e307, 1e307), (5e306, 1e307)], ids=["zero-mean", "nonzero-mean"]
+    )
+    def test_rhs_with_overflowing_norm_exits_3(self, tmp_path, capsys, values):
+        # the squares in the L2 norm overflow; with an infinite norm the
+        # zero-mean test could not refuse the second rhs, of mean 7.5e306
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]})
+        spec = GridSpec((1.0,), (8,), n=1)
+        rhs_path = tmp_path / "rhs.csv"
+        write_field_csv(rhs_path, Field(spec, np.array([values] * 4).reshape(spec.shape)))
+        out = tmp_path / "u.csv"
+        argv = ["--quiet", "oracle-linear", str(rhs_path), str(cfg), "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: right-hand side must have a finite L2 norm, got inf\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "output, message",

@@ -26,7 +26,7 @@ from poisson_grad import (
     split_mean,
     wirtinger_constant,
 )
-from poisson_grad.action import PotentialDomainError
+from poisson_grad.action import GridAction, PotentialDomainError
 from poisson_grad.expr import EvalDomainError
 from poisson_grad.potential import BoundPotential
 from poisson_grad.solver import (
@@ -72,22 +72,33 @@ class TestSolverConfig:
 
 
 class TestCanonicalize:
+    """The canonicalization ``minimize`` runs, ``solver._canonical``, on a
+    cosine lattice of the given periods."""
+
+    @staticmethod
+    def canonical(spec, values, periods):
+        pot = CosineLattice([1.0] * spec.n, periods, floor=0.1, p=spec.p)
+        act = GridAction(pot, spec)
+        priced = act.value(values)
+        shifted, _, shifts, _ = solver._canonical(act, values, priced, pot.periods)
+        return shifted, shifts
+
     def test_wraps_mean_down(self):
         spec = GridSpec((1.0,), (8,), n=1)
-        shifted, k = canonicalize(Field.constant(spec, 7.3), [TWO_PI])
+        shifted, k = self.canonical(spec, np.full(spec.shape, 7.3), [TWO_PI])
         npt.assert_array_equal(k, [-1])
-        assert mean(shifted)[0] == pytest.approx(7.3 - TWO_PI, rel=1e-14)
+        assert mean(Field(spec, shifted))[0] == pytest.approx(7.3 - TWO_PI, rel=1e-14)
 
     def test_wraps_mean_up(self):
         spec = GridSpec((1.0,), (8,), n=1)
-        shifted, k = canonicalize(Field.constant(spec, -0.5), [1.0])
+        shifted, k = self.canonical(spec, np.full(spec.shape, -0.5), [1.0])
         npt.assert_array_equal(k, [1])
-        assert mean(shifted)[0] == pytest.approx(0.5, rel=1e-14)
+        assert mean(Field(spec, shifted))[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_identity_when_in_cell(self):
         spec = GridSpec((1.0,), (8,), n=1)
-        u = Field.zeros(spec)
-        shifted, k = canonicalize(u, [1.0])
+        u = np.zeros(spec.shape)
+        shifted, k = self.canonical(spec, u, [1.0])
         npt.assert_array_equal(k, [0])
         assert shifted is u
 
@@ -95,9 +106,9 @@ class TestCanonicalize:
         spec = GridSpec((1.0,), (16,), n=2)
         rng = np.random.default_rng(0)
         u = Field(spec, rng.uniform(5.0, 9.0, spec.shape))
-        shifted, _ = canonicalize(u, [TWO_PI, 1.0])
+        shifted, _ = self.canonical(spec, u.values, [TWO_PI, 1.0])
         _, tilde_before = split_mean(u)
-        _, tilde_after = split_mean(shifted)
+        _, tilde_after = split_mean(Field(spec, shifted))
         npt.assert_allclose(tilde_after.values, tilde_before.values, atol=1e-13)
 
     def test_missing_periods_rejected(self):
@@ -344,7 +355,7 @@ class TestMinimize:
         spec = GridSpec((1.0,), (8,), n=1)
         pot = ExpressionPotential("1 + (x1 + 0.3)^2", 1, 1, periods=[1.0])
         init = Field.constant(spec, 0.5)
-        assert not canonicalize(init, pot.periods)[1].any()
+        assert not solver._lattice_shifts(init.values, spec, pot.periods).any()
         with pytest.raises(RuntimeError, match="lattice shift changed the action"):
             minimize(pot, init, SolverConfig())
 
