@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# laplacian is not called here; it stays bound in this module because
-# perfbench/spans.py traces it by this name
+# forward_diff and laplacian are not called here; they stay bound in this
+# module because perfbench/spans.py traces them by these names
 from .grid import Field, GridSpec, forward_diff, l2_norm, laplacian, node_coordinates  # noqa: F401
-from .grid import _forward, _laplacian, _reduce, _require_finite
+from .grid import _difference, _laplacian, _norm, _reduce, _require_finite
 from .potential import GrowthEnvelope, Potential
 
 __all__ = [
@@ -109,9 +109,10 @@ class GridAction:
     def value(self, x: np.ndarray) -> ActionValue:
         nodes = self._located(self.potential.value, x)
         kin_density = np.zeros(self.spec.nodes)
+        d = np.empty(x.shape)
         for axis, h in enumerate(self.spec.spacings):
-            d = _forward(x, axis, h)
-            kin_density += np.add.reduce(d * d, axis=-1)
+            _difference(x, axis, h, 1, d)
+            kin_density += np.add.reduce(np.multiply(d, d, d), axis=-1)
         kinetic = self.spec.cell_volume * _reduce(0.5 * kin_density)
         if not math.isfinite(kinetic):
             raise ValueError("field contains non-finite values")
@@ -129,10 +130,10 @@ class GridAction:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """-laplacian(x) + grad F(t, x), a new array; with grad F finite, it
-        is not finite where the Laplacian is not."""
-        grad_f = self.potential_gradient(x)
+        is not finite where the Laplacian is not.  The Laplacian is finished,
+        and its working space freed, before grad F is evaluated."""
         lap = _laplacian(x, self.spec.spacings)
-        grad = np.subtract(grad_f, lap, out=lap)
+        grad = np.subtract(self.potential_gradient(x), lap, out=lap)
         _require_finite(grad)
         return grad
 
@@ -154,10 +155,14 @@ def action_gradient(u: Field, pot: Potential) -> Field:
 
 
 def stacked_diff_norm(u: Field) -> float:
-    """L2 norm of the stacked forward differences, sqrt(sum_alpha |D_alpha u|^2)."""
+    """L2 norm of the stacked forward differences, sqrt(sum_alpha |D_alpha u|^2),
+    each difference finite as a Field's values are, in one buffer."""
+    spec = u.spec
+    d = np.empty(spec.shape)
     total = 0.0
-    for axis in range(u.spec.p):
-        total += l2_norm(forward_diff(u, axis)) ** 2
+    for axis, h in enumerate(spec.spacings):
+        _require_finite(_difference(u.values, axis, h, 1, d))
+        total += _norm(spec, d, out=d) ** 2
     return math.sqrt(total)
 
 

@@ -15,6 +15,7 @@ called across threads freely.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -48,9 +49,10 @@ def _reduce(values: np.ndarray) -> float:
     return float(np.add.reduce(np.ascontiguousarray(values), axis=None, dtype=np.float64))
 
 
-def _require_finite(values: np.ndarray) -> None:
+def _require_finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("field contains non-finite values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,45 @@ def _inner(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
     return spec.cell_volume * _reduce(a * b)
 
 
-def _norm(spec: GridSpec, a: np.ndarray) -> float:
-    return math.sqrt(max(_inner(spec, a, a), 0.0))
+def _norm(spec: GridSpec, a: np.ndarray, out: np.ndarray | None = None) -> float:
+    """L2 norm of node values ``a``; the squares go to ``out`` when given,
+    which may be ``a`` itself."""
+    return math.sqrt(max(spec.cell_volume * _reduce(np.multiply(a, a, out=out)), 0.0))
 
 
-def _neighbor(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """Values at node k + step * e_axis, wrapping periodically, for step = +-1:
-    np.roll(values, -step, axis) from two slice copies."""
+# The stencil kernels below write into C-contiguous buffers.  A shift by one
+# node along an axis is a shift by that axis's stride in the flat node
+# order, so each shift is one contiguous pass over the flat buffers, after
+# which the slab where the neighbor wraps is mended.  On strided slices
+# along the last node axis, numpy 2.4 would instead buffer up to 8192
+# elements per operand.
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_layout(shape: tuple[int, ...], axis: int) -> tuple[slice, slice, tuple, tuple]:
+    """How ``axis`` lies in a C-contiguous array of ``shape``: the flat
+    slices of the nodes k and of their neighbors k + e_axis in the flat
+    pass, which are one stride apart, and the indices of the axis's last and
+    first slabs, where the neighbor wraps."""
+    stride = math.prod(shape[axis + 1 :])
     head = (slice(None),) * axis
-    return np.concatenate(
-        (values[head + (slice(step, None),)], values[head + (slice(None, step),)]), axis=axis
-    )
+    return slice(None, -stride), slice(stride, None), head + (-1,), head + (0,)
+
+
+def _difference(
+    values: np.ndarray, axis: int, h: float, step: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Periodic (u(k + e_axis) - u(k)) / h for step 1, (u(k) - u(k - e_axis))
+    / h for step -1, into ``out`` (a new array when None), which must be
+    C-contiguous and must not be ``values``.  Both are u(k + e) - u(k), put at
+    node k or at node k + e."""
+    if out is None:
+        out = np.empty(values.shape)
+    lower, upper, last, first = _axis_layout(values.shape, axis)
+    flat, into = values.reshape(-1), out.reshape(-1)
+    np.subtract(flat[upper], flat[lower], into[lower] if step > 0 else into[upper])
+    np.subtract(values[first], values[last], out[last] if step > 0 else out[first])
+    return np.divide(out, h, out)
 
 
 def forward_diff(u: Field, axis: int) -> Field:
@@ -241,11 +271,7 @@ def forward_diff(u: Field, axis: int) -> Field:
     spec = u.spec
     if not 0 <= axis < spec.p:
         raise ValueError(f"axis {axis} out of range for {spec.p} time axes")
-    return Field(spec, _forward(u.values, axis, spec.spacings[axis]))
-
-
-def _forward(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (_neighbor(values, axis, 1) - values) / h
+    return Field(spec, _difference(u.values, axis, spec.spacings[axis], 1))
 
 
 def backward_diff(u: Field, axis: int) -> Field:
@@ -253,8 +279,7 @@ def backward_diff(u: Field, axis: int) -> Field:
     spec = u.spec
     if not 0 <= axis < spec.p:
         raise ValueError(f"axis {axis} out of range for {spec.p} time axes")
-    h = spec.spacings[axis]
-    return Field(spec, (u.values - _neighbor(u.values, axis, -1)) / h)
+    return Field(spec, _difference(u.values, axis, spec.spacings[axis], -1))
 
 
 def laplacian(u: Field) -> Field:
@@ -264,10 +289,40 @@ def laplacian(u: Field) -> Field:
 
 
 def _laplacian(values: np.ndarray, spacings) -> np.ndarray:
-    out = np.zeros(values.shape)
+    """The stencil in a new array, with one more as working space for p > 1.
+
+    Each axis's term is ((-2 u(k) + u(k+e)) + u(k-e)) / h^2, which is bit for
+    bit ((u(k+e) - 2 u(k)) + u(k-e)) / h^2: negation is exact and addition
+    commutes.  Along axis 0 the flat passes stop short of the wrap slabs,
+    which are then mended in place; along a later axis they run into the
+    wrap slab of every block but the last, so its sum is taken first.  The
+    terms are summed from the first, and the sum then gets + 0.0, which is
+    bit for bit the sum from 0.0: only a -0.0 differs, and it turns +0.0.
+    """
+    out = np.empty(values.shape)
+    term = np.empty(values.shape) if len(spacings) > 1 else None
+    flat = values.reshape(-1)
     for axis, h in enumerate(spacings):
-        out += (_neighbor(values, axis, 1) - 2.0 * values + _neighbor(values, axis, -1)) / h**2
-    return out
+        buf = term if axis else out
+        acc = buf.reshape(-1)
+        lower, upper, last, first = _axis_layout(values.shape, axis)
+        np.multiply(values, -2.0, buf)
+        if axis == 0:
+            np.add(acc[lower], flat[upper], acc[lower])
+            np.add(buf[last], values[first], buf[last])
+            np.add(acc[upper], flat[lower], acc[upper])
+            np.add(buf[first], values[last], buf[first])
+        else:
+            wrap = buf[last] + values[first]
+            np.add(acc[lower], flat[upper], acc[lower])
+            buf[last] = wrap
+            wrap = buf[first] + values[last]
+            np.add(acc[upper], flat[lower], acc[upper])
+            buf[first] = wrap
+        np.divide(buf, h**2, buf)
+        if axis:
+            out += buf
+    return np.add(out, 0.0, out)
 
 
 def mean(u: Field) -> np.ndarray:

@@ -285,8 +285,8 @@ class LinearForcing(Potential):
         # a forcing whose norm overflows has no finite envelope, which
         # GrowthEnvelope refuses
         with fp_policy():
-            per_node = np.sqrt(np.sum(forcing.values**2, axis=-1))
-        self.growth = GrowthEnvelope(m=0.0, g_max=float(per_node.max()))
+            g_max = float(_vector_norms(forcing.values).max())
+        self.growth = GrowthEnvelope(m=0.0, g_max=g_max)
 
     def _forcing_at(self, t: np.ndarray) -> np.ndarray:
         """f at the nearest nodes; at its own nodes, the forcing, not a copy
@@ -318,6 +318,17 @@ class LinearForcing(Potential):
     @staticmethod
     def _negated(f: np.ndarray, x) -> np.ndarray:
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
+
+
+def _vector_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, under ``fp_policy``: the square
+    root of the sum of squares, and hypot's scaled sum only where the squares
+    overflow, so that a norm is infinite only when it overflows itself."""
+    norms = np.sqrt(np.sum(v**2, axis=-1))
+    if not math.isfinite(norms.max()):
+        over = ~np.isfinite(norms)
+        norms[over] = np.hypot.reduce(np.abs(v[over]), axis=-1)
+    return norms
 
 
 def _finite(quantity: np.ndarray) -> tuple[np.ndarray, int]:
@@ -373,7 +384,7 @@ def check_gradient_growth(sample: Sample) -> CheckReport:
     if env is None:
         raise ValueError(f"potential '{sample.pot.name}' declares no growth envelope")
     x = sample.x
-    g = np.sqrt(np.sum(sample.gradient**2, axis=-1))
+    g = _vector_norms(sample.gradient)
     allowed = env.m * np.sqrt(np.sum(x * x, axis=-1)) + env.g_max
     margin = g - allowed
     finite, bad = _finite(margin)

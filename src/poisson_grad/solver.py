@@ -41,7 +41,7 @@ import numpy as np
 # module because perfbench/spans.py traces them by these names
 from .action import ActionValue, GridAction, action, action_gradient  # noqa: F401
 from .grid import Field, GridSpec, h1_riesz_map
-from .grid import _forward, _inner, _node_mean, _norm, _require_finite
+from .grid import _difference, _inner, _node_mean, _norm, _require_finite
 from .potential import Potential, declared_periods, fp_policy
 from .verify import wirtinger_constant, wirtinger_floor
 
@@ -105,9 +105,13 @@ class IterationRecord:
 
     def to_dict(self) -> dict:
         """The fields by name, shallow, with ``index`` keyed as ``iter``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: getattr(self, name) for name in _RECORD_FIELDS}
         out["iter"] = out.pop("index")
         return out
+
+
+# read once: dataclasses.fields costs more than the rest of a record's to_dict
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -209,8 +213,8 @@ def _secant_mass(
     node_axes = spec.node_axes
     total = np.add.reduce
     kinetic = sum(
-        total(d * d, axis=node_axes)
-        for d in (_forward(s, a, h) for a, h in enumerate(spec.spacings))
+        total(np.multiply(d, d, out=d), axis=node_axes)
+        for d in (_difference(s, a, h, 1) for a, h in enumerate(spec.spacings))
     )
     moved = total(s * s, axis=node_axes)
     still = moved == 0.0

@@ -20,19 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# action_gradient and node_coordinates are not called here; they stay bound
-# in this module because perfbench/spans.py traces them by these names
+# action_gradient, forward_diff and node_coordinates are not called here;
+# they stay bound in this module because perfbench/spans.py traces them by
+# these names
 from .action import GridAction
 from .action import action_gradient, stacked_diff_norm  # noqa: F401
 from .grid import (  # noqa: F401
     Field,
     GridSpec,
-    backward_diff,
     forward_diff,
     l2_norm,
     node_coordinates,
     split_mean,
 )
+from .grid import _difference, _norm, _require_finite
 from .potential import Potential, fp_policy
 
 __all__ = [
@@ -54,6 +55,12 @@ __all__ = [
 _ASSEMBLY_TOL = 16.0 * float(np.finfo(np.float64).eps)
 
 
+def _abs_max(values: np.ndarray) -> float:
+    """max |values|, as np.max(np.abs(values)) gives it (+0.0 for zeros of
+    either sign), without an array of absolute values."""
+    return max(float(values.max()), -float(values.min())) + 0.0
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     l2: float
@@ -73,27 +80,35 @@ def el_residual(u: Field, pot: Potential) -> tuple[Field, ResidualReport]:
     which is tiny at a solution.  Both assemblies use one binding of the
     potential to the grid, whose ``potential_gradient`` raises
     PotentialDomainError at the first node where grad F is not finite.
+
+    Each difference must be finite, as a Field's values must.  The first
+    assembly works in two buffers besides the residual, and the second is
+    ``GridAction.gradient``, so about three fields are alive at once.
     """
     spec = u.spec
-    lap = np.zeros_like(u.values)
-    for axis in range(spec.p):
-        lap += backward_diff(forward_diff(u, axis), axis).values
+    lap = np.zeros(spec.shape)
+    forward, backward = np.empty(spec.shape), np.empty(spec.shape)
+    for axis, h in enumerate(spec.spacings):
+        _require_finite(_difference(u.values, axis, h, 1, forward))
+        lap += _require_finite(_difference(forward, axis, h, -1, backward))
+    del forward, backward
     act = GridAction(pot, spec)
     grad_f = act.potential_gradient(u.values)
     residual = Field(spec, np.subtract(lap, grad_f, out=lap))
-    grad_f_max = float(np.max(np.abs(grad_f)))
+    grad_f_max = _abs_max(grad_f)
     del grad_f  # the second assembly evaluates grad F afresh
     grad = act.gradient(u.values)
-    mismatch = float(np.max(np.abs(np.add(grad, residual.values, out=grad), out=grad)))
-    u_max = float(np.max(np.abs(u.values)))
+    mismatch = _abs_max(np.add(grad, residual.values, out=grad))
+    u_max = _abs_max(u.values)
     scale = 1.0 + grad_f_max + sum(4.0 * u_max / h**2 for h in spec.spacings)
     if mismatch > _ASSEMBLY_TOL * scale:
         raise RuntimeError(
             f"residual/gradient assemblies disagree: "
             f"{mismatch:.3e} > {_ASSEMBLY_TOL:.3e} * {scale:.3e}"
         )
+    # the residual's squares go to the spent gradient buffer
     return residual, ResidualReport(
-        l2=l2_norm(residual), linf=float(np.max(np.abs(residual.values)))
+        l2=_norm(spec, residual.values, out=grad), linf=_abs_max(residual.values)
     )
 
 
@@ -195,7 +210,7 @@ def certify(u: Field, pot: Potential, residual_tol: float) -> Certificate:
     face matching of a closed import is ``boundary_check``, which needs the
     closed grid."""
     with fp_policy():
-        _, norms = el_residual(u, pot)
+        norms = el_residual(u, pot)[1]  # the residual field is not kept
         return Certificate(
             residual_l2=norms.l2,
             residual_linf=norms.linf,

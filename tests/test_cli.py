@@ -1342,15 +1342,15 @@ class TestCheckCommand:
             assert line.endswith(f"; {overflowing} samples not finite)")
 
     def test_overflowing_linear_forcing_exits_3(self, tmp_path, capsys):
-        # the squares of a +-1e200 forcing overflow its growth envelope; the
-        # kind is named, and numpy warns of none
-        spec = GridSpec((1.0,), (8,), n=1)
+        # the norm of a (1.5e308, -1.5e308) forcing, 2.1e308, overflows its
+        # growth envelope; the kind is named, and numpy warns of none
+        spec = GridSpec((1.0,), (8,), n=2)
         forcing = tmp_path / "forcing.csv"
-        write_field_csv(forcing, Field(spec, np.array([[1e200], [-1e200]] * 4)))
+        write_field_csv(forcing, Field(spec, np.array([[1.5e308, -1.5e308]] * 8)))
         cfg = tmp_path / "c.json"
         write_config(
             cfg,
-            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            grid={"p": 1, "n": 2, "extents": [1.0], "nodes": [8]},
             potential={"kind": "linear", "forcing_csv": str(forcing)},
         )
         with warnings.catch_warnings():
@@ -1359,6 +1359,33 @@ class TestCheckCommand:
         assert capsys.readouterr().err == (
             "error: invalid linear potential: g_max must be finite and nonnegative, got inf\n"
         )
+
+    @pytest.mark.parametrize("size", [1e160, 1e200])
+    def test_linear_forcing_whose_squares_overflow_is_checked(self, tmp_path, capsys, size):
+        # the squares of a +-1e160 forcing overflow, its norm 1e160 does not:
+        # g_max and |grad F| are both 1e160, so the growth check passes, and
+        # only positivity fails, as for any linear forcing
+        spec = GridSpec((1.0,), (8,), n=1)
+        forcing = tmp_path / "forcing.csv"
+        write_field_csv(forcing, Field(spec, np.array([[size], [-size]] * 4)))
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "linear", "forcing_csv": str(forcing)},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()[:3]}
+        assert verdicts == {
+            "positivity": "FAIL",
+            "gradient_growth": "pass",
+            "grad_consistency": "pass",
+        }
+        assert "gradient_growth    pass  worst=0.000e+00 " in out
 
 
 class TestResidualCommand:

@@ -17,6 +17,8 @@ from poisson_grad import (
     split_mean,
 )
 from poisson_grad.grid import (
+    _difference,
+    _laplacian,
     backward_diff,
     h1_riesz_map,
     laplacian_symbol,
@@ -24,7 +26,7 @@ from poisson_grad.grid import (
     lattice_coordinates,
 )
 
-from helpers import gaussian_field, random_field
+from helpers import gaussian_field, peak_transient, random_field
 
 
 def h1_inner(u, v):
@@ -260,6 +262,53 @@ class TestStencilsMatchRoll:
             npt.assert_array_equal(bits(forward_diff(u, axis).values), bits((after - v) / h))
             npt.assert_array_equal(bits(backward_diff(u, axis).values), bits((v - before) / h))
         npt.assert_array_equal(bits(laplacian(u).values), bits(lap))
+
+    @pytest.mark.parametrize(
+        "nodes, n",
+        [((5,), 2), ((5, 4), 1), ((5, 4, 3), 2), ((64, 64), 1), ((3, 16, 3), 3)],
+    )
+    def test_buffer_kernels_bit_identical_to_roll_formulas(self, nodes, n):
+        # the kernels' flat passes and wrap slabs against np.roll, the
+        # differences into one reused buffer; 64^2, n = 1 is a size at which
+        # numpy 2.4 buffers strided operands
+        spec = GridSpec(tuple(1.0 + 0.1 * a for a in range(len(nodes))), nodes, n=n)
+        v = gaussian_field(spec, np.random.default_rng(sum(nodes) + n)).values
+        out = np.full(spec.shape, np.nan)
+        lap = np.zeros_like(v)
+        for axis, h in enumerate(spec.spacings):
+            after, before = np.roll(v, -1, axis=axis), np.roll(v, 1, axis=axis)
+            lap += (after - 2.0 * v + before) / h**2
+            assert _difference(v, axis, h, 1, out) is out
+            npt.assert_array_equal(bits(out), bits((after - v) / h))
+            assert _difference(v, axis, h, -1, out) is out
+            npt.assert_array_equal(bits(out), bits((v - before) / h))
+        npt.assert_array_equal(bits(_laplacian(v, spec.spacings)), bits(lap))
+
+    def test_laplacian_keeps_the_sign_of_zero_of_a_sum_from_zero(self):
+        # a stencil sum that is -0.0 comes out +0.0, as 0.0 + (-0.0) does
+        spec = GridSpec((1.0,), (4,), n=1)
+        v = np.array([[0.0], [-0.0], [0.0], [-0.0]])
+        npt.assert_array_equal(bits(_laplacian(v, spec.spacings)), bits(np.zeros((4, 1))))
+
+
+class TestStencilMemory:
+    """The kernels' transients on a 64^2, n = 1 field, in multiples of its
+    bytes; strided slices along the last node axis would add about three,
+    numpy 2.4's ufunc buffers."""
+
+    def test_laplacian_works_in_two_fields(self):
+        # its result and one term buffer, plus the wrap slabs: 2.12 (it was 4.03)
+        spec = GridSpec((1.0, 1.0), (64, 64), n=1)
+        v = gaussian_field(spec, np.random.default_rng(5)).values
+        assert peak_transient(_laplacian, v, spec.spacings) <= 2.2 * v.nbytes
+
+    def test_difference_into_a_buffer_allocates_no_field(self):
+        spec = GridSpec((1.0, 1.0), (64, 64), n=1)
+        v = gaussian_field(spec, np.random.default_rng(6)).values
+        out = np.empty(spec.shape)
+        for axis, h in enumerate(spec.spacings):
+            for step in (1, -1):
+                assert peak_transient(_difference, v, axis, h, step, out) <= 0.1 * v.nbytes
 
 
 class TestMeanSplit:

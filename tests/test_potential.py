@@ -265,6 +265,20 @@ class TestLinearForcing:
             pot.value(node_coordinates(spec), x), -2.0 * np.arange(8.0)
         )
 
+    def test_growth_bound_is_the_largest_node_norm(self):
+        # the plain norm, bit for bit, wherever its squares do not overflow
+        spec = GridSpec((1.0, 1.0), (6, 5), n=3)
+        f = np.random.default_rng(7).standard_normal(spec.shape) * 1e100
+        pot = LinearForcing(Field(spec, f))
+        assert pot.growth.g_max == float(np.sqrt(np.sum(f**2, axis=-1)).max())
+
+    def test_growth_bound_where_the_squares_overflow(self):
+        # hypot's norm at the nodes whose squares overflow: 5e200 and 1e160
+        spec = GridSpec((1.0,), (3,), n=2)
+        f = np.array([[1.0, 2.0], [3e200, -4e200], [0.0, -1e160]])
+        npt.assert_allclose(LinearForcing(Field(spec, f)).growth.g_max, 5e200, rtol=1e-15)
+        assert LinearForcing(Field(spec, f[[0, 2, 2]])).growth.g_max == 1e160
+
     def test_nearest_node_snap(self):
         spec = GridSpec((1.0,), (4,), n=1)
         pot = LinearForcing(Field(spec, np.array([0.0, 1.0, 2.0, 3.0])))

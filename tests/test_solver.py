@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -549,6 +550,28 @@ class TestMinimizeMemory:
         _, report = runs[0]
         assert (report.status, report.final.index) == ("converged", 19)
         assert peak <= 18.0 * init.values.nbytes, peak / init.values.nbytes
+
+
+class TestIterationRecord:
+    def test_to_dict_keys_every_field_once(self):
+        record = IterationRecord(
+            index=3,
+            action_total=2.0,
+            action_kinetic=0.5,
+            action_potential=1.5,
+            residual_l2=1e-3,
+            du_norm_sq=1.0,
+            mean=(0.25, -0.5),
+            tilde_norm=0.75,
+            step=0.125,
+            shifts=(0, 1),
+            gauge_dev=None,
+            h1_mass=(1.0, 2.0),
+        )
+        expected = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        expected["iter"] = expected.pop("index")
+        out = record.to_dict()
+        assert out == expected and list(out) == list(expected)
 
 
 class TestCheckMinimizingBounds:

@@ -14,6 +14,8 @@ from poisson_grad import (
     action_gradient,
     boundary_check,
     el_residual,
+    forward_diff,
+    l2_norm,
     laplacian,
     minimize,
     node_coordinates,
@@ -24,8 +26,10 @@ from poisson_grad import (
 )
 from poisson_grad.action import GridAction, PotentialDomainError
 from poisson_grad.cli import read_field_csv, write_field_csv
+from poisson_grad.grid import backward_diff
+from poisson_grad.potential import fp_policy
 from poisson_grad.solver import SolverConfig
-from poisson_grad.verify import certify
+from poisson_grad.verify import _abs_max, certify
 
 from helpers import gaussian_field, peak_transient
 
@@ -35,7 +39,10 @@ TWO_PI = 2.0 * np.pi
 class TestTransientMemory:
     """Peak transients of the DFT oracle and the residual certificate on a
     256^2, n = 2 field (1 MiB), in multiples of the field's bytes; they were
-    8.5 and 7.0 before the in-place arithmetic."""
+    8.5 and 7.0 before the in-place arithmetic, and the certificate's was 5.0
+    before its stencils wrote into reused buffers.  The certificate's bounds
+    are the measurement (numpy 2.4) plus a margin of 0.12 field bytes, for
+    the finite tests' masks and numpy's buffers for the wrap slabs."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -51,8 +58,20 @@ class TestTransientMemory:
         assert peak_transient(solve_linear_poisson, rhs) <= 5.0 * rhs.values.nbytes
 
     def test_el_residual(self, problem):
+        # the residual, and two buffers for each assembly: 3.13
         rhs, pot, u = problem
-        assert peak_transient(el_residual, u, pot) <= 6.5 * rhs.values.nbytes
+        assert peak_transient(el_residual, u, pot) <= 3.25 * rhs.values.nbytes
+
+    def test_wirtinger_check(self, problem):
+        # the zero-mean part and one buffer for its differences: 2.13
+        rhs, _, u = problem
+        assert peak_transient(wirtinger_check, u) <= 2.25 * rhs.values.nbytes
+
+    def test_certify(self, problem):
+        # el_residual's peak; its residual is freed before the Wirtinger
+        # check: 3.13
+        rhs, pot, u = problem
+        assert peak_transient(certify, u, pot, 1e-6) <= 3.25 * rhs.values.nbytes
 
     def test_linear_forcing_bound_to_its_own_grid(self, problem):
         # the nearest-node lookup copied the forcing: a peak of 2.0 field bytes
@@ -83,6 +102,16 @@ class TestCsvReaderMemory:
         assert peak_transient(read_field_csv, path, spec) <= 3.5 * field.values.nbytes
 
 
+class TestAbsMax:
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, -3.0, 2.0], [-1.0, -0.5], [0.5, 4.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]],
+    )
+    def test_is_max_of_abs_bit_for_bit(self, values):
+        a = np.array(values)
+        assert np.float64(_abs_max(a)).tobytes() == np.max(np.abs(a)).tobytes()
+
+
 class TestElResidual:
     def test_zero_field_is_critical_for_cosine(self):
         spec = GridSpec((1.0, 1.0), (8, 8), n=1)
@@ -99,6 +128,33 @@ class TestElResidual:
         residual, _ = el_residual(u, LinearForcing(f))
         direct = laplacian(u).values + f.values
         npt.assert_allclose(residual.values, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nodes, n", [((16,), 2), ((12, 9), 1), ((6, 5, 4), 2)])
+    def test_buffers_match_field_assembly_bit_for_bit(self, nodes, n):
+        # the buffers hold what backward_diff(forward_diff(u)) gives, and the
+        # norms are the Field functions' own
+        spec = GridSpec((1.0, 1.3, 0.7)[: len(nodes)], nodes, n=n)
+        pot = ShiftedQuadratic((0.5, -0.25)[:n], floor=1.0, p=len(nodes))
+        u = gaussian_field(spec, np.random.default_rng(len(nodes) + n), scale=2.0)
+        lap = np.zeros(spec.shape)
+        for axis in range(spec.p):
+            lap += backward_diff(forward_diff(u, axis), axis).values
+        expected = lap - pot.gradient(node_coordinates(spec), u.values)
+        residual, norms = el_residual(u, pot)
+        assert residual.values.tobytes() == expected.tobytes()
+        assert norms.l2 == l2_norm(Field(spec, expected))
+        assert norms.linf == float(np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_overflowing_difference_is_not_finite(self, axis):
+        # a forward difference of +-1e308 overflows, as a Field would refuse it
+        spec = GridSpec((1.0, 1.0), (4, 4), n=1)
+        values = np.zeros(spec.shape)
+        values[(slice(None),) * axis + (slice(None, None, 2),)] = 1e308
+        values[(slice(None),) * axis + (slice(1, None, 2),)] = -1e308
+        pot = ShiftedQuadratic((0.0,), floor=1.0, p=2)
+        with fp_policy(), pytest.raises(ValueError, match="^field contains non-finite values$"):
+            el_residual(Field(spec, values), pot)
 
     def test_negates_action_gradient(self):
         spec = GridSpec((1.0, 1.0), (8, 8), n=2)
@@ -189,6 +245,18 @@ class TestBoundaryCheck:
 
 
 class TestWirtinger:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_overflowing_difference_is_not_finite(self, axis):
+        # the differences of +-4e307, 3.2e308, overflow, as a Field would
+        # refuse them, while the mean does not; so the bound is not passed
+        # against an infinite right-hand side
+        spec = GridSpec((1.0, 1.0), (4, 4), n=1)
+        values = np.zeros(spec.shape)
+        values[(slice(None),) * axis + (slice(None, None, 2),)] = 4e307
+        values[(slice(None),) * axis + (slice(1, None, 2),)] = -4e307
+        with fp_policy(), pytest.raises(ValueError, match="^field contains non-finite values$"):
+            wirtinger_check(Field(spec, values))
+
     def test_constant_field(self):
         spec = GridSpec((1.0,), (16,), n=1)
         report = wirtinger_check(Field.constant(spec, 3.0))
