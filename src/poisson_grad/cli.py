@@ -5,16 +5,16 @@ rejected, so typos fail fast).  Fields travel as CSV with header
 ``t1,...,tp,u1,...,un``, one row per node in lexicographic node order and
 17 significant digits, which round-trips float64 exactly; the optional
 closed form repeats the wrap faces (N_alpha + 1 rows per axis) for
-interchange with external producers.  Run reports are JSON laid out
-exactly as ``json.dumps(report, indent=2, sort_keys=True)`` lays them out
-(sorted keys, two-space indent, ``,`` and ``: `` separators, one value per
-line) and end in a newline; identical config and seed reproduce them
-byte-for-byte except for the single isolated ``timestamp`` line.
+interchange with external producers.  Run reports are JSON, one line per
+top-level key and per item of a top-level array (see ``write_report``);
+identical config and seed reproduce them byte-for-byte except for the
+single isolated ``timestamp`` line.
 
 Exit codes: 0 success/converged, 2 not converged or failed checks
 (including a failed internal consistency check, such as the gauge
 assertion under a wrong periods declaration), 3 invalid config or
-malformed input, 4 expression error.
+malformed input (a config nested too deeply to parse among them), 4
+expression error (an expression nested too deeply among them).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 import os
 import sys
 from dataclasses import fields, is_dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +107,8 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     for section, body in cfg.items():
@@ -559,89 +560,22 @@ _FINAL_KEYS = (
 )
 
 
-def _json_scalar(o) -> str:
-    """JSON text of a value that is no list, tuple or dict, tested in the
-    order ``json`` tests types, so a float or int subclass is written as its
-    base type's repr."""
-    if isinstance(o, str):
-        return _json_string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _emit(o, nl: str, out: list[str], heads: dict[str, str]) -> None:
-    """Append the JSON text of ``o`` to ``out``, laid out as
-    ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)`` lays it
-    out; dict keys are strings.  ``nl`` is a newline and the indent of the
-    line ``o`` starts on, and ``heads`` holds each key's ``"key": `` text.
-
-    A container writes its items of exact type int or finite float, whose
-    repr is their JSON text, and its None items itself; any other item
-    recurses.  A report is mostly such numbers, so this is its hot path."""
-    append = out.append
-    if isinstance(o, dict):
-        if not o:
-            append("{}")
-            return
-        inner = nl + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key in sorted(o):
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = _json_string(key) + ": "
-            value = o[key]
-            kind = type(value)
-            # value - value is 0.0 exactly when a float is finite
-            if kind is int or kind is float and value - value == 0.0:
-                append(sep + head + repr(value))
-            elif value is None:
-                append(sep + head + "null")
-            else:
-                append(sep + head)
-                _emit(value, inner, out, heads)
-            sep = comma
-        append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            append("[]")
-            return
-        inner = nl + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for value in o:
-            kind = type(value)
-            if kind is int or kind is float and value - value == 0.0:
-                append(sep + repr(value))
-            elif value is None:
-                append(sep + "null")
-            else:
-                append(sep)
-                _emit(value, inner, out, heads)
-            sep = comma
-        append(nl + "]")
-    else:
-        append(_json_scalar(o))
+# json writes through its C encoder only when no indent is asked for
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def write_report(path: str | Path, payload: dict) -> None:
-    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False)`` and a newline would, in one pass."""
-    out: list[str] = []
-    _emit(payload, "\n", out, {})
-    out.append("\n")
-    Path(path).write_text("".join(out))
+    """Write ``payload`` as JSON with each top-level key, in sorted order, on
+    a line of its own, as is each item of a non-empty top-level array; each
+    value is one line of json's C encoder, which rejects a non-finite float."""
+    lines = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, (list, tuple)) and value:
+            text = "[\n    " + ",\n    ".join(map(_ENCODE, value)) + "\n  ]"
+        else:
+            text = _ENCODE(value)
+        lines.append(f"  {_ENCODE(key)}: {text}")
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +684,7 @@ def cmd_solve(args) -> int:
 
     iterations = [r.to_dict() for r in report.iterations]
     payload = {
-        "schema": "poisson-grad-report-v3",
+        "schema": "poisson-grad-report-v4",
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": "solve",

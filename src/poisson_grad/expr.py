@@ -263,7 +263,10 @@ def parse(tokens: list[Token] | str, p: int, n: int) -> Node:
     if isinstance(tokens, str):
         tokens = tokenize(tokens)
     parser = _Parser(tokens, p, n)
-    node = parser.expression()
+    try:
+        node = parser.expression()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", parser.cur.pos) from None
     if parser.cur.kind != "end":
         raise ExprError(f"unexpected {parser.cur.text!r} after expression", parser.cur.pos)
     return node
@@ -623,7 +626,11 @@ class Program:
 
     def __init__(self, ast: Node, n: int):
         builder = _Builder(n)
-        value, tangent = builder.node(ast)
+        try:
+            value, tangent = builder.node(ast)
+        except RecursionError:
+            # the compiler recurses once per operand, down each left-deep sum
+            raise ExprError("expression nested too deeply to compile", ast.pos) from None
         outputs = [value, *(tangent or [None] * n)]
         self.value = builder.program([value], _VALUE_CHECKS, _value)
         self.dual = builder.program(outputs, _DUAL_CHECKS, _dual)

@@ -56,6 +56,13 @@ def write_config(path, **overrides):
     return cfg
 
 
+def _cosine_series(terms):
+    """F = 1 + sum of 0.001 k (1 - cos(k x1)) for k = 1..terms, one left-deep sum."""
+    return "1 + " + " + ".join(
+        f"{0.001 * (k + 1)}*(1 - cos({k + 1}*x1))" for k in range(terms)
+    )
+
+
 def reference_csv(spec, values):
     """The field CSV format spelled out one node and one cell at a time."""
     header = [f"t{a + 1}" for a in range(spec.p)] + [f"u{i + 1}" for i in range(spec.n)]
@@ -263,6 +270,37 @@ class TestConfigValidation:
         assert main(["solve", str(cfg)]) == 4
         err = capsys.readouterr().err
         assert "line 1, column 5" in err
+
+    def test_sum_too_long_to_compile_exits_4(self, tmp_path, capsys):
+        # the parser reads a sum in a loop, but the compiler recurses once
+        # per term; the root's position is the last "+"
+        source = _cosine_series(600)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, potential={"kind": "expr", "expr": source})
+        assert main(["--quiet", "solve", str(cfg)]) == 4
+        column = source.rindex("+") + 1
+        assert capsys.readouterr().err == (
+            f"expression error at line 1, column {column}: "
+            "expression nested too deeply to compile\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
+    def test_long_sum_that_compiles_passes_the_checks(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "expr", "expr": _cosine_series(400)},
+            checks=None,
+        )
+        assert main(["--quiet", "check", str(cfg)]) == 0
+
+    def test_config_nested_too_deeply_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"grid": ' + "[" * 100_000 + "}")
+        assert main(["--quiet", "solve", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: config {cfg} is nested too deeply to parse\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize(
         "source, column", [("1 + x1²", 5), ("2²", 2), ("٣*x1", 1), ("x١", 1)]
@@ -1607,8 +1645,13 @@ class TestReportSchema:
             solver={"method": "ncg", "max_iters": 2},
         )
         assert main(["--quiet", "solve", str(cfg)]) == 2
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema"] == "poisson-grad-report-v3"
+        text = (tmp_path / "report.json").read_text()
+        report = json.loads(text)
+        assert report["schema"] == "poisson-grad-report-v4"
+        # the timestamp is alone on its line, so a line filter drops only it
+        assert [line for line in text.splitlines() if "timestamp" in line] == [
+            f'  "timestamp": "{report["timestamp"]}",'
+        ]
         assert set(report) == {
             "schema", "version", "timestamp", "command", "config", "seed",
             "checks", "check_notes", "status", "iterations", "final",
@@ -1703,24 +1746,47 @@ def _random_json_key(rng):
     return "".join(chr(c) for c in rng.choice(_CODE_POINTS, size=int(rng.integers(0, 4))))
 
 
+def _v4_layout(payload):
+    """The v4 report layout, spelled out: "{", each top-level key in sorted
+    order on a line of its own with its value on one line, except that each
+    item of a non-empty top-level array gets its own line; "}"."""
+
+    def one_line(value):
+        return json.dumps(value, sort_keys=True, allow_nan=False)
+
+    lines = ["{"]
+    for k, key in enumerate(sorted(payload)):
+        comma = "," if k < len(payload) - 1 else ""
+        value = payload[key]
+        if isinstance(value, (list, tuple)) and value:
+            lines.append(f"  {one_line(key)}: [")
+            lines += [f"    {one_line(item)}," for item in value[:-1]]
+            lines += [f"    {one_line(value[-1])}", f"  ]{comma}"]
+        else:
+            lines.append(f"  {one_line(key)}: {one_line(value)}{comma}")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 class TestReportEncoder:
-    """``write_report`` writes what ``json.dumps(indent=2, sort_keys=True,
-    allow_nan=False)`` writes, and a newline."""
+    """``write_report`` writes the v4 layout (see ``_v4_layout``), and the
+    text reads back as the payload."""
 
     @staticmethod
     def encoded(tmp_path, payload):
         path = tmp_path / "r.json"
         cli.write_report(path, payload)
-        return path.read_text()
+        text = path.read_text()
+        # tuples read back as lists
+        assert json.loads(text) == json.loads(json.dumps(payload))
+        return text
 
-    def test_matches_json_dumps_on_random_payloads(self, tmp_path):
+    def test_matches_v4_layout_on_random_payloads(self, tmp_path):
         rng = np.random.default_rng(20)
         for _ in range(200):
             payload = {_random_json_key(rng): _random_json(rng, 1) for _ in range(4)}
-            expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-            assert self.encoded(tmp_path, payload) == expected + "\n"
+            assert self.encoded(tmp_path, payload) == _v4_layout(payload)
 
-    def test_matches_json_dumps_on_edge_cases(self, tmp_path):
+    def test_matches_v4_layout_on_edge_cases(self, tmp_path):
         payload = {
             "floats": [-0.0, 5e-324, 1e16, 1e-7, np.float64(0.1), np.float64(-2.5e-300)],
             "ints": [2**70, -(2**70), True, False, None],
@@ -1728,25 +1794,38 @@ class TestReportEncoder:
             "empty": {"dict": {}, "list": [], "tuple": ()},
             "nested": ((1, (2.5, [])), {"b": {"a": ()}}),
             "": "empty key",
+            "empty list": [],
+            "empty tuple": (),
+            "scalar": np.float64(-0.0),
         }
-        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        assert self.encoded(tmp_path, payload) == expected + "\n"
-        for scalar in (1.5, "x", None, True, 3, [], {}):
-            assert self.encoded(tmp_path, scalar) == json.dumps(scalar, indent=2) + "\n"
+        text = self.encoded(tmp_path, payload)
+        assert text == _v4_layout(payload)
+        # spot checks of the layout itself, independent of _v4_layout
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert lines[1] == '  "": "empty key",'
+        assert '  "empty list": [],' in lines and '  "empty tuple": [],' in lines
+        assert lines[lines.index('  "floats": [') + 1] == "    -0.0,"
+        assert '    [1, [2.5, []]],' in lines and '    "\\u00e9\\u4e2d\\ud83d\\ude00",' in lines
+        assert '  "scalar": -0.0,' in lines
+        # "strings", the last key, holds an array
+        assert lines[-2] == "  ]"
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
     )
     @pytest.mark.parametrize("where", ["top", "dict", "list", "nested"])
     def test_non_finite_float_raises(self, tmp_path, bad, where):
+        # a top-level value, a value in a dict, a top-level array's item,
+        # and an item of a tuple in an array in a dict
         payload = {
-            "top": bad,
-            "dict": {"x": 1.0, "y": bad},
-            "list": [1.0, bad],
-            "nested": {"a": [(0.5, bad)]},
+            "top": {"top": bad},
+            "dict": {"dict": {"x": 1.0, "y": bad}},
+            "list": {"list": [1.0, bad]},
+            "nested": {"nested": {"a": [(0.5, bad)]}},
         }[where]
         with pytest.raises(ValueError):
-            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            json.dumps(payload, allow_nan=False)
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli.write_report(tmp_path / "r.json", payload)
 
@@ -1754,7 +1833,7 @@ class TestReportEncoder:
     def test_unserializable_value_raises_type_error(self, tmp_path, bad):
         payload = {"a": [bad]}
         with pytest.raises(TypeError):
-            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            json.dumps(payload, allow_nan=False)
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli.write_report(tmp_path / "r.json", payload)
 

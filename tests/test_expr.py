@@ -127,6 +127,13 @@ class TestParse:
         with pytest.raises(ExprError, match="x1..x3"):
             parse("x4", 2, 3)
 
+    def test_nesting_too_deep_to_parse_is_positioned(self):
+        # the recursive descent takes five frames per parenthesis
+        source = "1 + " + "(" * 5000 + "x1" + ")" * 5000
+        with pytest.raises(ExprError, match="nested too deeply") as err:
+            parse(source, 1, 1)
+        assert source[err.value.pos] == "("
+
     def test_parse_is_total_on_junk(self):
         rng = np.random.default_rng(0)
         alphabet = list("xt123+-*/^()s incoe.,qr $#")
