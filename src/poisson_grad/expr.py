@@ -5,15 +5,18 @@ variables t1..tp, x1..xn, the constant pi, the operators + - * / ^ and the
 functions sin, cos, exp, sqrt.  Precedence, tightest first: ^ (right
 associative), unary minus, * /, + - (left associative).
 
-Each AST compiles once into two straight-line programs over numpy arrays:
-one evaluates F, the other F and, forward-mode, the exact gradient grad_x F,
-both over a whole grid batch.  Only x-derivatives are propagated, one
-component at a time; t enters as a constant for each evaluation, and
-tangent components that are structurally zero (constants, t-only subtrees,
-components a subtree does not depend on) cost nothing.  A program is
-bound to t before it runs: the steps on constants and t alone run once, at
-binding, so a potential bound to a grid's nodes computes them once per
-solve, and one bound to a drawn sample once for all the sampled checks.
+Each AST compiles once into a straight-line program over numpy arrays that
+evaluates F and, forward-mode, the exact gradient grad_x F, over a whole
+grid batch; its steps for F alone, the value program, run where F alone is
+needed.  Only x-derivatives are propagated, one component at a time; t
+enters as a constant for each evaluation, and tangent components that are
+structurally zero (constants, t-only subtrees, components a subtree does
+not depend on) cost nothing.  The program is bound to t before it runs: the
+steps on constants and t alone run once, at binding, so a potential bound
+to a grid's nodes computes them once per solve, and one bound to a drawn
+sample once for all the sampled checks, which take F and grad F from one
+run at the draw and, at a point moved in x_i, re-run only the value
+program's steps that x_i reaches.
 Every failure mode is a positioned ExprError: lexical, syntactic, unknown
 identifier, or a numeric domain error pointing at the offending AST node.
 """
@@ -289,14 +292,14 @@ class Dual:
 # An AST compiles once into a straight-line program: a list of steps, each
 # one numpy operation (or one domain check) on earlier registers.  Registers
 # 0 and 1 hold t and x; each later register holds a constant or the
-# result of one step.  The value+gradient program also carries each node's
-# tangent, one register per x-component, or None when that component is
-# structurally zero and so costs nothing.  Every value and tangent is
-# computed by the same numpy operations, in the same order, as a recursive
-# evaluation of the tree would; identical steps are emitted once, and the
-# exact identities 1 * s = s and -(-a) = a save a step.  Compiling runs no
-# step: binding a program to t (``_bind``) folds every step on constants
-# and t alone.
+# result of one step.  The program also carries each node's tangent, one
+# register per x-component, or None when that component is structurally
+# zero and so costs nothing; the steps F needs, with their checks, are the
+# value program.  Every value and tangent is computed by the same numpy
+# operations, in the same order, as a recursive evaluation of the tree
+# would; identical steps are emitted once, and the exact identities
+# 1 * s = s and -(-a) = a save a step.  Compiling runs no step: binding the
+# program to t (``_Bound``) folds every step on constants and t alone.
 
 _T, _X = 0, 1  # registers of t and x
 _ONE = np.float64(1.0)  # seed tangent of x_i
@@ -531,12 +534,11 @@ class _Builder:
 
     RULES = {Const: const, Var: var, Neg: neg, Call: call, BinOp: binop}
 
-    def program(self, outputs: list[int | None], checks, finish):
-        """The program that runs, in emission order, the steps computing
-        ``outputs`` (registers, or None for a structurally zero tangent
-        component) or running one of the ``checks``: a function of t that
-        returns the function of x (see ``_bind``) whose result is
-        ``finish(F, tangent)``."""
+    def program(self, outputs: list[int | None], checks) -> list:
+        """The steps, in emission order, that compute ``outputs`` (registers,
+        or None for a structurally zero tangent component) or run one of the
+        ``checks``, as (call, a, b, out): the registers of the arguments, b
+        None for one, and of the result."""
         live = set(outputs)
         steps = []
         for r in range(len(self.steps) - 1, 1, -1):
@@ -547,80 +549,113 @@ class _Builder:
                 call = functools.partial(fn, *fixed) if fixed else fn
                 steps.append((call, args[0], args[1] if len(args) > 1 else None, r))
         steps.reverse()
-        registers = [self.known.get(r) for r in range(len(self.steps))]
-        return functools.partial(_bind, registers, {_T, *self.known}, steps, outputs, finish)
+        return steps
 
 
-def _bind(registers: list, known: set, steps: list, outputs: list, finish, t):
-    """The program at this t, as the function of x that returns
-    ``finish(F, tangent)``: F broadcast to the batch shape of t and x, and
-    the values of the other ``outputs``.  Each step that needs no x runs
-    here, once, and is folded like a constant; a step that fails its domain
-    check or raises a floating-point error is left in the program, with
-    every step that uses it, so that it fails or warns at evaluation, in its
-    place, where a failed check raises an EvalDomainError at its element."""
-    t = np.asarray(t, dtype=np.float64)
-    r = registers.copy()
-    r[_T] = t
-    known = known.copy()
-    remaining = []
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for step in steps:
-            call, a, b, out = step
-            if a in known and (b is None or b in known):
-                try:
-                    value = call(r[a]) if b is None else call(r[a], r[b])
-                except (_Domain, FloatingPointError):
-                    pass
-                else:
-                    if isinstance(value, np.ndarray):
-                        value.setflags(write=False)  # shared by every evaluation
-                    r[out] = value
-                    known.add(out)
-                    continue
-            remaining.append(step)
-
-    def run(x):
-        x = np.asarray(x, dtype=np.float64)
-        regs = r.copy()
-        regs[_X] = x
-        try:
-            for call, a, b, out in remaining:
-                regs[out] = call(regs[a]) if b is None else call(regs[a], regs[b])
-        except _Domain as err:
-            raise err.located(t, x) from None
-        value = regs[outputs[0]]
-        batch = x.shape[:-1]
-        if t.shape[:-1] != batch:
-            batch = np.broadcast_shapes(t.shape[:-1], batch)
-        if not (isinstance(value, np.ndarray) and value.shape == batch):
-            value = np.broadcast_to(value, batch)
-        return finish(value, [None if i is None else regs[i] for i in outputs[1:]])
-
-    return run
+def _reach(steps: list, source: int | None) -> list:
+    """The ``steps`` that compute register ``source`` or read it, directly or
+    through other steps, in order."""
+    reached = set() if source is None else {source}
+    out = []
+    for step in steps:
+        if reached.intersection(step[1:]):
+            reached.add(step[3])
+            out.append(step)
+    return out
 
 
 _VALUE_CHECKS = frozenset((_exp, _sqrt, _quotient, _nonzero_base, _positive_base))
 _DUAL_CHECKS = _VALUE_CHECKS | {_sqrt_tangent_check}
 
 
-def _value(value: np.ndarray, tangent: list) -> np.ndarray:
-    return value
+class _Bound:
+    """The program bound to t; called on x, it returns a Dual.  Binding runs
+    each step that needs no x, once, and folds it like a constant; a step
+    that fails its domain check or raises a floating-point error is left in
+    the program, with every step that uses it, so that it fails or warns at
+    evaluation, in its place, where a failed check raises an EvalDomainError
+    at its element."""
 
+    __slots__ = ("t", "registers", "steps", "value_steps", "outputs", "moved", "kept")
 
-def _dual(value: np.ndarray, tangent: list) -> Dual:
-    partials = np.zeros(value.shape + (len(tangent),))
-    for i, d in enumerate(tangent):
-        if d is not None:
-            partials[..., i] = d
-    return Dual(value, partials)
+    def __init__(self, registers, known, steps, value_regs, outputs, moved, kept, t):
+        self.t = t = np.asarray(t, dtype=np.float64)
+        r = registers.copy()
+        r[_T] = t
+        known = known.copy()
+        remaining = []
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for step in steps:
+                call, a, b, out = step
+                if a in known and (b is None or b in known):
+                    try:
+                        value = call(r[a]) if b is None else call(r[a], r[b])
+                    except (_Domain, FloatingPointError):
+                        pass
+                    else:
+                        if isinstance(value, np.ndarray):
+                            value.setflags(write=False)  # shared by every evaluation
+                        r[out] = value
+                        known.add(out)
+                        continue
+                remaining.append(step)
+        self.registers, self.steps, self.outputs, self.moved, self.kept = (
+            r, remaining, outputs, moved, kept
+        )
+        self.value_steps = [step for step in remaining if step[3] in value_regs]
+
+    def run(self, steps: list, x, registers: list | None = None):
+        """F, broadcast to the batch shape of t and x, and the registers after
+        ``steps`` ran on a copy of ``registers`` (default: the bound ones)."""
+        x = np.asarray(x, dtype=np.float64)
+        regs = (self.registers if registers is None else registers).copy()
+        regs[_X] = x
+        try:
+            for call, a, b, out in steps:
+                regs[out] = call(regs[a]) if b is None else call(regs[a], regs[b])
+        except _Domain as err:
+            raise err.located(self.t, x) from None
+        value = regs[self.outputs[0]]
+        batch = x.shape[:-1]
+        if self.t.shape[:-1] != batch:
+            batch = np.broadcast_shapes(self.t.shape[:-1], batch)
+        if not (isinstance(value, np.ndarray) and value.shape == batch):
+            value = np.broadcast_to(value, batch)
+        return value, regs
+
+    def partials(self, value: np.ndarray, regs: list) -> np.ndarray:
+        partials = np.zeros(value.shape + (len(self.outputs) - 1,))
+        for i, d in enumerate(self.outputs[1:]):
+            if d is not None:
+                partials[..., i] = regs[d]
+        return partials
+
+    def value(self, x) -> np.ndarray:
+        return self.run(self.value_steps, x)[0]
+
+    def __call__(self, x) -> Dual:
+        value, regs = self.run(self.steps, x)
+        return Dual(value, self.partials(value, regs))
+
+    def sample(self, x):
+        """F and grad F at ``x`` from one run, where F fails first, and the
+        function (i, y) -> F(y) for y that differs from x in x_i alone.  It
+        re-runs only the value program's steps that x_i reaches and reads
+        the other registers from this run: the bits and errors of a full run."""
+        try:
+            value, regs = self.run(self.steps, x)
+        except (EvalDomainError, FloatingPointError):
+            self.value(x)
+            raise
+        kept = [v if r in self.kept else None for r, v in enumerate(regs)]
+        return value, self.partials(value, regs), lambda i, y: self.run(self.moved[i], y, kept)[0]
 
 
 class Program:
-    """An expression compiled once into two straight-line programs, one for
-    F and one for F and its n partials, each bound to t before it runs:
-    ``value(t)(x)`` returns F and ``dual(t)(x)`` a Dual.  Binding runs what
-    needs no x; the function it returns runs the rest."""
+    """An expression compiled once into a straight-line program for F and its
+    n partials; its steps for F, with their checks, are the value program.
+    ``dual(t)`` binds it to t (see ``_Bound``): a function of x returning a
+    Dual; ``value(t)`` the bound value program, returning F."""
 
     __slots__ = ("value", "dual")
 
@@ -632,8 +667,18 @@ class Program:
             # the compiler recurses once per operand, down each left-deep sum
             raise ExprError("expression nested too deeply to compile", ast.pos) from None
         outputs = [value, *(tangent or [None] * n)]
-        self.value = builder.program([value], _VALUE_CHECKS, _value)
-        self.dual = builder.program(outputs, _DUAL_CHECKS, _dual)
+        value_steps = builder.program([value], _VALUE_CHECKS)
+        components = (builder.memo.get((_component, (i,), (_X,))) for i in range(n))
+        moved = [_reach(value_steps, reg) for reg in components]
+        kept = {value}  # the registers that a re-run reads and does not write
+        for run in moved:
+            kept.update({r for s in run for r in s[1:3]} - {s[3] for s in run})
+        registers = [builder.known.get(r) for r in range(len(builder.steps))]
+        self.dual = bind = functools.partial(
+            _Bound, registers, {_T, *builder.known}, builder.program(outputs, _DUAL_CHECKS),
+            {s[3] for s in value_steps}, outputs, moved, kept,
+        )
+        self.value = lambda t: bind(t).value
 
 
 def _compiled(program: Program | Node, x) -> Program:
@@ -723,7 +768,7 @@ class ExpressionPotential(Potential):
         return eval_dual(self.program, t, x).partials
 
     def bind(self, t: np.ndarray) -> BoundPotential:
-        """Both programs bound to ``t``: their steps that need no x run
-        once, here (see ``_bind``); grad F is the partials of a Dual."""
-        dual = self.program.dual(t)
-        return BoundPotential(self.program.value(t), lambda x: dual(x).partials)
+        """The program bound to ``t``, once: its steps that need no x run
+        here (see ``_Bound``) for F, grad F and a drawn sample alike."""
+        bound = self.program.dual(t)
+        return BoundPotential(bound.value, lambda x: bound(x).partials, bound.sample)

@@ -86,9 +86,11 @@ class SampleSpec:
 class Sample:
     """One draw of a sampling plan for a potential.
 
-    The potential is bound once, at the drawn t, and F and grad F are
+    The potential is bound once, at the drawn t, and F, grad F and |x| are
     evaluated once, at the drawn points, so checks sharing a Sample share
-    them; they perturb copies of the read-only draw.
+    them; they perturb copies of the read-only draw in one component i and
+    take F there from ``moved(i, y)``, which re-runs only what x_i reaches
+    where the bound potential has a ``sample``.
     """
 
     def __init__(self, pot: "Potential", sampler: SampleSpec):
@@ -98,8 +100,14 @@ class Sample:
         self.t.setflags(write=False)
         self.x.setflags(write=False)
         self.bound = pot.bind(self.t)
-        self.value = self.bound.value(self.x)
-        self.gradient = self.bound.gradient(self.x)
+        sample = self.bound.sample or partial(_separately, self.bound)
+        self.value, self.gradient, self.moved = sample(self.x)
+        self.norm = np.sqrt(np.sum(self.x * self.x, axis=-1))
+
+
+def _separately(bound: "BoundPotential", x: np.ndarray):
+    """F and grad F at x, and F at any other point, each in its own call."""
+    return bound.value(x), bound.gradient(x), lambda i, y: bound.value(y)
 
 
 def fp_policy() -> np.errstate:
@@ -168,10 +176,13 @@ class Potential(ABC):
 
 @dataclass(frozen=True)
 class BoundPotential:
-    """A potential bound to fixed points t: a grid's nodes or a drawn sample."""
+    """A potential bound to fixed points t: a grid's nodes or a drawn sample.
+    ``sample``, if given, returns F and grad F at x and the function
+    (i, y) -> F(y) for points y that differ from x in component i alone."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
+    sample: Callable[[np.ndarray], tuple] | None = None
 
 
 class CosineLattice(Potential):
@@ -334,6 +345,8 @@ def _vector_norms(v: np.ndarray) -> np.ndarray:
 def _finite(quantity: np.ndarray) -> tuple[np.ndarray, int]:
     """Where a per-sample quantity is finite, and how many samples are not."""
     finite = np.isfinite(quantity)
+    if finite.all():
+        return finite, 0
     return finite, int(np.count_nonzero(~finite.reshape(len(finite), -1).all(axis=1)))
 
 
@@ -352,7 +365,7 @@ def check_periodicity(sample: Sample) -> CheckReport:
     for i in range(pot.n):
         shifted = x.copy()
         shifted[:, i] += pot.periods[i]
-        dev[:, i] = np.abs(sample.bound.value(shifted) - base)
+        dev[:, i] = np.abs(sample.moved(i, shifted) - base)
     finite, bad = _finite(dev)
     return CheckReport(
         name="periodicity",
@@ -383,9 +396,8 @@ def check_gradient_growth(sample: Sample) -> CheckReport:
     env = sample.pot.growth
     if env is None:
         raise ValueError(f"potential '{sample.pot.name}' declares no growth envelope")
-    x = sample.x
     g = _vector_norms(sample.gradient)
-    allowed = env.m * np.sqrt(np.sum(x * x, axis=-1)) + env.g_max
+    allowed = env.m * sample.norm + env.g_max
     margin = g - allowed
     finite, bad = _finite(margin)
     violations = int(np.count_nonzero(finite & (margin > 0.0)))
@@ -402,14 +414,14 @@ def check_gradient_growth(sample: Sample) -> CheckReport:
 def check_grad_consistency(sample: Sample) -> CheckReport:
     """Central finite-difference probe of the declared gradient."""
     x, grad = sample.x, sample.gradient
-    step = 1e-6 * (1.0 + np.sqrt(np.sum(x * x, axis=-1)))
+    step = 1e-6 * (1.0 + sample.norm)
     fd = np.empty_like(grad)
     for i in range(sample.pot.n):
         hi = x.copy()
         lo = x.copy()
         hi[:, i] += step
         lo[:, i] -= step
-        fd[:, i] = (sample.bound.value(hi) - sample.bound.value(lo)) / (2.0 * step)
+        fd[:, i] = (sample.moved(i, hi) - sample.moved(i, lo)) / (2.0 * step)
     rel = np.abs(fd - grad) / (1.0 + np.abs(grad))
     finite, bad = _finite(rel)
     tol = 1e-5

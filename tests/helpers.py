@@ -10,6 +10,22 @@ import numpy as np
 
 from poisson_grad import Field, GridSpec
 from poisson_grad.expr import BinOp, Call, Const, Neg, Var
+from poisson_grad.potential import Potential
+
+
+class Unbound(Potential):
+    """A potential seen through its unbound ``value(t, x)`` and
+    ``gradient(t, x)``: the default ``bind``, which evaluates each in full."""
+
+    def __init__(self, pot: Potential):
+        self.pot, self.n, self.p, self.name = pot, pot.n, pot.p, pot.name
+        self.periods, self.growth = pot.periods, pot.growth
+
+    def value(self, t, x):
+        return self.pot.value(t, x)
+
+    def gradient(self, t, x):
+        return self.pot.gradient(t, x)
 
 
 def random_field(spec: GridSpec, rng, low: float = 0.0, high: float = 1.0) -> Field:

@@ -295,6 +295,21 @@ class TestConfigValidation:
         )
         assert main(["--quiet", "check", str(cfg)]) == 0
 
+    def test_domain_error_at_a_moved_point_only_exits_4(self, tmp_path, capsys):
+        # F is defined at every drawn x1, all in [-8, 8], and fails only where
+        # the periodicity check moves x1 by its period past 8.5
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            potential={"kind": "expr", "expr": "1 + sqrt(8.5 - x1)", "periods": [1.0]},
+            checks={"samples": 200, "seed": 0},
+        )
+        assert main(["--quiet", "check", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "expression error at line 1, column 5: sqrt of a negative value\n"
+        )
+
     def test_config_nested_too_deeply_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"grid": ' + "[" * 100_000 + "}")
@@ -1209,16 +1224,20 @@ class TestSolveCommand:
         ]
 
     def test_checks_bind_an_expression_once(self, monkeypatch):
-        # one binding of the value program and one of the value+gradient
-        # program, both at the drawn t, serve all four checks
-        binds = []
-        bind = expr._bind
+        # one binding of the program, at the drawn t, serves all four
+        # checks: its t-only step sin(2*pi*t1) runs once
+        binds, sines = [], []
+        sin = np.sin
 
-        def counted(*args):
-            binds.append(args[-1])
-            return bind(*args)
+        class Counted(expr._Bound):
+            __slots__ = ()
 
-        monkeypatch.setattr(expr, "_bind", counted)  # before the programs compile
+            def __init__(self, *args):
+                binds.append(args[-1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(expr, "_Bound", Counted)
+        monkeypatch.setattr(np, "sin", lambda a: sines.append(a) or sin(a))  # before compiling
         configs = Path(__file__).resolve().parents[1] / "configs"
         cfg = cli.load_config(configs / "expression_well.json")
         spec = cli.build_grid(cfg)
@@ -1228,8 +1247,10 @@ class TestSolveCommand:
         assert [r.name for r in reports] == [
             "periodicity", "positivity", "gradient_growth", "grad_consistency",
         ]
-        assert len(binds) == 2 and binds[0] is binds[1]
-        npt.assert_array_equal(binds[0], sampler.draw(pot.n)[0])
+        t = sampler.draw(pot.n)[0]
+        assert len(binds) == 1
+        npt.assert_array_equal(binds[0], t)
+        assert sum(np.array_equal(a, 2.0 * np.pi * t[:, 0]) for a in sines) == 1
 
     def test_not_converged_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -23,8 +23,9 @@ from poisson_grad.expr import (
 )
 
 from poisson_grad.grid import GridSpec, node_coordinates
+from poisson_grad.potential import Sample, SampleSpec, check_periodicity
 
-from helpers import DOMAIN_POINTS, domain_corpus, expression_corpus, reference_eval
+from helpers import DOMAIN_POINTS, Unbound, domain_corpus, expression_corpus, reference_eval
 
 expr = importlib.import_module("poisson_grad.expr")
 
@@ -429,10 +430,47 @@ class TestCompiledSteps:
         npt.assert_array_equal(program.value(t)(x), x[:, 0] * sin(2.0))
         npt.assert_array_equal(program.dual(t)(x).partials, np.full((3, 1), sin(2.0)))
 
+    def test_moved_component_reruns_only_the_steps_it_reaches(self, monkeypatch):
+        calls = []
+        for name in ("sin", "cos"):
+            fn = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda a, f=fn, k=name: calls.append(k) or f(a))
+        pot = ExpressionPotential(
+            "0.1 + (1 - cos(x1)) + 0.5*(1 - cos(2*pi*x2/3)) + 0.2*sin(2*pi*t1)*sin(x1)",
+            1,
+            2,
+            periods=[2 * math.pi, 3.0],
+        )
+        sample = Sample(pot, SampleSpec(count=50, seed=2))
+        calls.clear()
+        report = check_periodicity(sample)
+        # x1's sin and cos (sin first, emitted for cos(x1)'s derivative),
+        # then x2's cos; a full evaluation runs all three for each component
+        assert calls == ["sin", "cos", "cos"]
+        assert report == check_periodicity(Sample(Unbound(pot), SampleSpec(count=50, seed=2)))
+
+    def test_sample_reports_the_error_of_f_first(self):
+        # at x1 = x2 = 0 the value+gradient program fails first at sqrt's
+        # derivative, and F at the division
+        bound = ExpressionPotential("sqrt(x1) + 1/x2", 1, 2).bind(np.zeros((2, 1)))
+        x = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(EvalDomainError, match="sqrt is not differentiable"):
+            bound.gradient(x)
+        with pytest.raises(EvalDomainError, match="division by zero") as err:
+            bound.sample(x)
+        assert (err.value.pos, err.value.element) == (12, 1)
+        # where numpy raises, at 1/x1's derivative, which divides by x1^2 = 0
+        bound = ExpressionPotential("1/x1 + 1/x2", 1, 2).bind(np.zeros((1, 1)))
+        x = np.array([[1e-200, 0.0]])
+        with np.errstate(divide="raise"), pytest.raises(EvalDomainError, match="division"):
+            bound.sample(x)
+
 
 class TestOnGrid:
-    """ExpressionPotential.bind at the node coordinates, whose programs run
-    their t-only steps once, against eval_value and eval_dual."""
+    """ExpressionPotential.bind at the node coordinates, whose program runs
+    its t-only steps once, and a sample of it at one base draw, whose F at a
+    point moved in one component re-runs only the steps that component
+    reaches, against eval_value and eval_dual."""
 
     GRIDS = {1: ((2.0,), (7,)), 2: ((1.5, 2.0), (4, 3)), 3: ((1.0, 2.0, 1.5), (3, 4, 3))}
 
@@ -444,33 +482,60 @@ class TestOnGrid:
             return "error", err.message, err.pos, err.element
         return "ok", out.shape, out.dtype, np.ascontiguousarray(out).tobytes()
 
-    def check(self, corpus, p, draw):
+    def check(self, corpus, p, draw, base_draw=None):
         spec = GridSpec(*self.GRIDS[p], n=2)
         t = node_coordinates(spec)
-        outcomes = set()
+        outcomes, moves = set(), set()
         for e, ast in enumerate(corpus):
             pot = ExpressionPotential(pretty(ast), p, 2)
             bound = pot.bind(t)
-            x = draw(np.random.default_rng([p, e]), spec.shape)
+            rng = np.random.default_rng([p, e])
+            x = draw(rng, spec.shape)
             value = self.outcome(eval_value, pot.program, t, x)
             partials = self.outcome(lambda *a: eval_dual(*a).partials, pot.program, t, x)
             for _ in range(2):  # the steps run once are not changed by a call
                 assert self.outcome(bound.value, x) == value, pretty(ast)
                 assert self.outcome(bound.gradient, x) == partials, pretty(ast)
             outcomes.add(value[0] if value[0] == "ok" else value[1])
-        return outcomes
+            # a sample at a base draw: F and grad F from one run, where F fails
+            # first, then F at the base moved to x in one component, through
+            # the steps that component reaches
+            base = (base_draw or draw)(rng, spec.shape)
+            base_value = self.outcome(eval_value, pot.program, t, base)
+            base_partials = self.outcome(lambda *a: eval_dual(*a).partials, pot.program, t, base)
+            try:
+                f, grad, moved = bound.sample(base)
+            except EvalDomainError as err:
+                failed = base_value if base_value[0] == "error" else base_partials
+                assert ("error", err.message, err.pos, err.element) == failed, pretty(ast)
+                continue
+            assert (self.outcome(lambda: f), self.outcome(lambda: grad)) == (
+                base_value, base_partials
+            )
+            for i in range(2):
+                y = base.copy()
+                y[..., i] = x[..., i]
+                full = self.outcome(eval_value, pot.program, t, y)
+                assert self.outcome(moved, i, y) == full, pretty(ast)
+                moves.add(full[0] if full[0] == "ok" else full[1])
+        return outcomes, moves
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_bit_for_bit_on_expression_corpus(self, p):
         corpus = expression_corpus(120, seed=50 + p, p=p, n=2)
-        outcomes = self.check(corpus, p, lambda rng, shape: rng.uniform(-2.0, 2.0, shape))
-        assert outcomes == {"ok"}
+        outcomes, moves = self.check(corpus, p, lambda rng, shape: rng.uniform(-2.0, 2.0, shape))
+        assert outcomes == moves == {"ok"}
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_errors_and_values_on_domain_corpus(self, p):
         corpus = domain_corpus(150, seed=60 + p, p=p, n=2)
-        outcomes = self.check(corpus, p, lambda rng, shape: rng.choice(DOMAIN_POINTS, shape))
-        assert outcomes == {
+        outcomes, moves = self.check(
+            corpus,
+            p,
+            lambda rng, shape: rng.choice(DOMAIN_POINTS, shape),
+            lambda rng, shape: np.full(shape, 0.5),  # where F is mostly defined
+        )
+        assert outcomes == moves == {
             "ok",
             "division by zero",
             "sqrt of a negative value",

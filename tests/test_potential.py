@@ -1,3 +1,7 @@
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,10 +23,13 @@ from poisson_grad import (
     node_coordinates,
 )
 from poisson_grad.action import action_gradient
+from poisson_grad import cli
 from poisson_grad.cli import run_checks
 from poisson_grad.potential import BoundPotential, declared_periods
 from poisson_grad.solver import SolverConfig, random_init
 from poisson_grad.verify import el_residual
+
+from helpers import Unbound, peak_transient
 
 TWO_PI = 2.0 * np.pi
 
@@ -390,3 +397,45 @@ class TestSampleSpec:
     def test_invalid_plan_rejected(self, kw):
         with pytest.raises(ValueError):
             SampleSpec(**kw)
+
+
+def shipped(name: str):
+    """The potential and sampling plan of a shipped config."""
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    spec = cli.build_grid(cfg)
+    return cli.build_potential(cfg, spec), cli.build_sampler(cfg, spec)
+
+
+class TestSampleEvaluation:
+    @pytest.mark.parametrize("name", ["pendulum", "expression_well", "stiff_cosine"])
+    def test_checks_equal_unbound_evaluation(self, name):
+        # an expression's sample runs its program once at the draw and, at a
+        # moved point, only the steps that the moved component reaches
+        pot, sampler = shipped(name)
+        assert run_checks(pot, sampler) == run_checks(Unbound(pot), sampler)
+
+    def test_expression_check_phase_peak(self):
+        # 200 000 samples of configs/expression_well.json, n = 2: the check
+        # phase peaked at 16.0 times the draw's x bytes while every check
+        # evaluated F in full, and at 21.5 times when a sample kept every
+        # register of its run at the draw; it keeps only those that a moved
+        # point reads, and peaks at 14.0 times
+        pot, sampler = shipped("expression_well")
+        big = SampleSpec(count=200_000, seed=sampler.seed, t_extents=sampler.t_extents)
+        run_checks(pot, SampleSpec(count=10, t_extents=sampler.t_extents))
+        peak = peak_transient(run_checks, pot, big)
+        x_bytes = big.count * pot.n * 8
+        assert peak <= 15.0 * x_bytes, peak / x_bytes
+
+    @pytest.mark.parametrize("name", ["pendulum", "expression_well"])
+    def test_sample_is_freed_without_the_cycle_collector(self, name):
+        pot, sampler = shipped(name)
+        gc.disable()
+        try:
+            sample = Sample(pot, sampler)
+            check_periodicity(sample)
+            freed = weakref.ref(sample)
+            del sample
+            assert freed() is None
+        finally:
+            gc.enable()
