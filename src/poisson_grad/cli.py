@@ -298,10 +298,8 @@ def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:
     for key in ("max_iters", "tol_residual"):
         if key in s:
             s[key] = _number(s[key], f"solver.{key}", integral=key == "max_iters")
-    if "rng_seed" in s:
-        s["rng_seed"] = _seed(s["rng_seed"], "solver.rng_seed")
     if seed_override is not None:
-        s["rng_seed"] = _seed(seed_override, "--seed")
+        _seed(seed_override, "--seed")  # typed here, read by a random start
     try:
         return SolverConfig(**s)
     except (TypeError, ValueError) as err:
@@ -323,10 +321,8 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
     elif kind == "random":
         if seed_override is not None:
             seed, key = seed_override, "--seed"
-        elif "seed" in init:
-            seed, key = init["seed"], "init.seed"
         else:
-            seed, key = cfg.get("solver", {}).get("rng_seed", 0), "solver.rng_seed"
+            seed, key = init.get("seed", 0), "init.seed"
         start = random_init(spec, periods=pot.periods, seed=_seed(seed, key))
     elif kind == "csv":
         path = _text(_need(init, "path", "init.path"), "init.path")

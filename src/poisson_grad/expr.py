@@ -3,7 +3,9 @@
 Sources are parsed by recursive descent into a small AST over the fixed
 variables t1..tp, x1..xn, the constant pi, the operators + - * / ^ and the
 functions sin, cos, exp, sqrt.  Precedence, tightest first: ^ (right
-associative), unary minus, * /, + - (left associative).
+associative), unary minus, * /, + - (left associative).  An integer
+constant exponent of magnitude at most 128 unrolls into products, which
+take any base; every other exponent needs a positive base.
 
 Each AST compiles once into a straight-line program over numpy arrays that
 evaluates F and, forward-mode, the exact gradient grad_x F, over a whole
@@ -11,11 +13,11 @@ grid batch; its steps for F alone, the value program, run where F alone is
 needed.  Only x-derivatives are propagated, one component at a time; t
 enters as a constant for each evaluation, and tangent components that are
 structurally zero (constants, t-only subtrees, components a subtree does
-not depend on) cost nothing.  The program is bound to t before it runs: the
-steps on constants and t alone run once, at binding, so a potential bound
-to a grid's nodes computes them once per solve, and one bound to a drawn
-sample once for all the sampled checks, which take F and grad F from one
-run at the draw and, at a point moved in x_i, re-run only the value
+not depend on) cost nothing.  The bound potential is the program bound to
+t: the steps on constants and t alone run once, at binding, so a potential
+bound to a grid's nodes computes them once per solve, and one bound to a
+drawn sample once for all the sampled checks, which take F and grad F from
+one run at the draw and, at a point moved in x_i, re-run only the value
 program's steps that x_i reaches.
 Every failure mode is a positioned ExprError: lexical, syntactic, unknown
 identifier, or a numeric domain error pointing at the offending AST node.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import BoundPotential, GrowthEnvelope, Potential, declared_periods
+from .potential import GrowthEnvelope, Potential, declared_periods
 
 __all__ = [
     "ExprError",
@@ -371,8 +373,8 @@ def _nonzero_base(pos: int, base) -> None:
     _check(base == 0.0, "zero base with a negative exponent", pos)
 
 
-def _positive_base(pos: int, base) -> None:
-    _check(base <= 0.0, "'^' with a non-integer exponent needs a positive base", pos)
+def _positive_base(pos: int, exponent: str, base) -> None:
+    _check(base <= 0.0, f"'^' with {exponent} needs a positive base", pos)
 
 
 def _const_int(node: Node) -> int | None:
@@ -380,7 +382,7 @@ def _const_int(node: Node) -> int | None:
     while isinstance(node, Neg):
         sign = -sign
         node = node.arg
-    if isinstance(node, Const) and float(node.value).is_integer() and abs(node.value) <= 128:
+    if isinstance(node, Const) and float(node.value).is_integer():
         return sign * int(node.value)
     return None
 
@@ -508,10 +510,13 @@ class _Builder:
     def power(self, node: BinOp):
         base, dbase = self.node(node.left)
         k = _const_int(node.right)
-        if k is not None:
+        if k is not None and abs(k) <= 128:
             return self.int_power(node, base, dbase, k)
         expo, dexpo = self.node(node.right)
-        self.emit(_positive_base, base, fixed=(node.pos,))
+        exponent = (
+            "a non-integer exponent" if k is None else "an integer exponent beyond 128 in magnitude"
+        )
+        self.emit(_positive_base, base, fixed=(node.pos, exponent))
         # a^b = exp(b log a)
         log_base = self.emit(np.log, base)
         dlog = dbase and self.scale(dbase, self.emit(operator.truediv, self.constant(1.0), base))
@@ -569,12 +574,13 @@ _DUAL_CHECKS = _VALUE_CHECKS | {_sqrt_tangent_check}
 
 
 class _Bound:
-    """The program bound to t; called on x, it returns a Dual.  Binding runs
-    each step that needs no x, once, and folds it like a constant; a step
-    that fails its domain check or raises a floating-point error is left in
-    the program, with every step that uses it, so that it fails or warns at
-    evaluation, in its place, where a failed check raises an EvalDomainError
-    at its element."""
+    """The program bound to t, an expression's bound potential: it has the
+    ``value``, ``gradient`` and ``sample`` of a BoundPotential, and called on
+    x it returns a Dual.  Binding runs each step that needs no x, once, and
+    folds it like a constant; a step that fails its domain check or raises a
+    floating-point error is left in the program, with every step that uses
+    it, so that it fails or warns at evaluation, in its place, where a
+    failed check raises an EvalDomainError at its element."""
 
     __slots__ = ("t", "registers", "steps", "value_steps", "outputs", "moved", "kept")
 
@@ -633,6 +639,9 @@ class _Bound:
     def value(self, x) -> np.ndarray:
         return self.run(self.value_steps, x)[0]
 
+    def gradient(self, x) -> np.ndarray:
+        return self.partials(*self.run(self.steps, x))
+
     def __call__(self, x) -> Dual:
         value, regs = self.run(self.steps, x)
         return Dual(value, self.partials(value, regs))
@@ -655,9 +664,9 @@ class Program:
     """An expression compiled once into a straight-line program for F and its
     n partials; its steps for F, with their checks, are the value program.
     ``dual(t)`` binds it to t (see ``_Bound``): a function of x returning a
-    Dual; ``value(t)`` the bound value program, returning F."""
+    Dual, whose ``value(x)`` runs the value program alone."""
 
-    __slots__ = ("value", "dual")
+    __slots__ = ("dual",)
 
     def __init__(self, ast: Node, n: int):
         builder = _Builder(n)
@@ -674,11 +683,10 @@ class Program:
         for run in moved:
             kept.update({r for s in run for r in s[1:3]} - {s[3] for s in run})
         registers = [builder.known.get(r) for r in range(len(builder.steps))]
-        self.dual = bind = functools.partial(
+        self.dual = functools.partial(
             _Bound, registers, {_T, *builder.known}, builder.program(outputs, _DUAL_CHECKS),
             {s[3] for s in value_steps}, outputs, moved, kept,
         )
-        self.value = lambda t: bind(t).value
 
 
 def _compiled(program: Program | Node, x) -> Program:
@@ -697,8 +705,8 @@ def eval_dual(program: Program | Node, t: np.ndarray, x: np.ndarray) -> Dual:
 
 
 def eval_value(program: Program | Node, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate F only (cheaper than eval_dual inside line searches)."""
-    return _compiled(program, x).value(t)(x)
+    """Evaluate F only, through the value program: no tangent is computed."""
+    return _compiled(program, x).dual(t).value(x)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -762,13 +770,12 @@ class ExpressionPotential(Potential):
         self.growth = growth
 
     def value(self, t, x):
-        return eval_value(self.program, t, x)
+        return self.bind(t).value(x)
 
     def gradient(self, t, x):
-        return eval_dual(self.program, t, x).partials
+        return self.bind(t).gradient(x)
 
-    def bind(self, t: np.ndarray) -> BoundPotential:
+    def bind(self, t: np.ndarray) -> _Bound:
         """The program bound to ``t``, once: its steps that need no x run
         here (see ``_Bound``) for F, grad F and a drawn sample alike."""
-        bound = self.program.dual(t)
-        return BoundPotential(bound.value, lambda x: bound(x).partials, bound.sample)
+        return self.program.dual(t)

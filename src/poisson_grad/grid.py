@@ -293,11 +293,11 @@ def _laplacian(values: np.ndarray, spacings) -> np.ndarray:
 
     Each axis's term is ((-2 u(k) + u(k+e)) + u(k-e)) / h^2, which is bit for
     bit ((u(k+e) - 2 u(k)) + u(k-e)) / h^2: negation is exact and addition
-    commutes.  Along axis 0 the flat passes stop short of the wrap slabs,
-    which are then mended in place; along a later axis they run into the
-    wrap slab of every block but the last, so its sum is taken first.  The
-    terms are summed from the first, and the sum then gets + 0.0, which is
-    bit for bit the sum from 0.0: only a -0.0 differs, and it turns +0.0.
+    commutes.  A flat pass may run into the axis's wrap slab (along a later
+    axis, that of every block but the last), so each wrap slab's sum is
+    taken before its pass and written over the slab after it.  The terms
+    are summed from the first, and the sum then gets + 0.0, which is bit
+    for bit the sum from 0.0: only a -0.0 differs, and it turns +0.0.
     """
     out = np.empty(values.shape)
     term = np.empty(values.shape) if len(spacings) > 1 else None
@@ -307,18 +307,12 @@ def _laplacian(values: np.ndarray, spacings) -> np.ndarray:
         acc = buf.reshape(-1)
         lower, upper, last, first = _axis_layout(values.shape, axis)
         np.multiply(values, -2.0, buf)
-        if axis == 0:
-            np.add(acc[lower], flat[upper], acc[lower])
-            np.add(buf[last], values[first], buf[last])
-            np.add(acc[upper], flat[lower], acc[upper])
-            np.add(buf[first], values[last], buf[first])
-        else:
-            wrap = buf[last] + values[first]
-            np.add(acc[lower], flat[upper], acc[lower])
-            buf[last] = wrap
-            wrap = buf[first] + values[last]
-            np.add(acc[upper], flat[lower], acc[upper])
-            buf[first] = wrap
+        wrap = buf[last] + values[first]
+        np.add(acc[lower], flat[upper], acc[lower])
+        buf[last] = wrap
+        wrap = buf[first] + values[last]
+        np.add(acc[upper], flat[lower], acc[upper])
+        buf[first] = wrap
         np.divide(buf, h**2, buf)
         if axis:
             out += buf

@@ -86,11 +86,10 @@ class SampleSpec:
 class Sample:
     """One draw of a sampling plan for a potential.
 
-    The potential is bound once, at the drawn t, and F, grad F and |x| are
-    evaluated once, at the drawn points, so checks sharing a Sample share
-    them; they perturb copies of the read-only draw in one component i and
-    take F there from ``moved(i, y)``, which re-runs only what x_i reaches
-    where the bound potential has a ``sample``.
+    The potential is bound once, at the drawn t, and the bound potential's
+    ``sample`` evaluates F and grad F once, at the drawn points, as |x| is,
+    so checks sharing a Sample share them; they perturb copies of the
+    read-only draw in one component i and take F there from ``moved(i, y)``.
     """
 
     def __init__(self, pot: "Potential", sampler: SampleSpec):
@@ -99,15 +98,8 @@ class Sample:
         self.t, self.x = sampler.draw(pot.n)
         self.t.setflags(write=False)
         self.x.setflags(write=False)
-        self.bound = pot.bind(self.t)
-        sample = self.bound.sample or partial(_separately, self.bound)
-        self.value, self.gradient, self.moved = sample(self.x)
+        self.value, self.gradient, self.moved = pot.bind(self.t).sample(self.x)
         self.norm = np.sqrt(np.sum(self.x * self.x, axis=-1))
-
-
-def _separately(bound: "BoundPotential", x: np.ndarray):
-    """F and grad F at x, and F at any other point, each in its own call."""
-    return bound.value(x), bound.gradient(x), lambda i, y: bound.value(y)
 
 
 def fp_policy() -> np.errstate:
@@ -176,13 +168,15 @@ class Potential(ABC):
 
 @dataclass(frozen=True)
 class BoundPotential:
-    """A potential bound to fixed points t: a grid's nodes or a drawn sample.
-    ``sample``, if given, returns F and grad F at x and the function
-    (i, y) -> F(y) for points y that differ from x in component i alone."""
+    """A potential bound to fixed points t: a grid's nodes or a drawn sample."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[[np.ndarray], tuple] | None = None
+
+    def sample(self, x: np.ndarray):
+        """F and grad F at x, and the function (i, y) -> F(y) for points y
+        that differ from x in component i alone; here each is a full call."""
+        return self.value(x), self.gradient(x), lambda i, y: self.value(y)
 
 
 class CosineLattice(Potential):

@@ -73,7 +73,6 @@ class SolverConfig:
     method: str = "ncg"
     max_iters: int = 20000
     tol_residual: float = 1e-8
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method != "ncg":
@@ -146,7 +145,10 @@ def canonicalize(u: Field, periods) -> tuple[Field, np.ndarray]:
 
 
 def _lattice_shifts(values: np.ndarray, spec: GridSpec, periods: np.ndarray) -> np.ndarray:
-    return (-np.floor(_node_mean(values, spec) / periods)).astype(np.int64)
+    # 0 where the mean lies 2^53 periods or more out: floats there are a
+    # period or more apart, so no shift puts it in the cell
+    shifts = -np.floor(_node_mean(values, spec) / periods)
+    return np.where(np.abs(shifts) < 2.0**53, shifts, 0.0).astype(np.int64)
 
 
 def random_init(spec: GridSpec, periods=None, seed: int = 0) -> Field:
@@ -176,6 +178,10 @@ def _record(
     ubar = _node_mean(u, spec)
     tilde = u - ubar
     _require_finite(tilde)
+    tilde_norm = _norm(spec, tilde)
+    if not math.isfinite(tilde_norm):  # its squares overflow: scale them first
+        scale = float(np.abs(tilde).max())
+        tilde_norm = scale * _norm(spec, tilde / scale)
     return IterationRecord(
         index=index,
         action_total=a.total,
@@ -184,7 +190,7 @@ def _record(
         residual_l2=residual,
         du_norm_sq=2.0 * a.kinetic,
         mean=tuple(float(c) for c in ubar),
-        tilde_norm=_norm(spec, tilde),
+        tilde_norm=tilde_norm,
         step=step,
         shifts=None if shifts is None else tuple(int(k) for k in shifts),
         gauge_dev=gauge_dev,

@@ -198,10 +198,11 @@ class _ScalarDomainError(Exception):
 
 
 def _integer_exponent(node) -> int | None:
+    """The exponent k of a constant integer exponent, of any magnitude."""
     sign = 1
     while isinstance(node, Neg):
         sign, node = -sign, node.arg
-    if isinstance(node, Const) and float(node.value).is_integer() and abs(node.value) <= 128:
+    if isinstance(node, Const) and float(node.value).is_integer():
         return sign * int(node.value)
     return None
 
@@ -237,7 +238,7 @@ def _scalar(node, t, x, visited: list[int]) -> float:
             value = math.sqrt(a)
         else:
             value = getattr(math, node.fn)(a) if math.isfinite(a) else math.nan
-    elif node.op == "^" and _integer_exponent(node.right) is not None:
+    elif node.op == "^" and _integer_exponent(node.right) in range(-128, 129):
         k = _integer_exponent(node.right)
         base = _scalar(node.left, t, x, visited)
         if k < 0 and base == 0.0:
@@ -251,8 +252,14 @@ def _scalar(node, t, x, visited: list[int]) -> float:
         b = _scalar(node.right, t, x, visited)
         if node.op == "^":
             if a <= 0.0:
+                # integer exponents up to 128 in magnitude take the branch above
+                rule = (
+                    "a non-integer exponent"
+                    if _integer_exponent(node.right) is None
+                    else "an integer exponent beyond 128 in magnitude"
+                )
                 raise _ScalarDomainError(
-                    visited[0], "'^' with a non-integer exponent needs a positive base", node.pos
+                    visited[0], f"'^' with {rule} needs a positive base", node.pos
                 )
             value = _finite_or_fail(_exp(b * math.log(a)), visited[0], node.pos)
         elif node.op == "/":

@@ -134,6 +134,8 @@ class TestConfigValidation:
             # the line search's first step and the sampling box are constants
             ({"solver": {"initial_step": 1.0}}, "solver.initial_step"),
             ({"checks": {"x_radius": 8.0}}, "checks.x_radius"),
+            # a random start reads its seed from --seed or init.seed alone
+            ({"solver": {"rng_seed": 0}}, "solver.rng_seed"),
         ],
     )
     def test_unknown_solver_or_growth_key(self, tmp_path, capsys, section, key):
@@ -422,12 +424,6 @@ class TestConfigValidation:
                 "solver.tol_residual is out of range: Infinity",
                 "solve",
             ),
-            # the start is constant, so no random start reads the seed
-            ("solver", {"rng_seed": "abc"}, 'solver.rng_seed must be a number, got "abc"', "solve"),
-            ("solver", {"rng_seed": 1.5}, "solver.rng_seed must be an integer, got 1.5", "solve"),
-            ("solver", {"rng_seed": True}, "solver.rng_seed must be a number, got true", "solve"),
-            ("solver", {"rng_seed": None}, "solver.rng_seed must be a number, got null", "solve"),
-            ("solver", {"rng_seed": math.nan}, "solver.rng_seed must be a number, got NaN", "solve"),
         ],
     )
     def test_mistyped_number_exits_3_naming_key(
@@ -446,7 +442,8 @@ class TestConfigValidation:
             ("checks", {"seed": -1}, [], "checks.seed", "check"),
             ("checks", {"seed": -1}, [], "checks.seed", "solve"),
             ("init", {"kind": "random", "seed": -1}, [], "init.seed", "solve"),
-            ("solver", {"rng_seed": -1}, [], "solver.rng_seed", "solve"),
+            # --seed is typed whether or not the start is random
+            ("init", {"kind": "constant"}, ["--seed", "-1"], "--seed", "solve"),
             ("init", {"kind": "random"}, ["--seed", "-1"], "--seed", "solve"),
         ],
     )
@@ -457,7 +454,7 @@ class TestConfigValidation:
         cfg = tmp_path / "c.json"
         body = write_config(cfg, grid=dict(self.GRID_1D))
         body[section] = {**body[section], **update}
-        if section == "init":
+        if body["init"]["kind"] == "random":
             body["init"].pop("value")
         cfg.write_text(json.dumps(body))
         assert main(["--quiet", *flag, command, str(cfg)]) == 3
@@ -1017,6 +1014,26 @@ class TestFieldCsvFastPath:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize(
+        "name, start", [("pendulum.json", 1e300), ("expression_well.json", 1e200)]
+    )
+    def test_field_written_means_report_written(self, tmp_path, capsys, monkeypatch, name, start):
+        # at a start this far out the squares of u - mean overflow, and the
+        # mean lies more than 2^53 periods out, so no lattice shift applies
+        body = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
+        body["init"] = {"kind": "constant", "value": start}
+        (tmp_path / name).write_text(json.dumps(body))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--quiet", "solve", name]) == 2
+        assert capsys.readouterr().err == ""
+        assert Path(body["output"]["field_csv"]).is_file()
+        report = json.loads(Path(body["output"]["report_json"]).read_text())
+        assert report["status"] == "stalled"
+        assert not report["bound_audit"]["mean_in_cell"]["passed"]
+        for record in report["iterations"]:
+            assert 0.0 < record["tilde_norm"] < math.inf
+            assert record["shifts"] == [0] * body["grid"]["n"]
+
     def test_pendulum_end_to_end(self, tmp_path):
         cfg = tmp_path / "pendulum.json"
         write_config(cfg)

@@ -203,6 +203,30 @@ class TestEval:
         with pytest.raises(EvalDomainError, match="positive base"):
             eval_value(ast, np.zeros(0), np.array([-2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "source, rule",
+        [
+            ("x1^129", "an integer exponent beyond 128 in magnitude"),
+            ("x1^130", "an integer exponent beyond 128 in magnitude"),
+            ("x1^-129", "an integer exponent beyond 128 in magnitude"),
+            ("x1^--200", "an integer exponent beyond 128 in magnitude"),
+            ("x1^1.5", "a non-integer exponent"),
+            ("x1^x1", "a non-integer exponent"),
+        ],
+    )
+    def test_power_with_a_negative_base_names_its_rule(self, source, rule):
+        # an integer exponent up to 128 in magnitude unrolls into products,
+        # and any other exponent goes through exp(b log a)
+        ast, t, x = parse(source, 1, 1), np.zeros((2, 1)), np.array([[2.0], [-1.0]])
+        expected = ("error", f"'^' with {rule} needs a positive base", 2, 1)
+        assert reference_eval(ast, t, x) == expected
+        for evaluate in (eval_value, eval_dual):
+            with pytest.raises(EvalDomainError) as err:
+                evaluate(ast, t, x)
+            assert ("error", err.value.message, err.value.pos, err.value.element) == expected
+        for k in (128, -128):
+            npt.assert_array_equal(eval_value(parse(f"x1^{k}", 1, 1), t, x), [2.0**k, 1.0])
+
     def test_exp_overflow_positioned(self):
         with pytest.raises(EvalDomainError, match="non-finite"):
             eval_value(parse("exp(x1)", 0, 1), np.zeros(0), np.array([1e4]))
@@ -420,15 +444,17 @@ class TestCompiledSteps:
         program = expr.Program(parse("x1 * sin(2)", 0, 1), 1)
         assert calls == []  # compiling runs no step
         t, x = np.zeros((3, 0)), np.array([[1.0], [2.0], [3.0]])
-        for bind in (program.value, program.dual):
-            run = bind(t)
-            assert calls == [()]
+        bound = program.dual(t)
+        assert calls == [()]
+        # F alone, grad F alone, both as a Dual, and a sample's all run it
+        # from the binding
+        for run in (bound.value, bound.gradient, bound, bound.sample):
             for _ in range(3):
                 run(x)
-            assert calls == [()]
-            calls.clear()
-        npt.assert_array_equal(program.value(t)(x), x[:, 0] * sin(2.0))
-        npt.assert_array_equal(program.dual(t)(x).partials, np.full((3, 1), sin(2.0)))
+        assert calls == [()]
+        npt.assert_array_equal(bound.value(x), x[:, 0] * sin(2.0))
+        npt.assert_array_equal(bound.gradient(x), np.full((3, 1), sin(2.0)))
+        npt.assert_array_equal(bound(x).partials, np.full((3, 1), sin(2.0)))
 
     def test_moved_component_reruns_only_the_steps_it_reaches(self, monkeypatch):
         calls = []

@@ -406,12 +406,26 @@ def shipped(name: str):
     return cli.build_potential(cfg, spec), cli.build_sampler(cfg, spec)
 
 
+def built(name: str):
+    """A potential of a kind that no shipped config uses, and a sampling plan."""
+    spec = GridSpec((1.0, 2.0), (8, 6), n=2)
+    sampler = SampleSpec(count=500, seed=3, t_extents=spec.extents)
+    if name == "quadratic":
+        return ShiftedQuadratic([0.5, -1.0], p=2, periods=[1.0, 2.0]), sampler
+    forcing = np.random.default_rng(4).standard_normal(spec.shape)
+    return LinearForcing(Field(spec, forcing)), sampler
+
+
 class TestSampleEvaluation:
-    @pytest.mark.parametrize("name", ["pendulum", "expression_well", "stiff_cosine"])
+    @pytest.mark.parametrize(
+        "name", ["pendulum", "expression_well", "stiff_cosine", "quadratic", "linear"]
+    )
     def test_checks_equal_unbound_evaluation(self, name):
-        # an expression's sample runs its program once at the draw and, at a
-        # moved point, only the steps that the moved component reaches
-        pot, sampler = shipped(name)
+        # every bound potential answers sample: an expression's runs its
+        # program once at the draw and, at a moved point, only the steps
+        # that the moved component reaches, and a BoundPotential's evaluates
+        # F and grad F in full
+        pot, sampler = built(name) if name in ("quadratic", "linear") else shipped(name)
         assert run_checks(pot, sampler) == run_checks(Unbound(pot), sampler)
 
     def test_expression_check_phase_peak(self):

@@ -112,6 +112,19 @@ class TestCanonicalize:
         _, tilde_after = split_mean(Field(spec, shifted))
         npt.assert_allclose(tilde_after.values, tilde_before.values, atol=1e-13)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mean_2_53_periods_out_is_left_unshifted(self, sign):
+        # floats that large are a period or more apart, so no shift puts
+        # the mean in the cell, and the shift would not fit int64
+        spec = GridSpec((1.0,), (8,), n=2)
+        u = np.stack([np.full(spec.nodes, sign * 2.0**53), np.full(spec.nodes, 1e300)], -1)
+        shifted, k = self.canonical(spec, u, [1.0, TWO_PI])
+        npt.assert_array_equal(k, [0, 0])
+        assert shifted is u
+        u[..., 0] = sign * (2.0**53 - 1.0)
+        k = solver._lattice_shifts(u, spec, np.array([1.0, TWO_PI]))
+        npt.assert_array_equal(k, [-u[0, 0], 0])
+
     def test_missing_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
             canonicalize(Field.zeros(GridSpec((1.0,), (8,))), None)
@@ -359,6 +372,17 @@ class TestMinimize:
         assert not solver._lattice_shifts(init.values, spec, pot.periods).any()
         with pytest.raises(RuntimeError, match="lattice shift changed the action"):
             minimize(pot, init, SolverConfig())
+
+    def test_tilde_norm_is_finite_where_its_squares_overflow(self):
+        # the mean of a constant 1e300 rounds, and (u - mean)^2 overflows
+        spec = GridSpec((1.0, 1.0), (16, 16), n=1)
+        pot = CosineLattice([1.0], [TWO_PI], floor=0.1, p=2)
+        init = Field.constant(spec, 1e300)
+        gap = 1e300 - mean(init)[0]
+        assert abs(gap) > math.sqrt(np.finfo(np.float64).max)
+        _, report = minimize(pot, init, SolverConfig(max_iters=3))
+        for r in report.iterations:
+            assert r.tilde_norm == pytest.approx(abs(gap) * math.sqrt(spec.volume), rel=1e-15)
 
     def test_gauge_deviation_recorded_on_shifts(self):
         spec = GridSpec((1.0,), (16,), n=1)
