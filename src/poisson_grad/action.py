@@ -30,7 +30,7 @@ import numpy as np
 # forward_diff and laplacian are not called here; they stay bound in this
 # module because perfbench/spans.py traces them by these names
 from .grid import Field, GridSpec, forward_diff, l2_norm, laplacian, node_coordinates  # noqa: F401
-from .grid import _difference, _laplacian, _norm, _reduce, _require_finite
+from .grid import _difference, _laplacian, _norm, _reduce, _require_finite, _row_norms
 from .potential import GrowthEnvelope, Potential
 
 __all__ = [
@@ -155,15 +155,18 @@ def action_gradient(u: Field, pot: Potential) -> Field:
 
 
 def stacked_diff_norm(u: Field) -> float:
-    """L2 norm of the stacked forward differences, sqrt(sum_alpha |D_alpha u|^2),
-    each difference finite as a Field's values are, in one buffer."""
+    """L2 norm of the stacked forward differences, the norm of the axes' |D_alpha u|,
+    each finite as a Field's values are, squared in one buffer: an axis whose
+    squares overflow is differenced again for ``_norm``'s scaled sum."""
     spec = u.spec
     d = np.empty(spec.shape)
-    total = 0.0
+    norms = np.empty(spec.p)
     for axis, h in enumerate(spec.spacings):
         _require_finite(_difference(u.values, axis, h, 1, d))
-        total += _norm(spec, d, out=d) ** 2
-    return math.sqrt(total)
+        norms[axis] = _norm(spec, d, out=d)
+        if norms[axis] == math.inf:
+            norms[axis] = _norm(spec, _difference(u.values, axis, h, 1, d))
+    return float(_row_norms(norms))
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,9 @@ def continuity_bound(
     """
     lhs = abs(action(u, pot).total - action(v, pot).total)
     diff = Field(u.spec, u.values - v.values)
-    ndu = stacked_diff_norm(u)
-    ndv = stacked_diff_norm(v)
-    nddiff = stacked_diff_norm(diff)
     ldiff = l2_norm(diff)
     rhs = (
-        0.5 * (ndu + ndv) * nddiff
+        0.5 * (stacked_diff_norm(u) + stacked_diff_norm(v)) * stacked_diff_norm(diff)
         + (env.m * l2_norm(v) + env.g_max * math.sqrt(u.spec.volume)) * ldiff
         + env.m * ldiff**2
     )

@@ -612,10 +612,26 @@ def _check_phase(args, pot: Potential, sampler: SampleSpec) -> tuple[list[CheckR
     return checks, notes
 
 
+def _file_identity(path: Path) -> tuple | None:
+    """What a path names: an existing file's (st_dev, st_ino), which its hard
+    links and every spelling of it share; for a file not there yet, its
+    directory's, plus its name, where a dangling symbolic link points; None
+    when that directory is missing too."""
+    with contextlib.suppress(OSError):
+        st = path.stat()
+        return (st.st_dev, st.st_ino)
+    real = Path(os.path.realpath(path))
+    with contextlib.suppress(OSError):
+        st = real.parent.stat()
+        return (st.st_dev, st.st_ino, real.name)
+    return None
+
+
 def _claim_outputs(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
     """Refuse, before any work, an output in a missing directory, a directory,
-    or one that names an input or another output; a None path is skipped."""
-    claimed = {Path(path).resolve(): key for key, path in inputs.items() if path is not None}
+    or one that names an input or another output, by ``_file_identity``; a
+    None path is skipped."""
+    claimed = {_file_identity(Path(p)): key for key, p in inputs.items() if p is not None}
     for key, path in outputs.items():
         if path is None:
             continue
@@ -624,7 +640,7 @@ def _claim_outputs(inputs: dict[str, str | None], outputs: dict[str, str | None]
             raise ConfigError(f"{key}: directory {target.parent} does not exist")
         if target.is_dir():
             raise ConfigError(f"{key}: {path} is a directory")
-        other = claimed.setdefault(target.resolve(), key)
+        other = claimed.setdefault(_file_identity(target), key)
         if other != key:
             raise ConfigError(f"{other} and {key} name the same file {path}")
 

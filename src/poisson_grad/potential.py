@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Field, node_coordinates
+from .grid import Field, _row_norms, node_coordinates
 
 __all__ = [
     "GrowthEnvelope",
@@ -99,7 +99,7 @@ class Sample:
         self.t.setflags(write=False)
         self.x.setflags(write=False)
         self.value, self.gradient, self.moved = pot.bind(self.t).sample(self.x)
-        self.norm = np.sqrt(np.sum(self.x * self.x, axis=-1))
+        self.norm = _row_norms(self.x)
 
 
 def fp_policy() -> np.errstate:
@@ -219,9 +219,8 @@ class CosineLattice(Potential):
         self.mod_axis = mod_axis
         self.mod_extent = float(mod_extent)
         self._rates = self.amplitudes * (2.0 * np.pi / self.periods)
-        self.growth = GrowthEnvelope(
-            m=0.0, g_max=(1.0 + abs(modulation)) * float(np.sqrt(np.sum(self._rates**2)))
-        )
+        g_max = (1.0 + abs(modulation)) * float(_row_norms(self._rates))
+        self.growth = GrowthEnvelope(m=0.0, g_max=g_max)
 
     def _time_factor(self, t: np.ndarray) -> np.ndarray:
         phase = 2.0 * np.pi * np.asarray(t)[..., self.mod_axis] / self.mod_extent
@@ -262,7 +261,7 @@ class ShiftedQuadratic(Potential):
         self.p = p
         self.floor = float(floor)
         self.periods = declared_periods(periods, self.n)
-        self.growth = GrowthEnvelope(m=1.0, g_max=float(np.linalg.norm(self.center)))
+        self.growth = GrowthEnvelope(m=1.0, g_max=float(_row_norms(self.center)))
 
     def value(self, t, x):
         d = np.asarray(x) - self.center
@@ -287,11 +286,7 @@ class LinearForcing(Potential):
         self.n = forcing.spec.n
         self.p = forcing.spec.p
         self.periods = None
-        # a forcing whose norm overflows has no finite envelope, which
-        # GrowthEnvelope refuses
-        with fp_policy():
-            g_max = float(_vector_norms(forcing.values).max())
-        self.growth = GrowthEnvelope(m=0.0, g_max=g_max)
+        self.growth = GrowthEnvelope(m=0.0, g_max=float(_row_norms(forcing.values).max()))
 
     def _forcing_at(self, t: np.ndarray) -> np.ndarray:
         """f at the nearest nodes; at its own nodes, the forcing, not a copy
@@ -323,17 +318,6 @@ class LinearForcing(Potential):
     @staticmethod
     def _negated(f: np.ndarray, x) -> np.ndarray:
         return -np.broadcast_to(f, np.broadcast_shapes(f.shape, np.asarray(x).shape))
-
-
-def _vector_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, under ``fp_policy``: the square
-    root of the sum of squares, and hypot's scaled sum only where the squares
-    overflow, so that a norm is infinite only when it overflows itself."""
-    norms = np.sqrt(np.sum(v**2, axis=-1))
-    if not math.isfinite(norms.max()):
-        over = ~np.isfinite(norms)
-        norms[over] = np.hypot.reduce(np.abs(v[over]), axis=-1)
-    return norms
 
 
 def _finite(quantity: np.ndarray) -> tuple[np.ndarray, int]:
@@ -390,7 +374,7 @@ def check_gradient_growth(sample: Sample) -> CheckReport:
     env = sample.pot.growth
     if env is None:
         raise ValueError(f"potential '{sample.pot.name}' declares no growth envelope")
-    g = _vector_norms(sample.gradient)
+    g = _row_norms(sample.gradient)
     allowed = env.m * sample.norm + env.g_max
     margin = g - allowed
     finite, bad = _finite(margin)

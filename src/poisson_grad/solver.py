@@ -178,10 +178,6 @@ def _record(
     ubar = _node_mean(u, spec)
     tilde = u - ubar
     _require_finite(tilde)
-    tilde_norm = _norm(spec, tilde)
-    if not math.isfinite(tilde_norm):  # its squares overflow: scale them first
-        scale = float(np.abs(tilde).max())
-        tilde_norm = scale * _norm(spec, tilde / scale)
     return IterationRecord(
         index=index,
         action_total=a.total,
@@ -190,7 +186,7 @@ def _record(
         residual_l2=residual,
         du_norm_sq=2.0 * a.kinetic,
         mean=tuple(float(c) for c in ubar),
-        tilde_norm=tilde_norm,
+        tilde_norm=_norm(spec, tilde),
         step=step,
         shifts=None if shifts is None else tuple(int(k) for k in shifts),
         gauge_dev=gauge_dev,

@@ -33,7 +33,7 @@ from .grid import (  # noqa: F401
     node_coordinates,
     split_mean,
 )
-from .grid import _difference, _norm, _require_finite
+from .grid import _abs_max, _difference, _norm, _require_finite
 from .potential import Potential, fp_policy
 
 __all__ = [
@@ -53,12 +53,6 @@ __all__ = [
 # stencil scale (random fields and DFT-oracle solutions, p = 1, 2,
 # N = 16 ... 512), so 16 eps leaves a margin of more than 25
 _ASSEMBLY_TOL = 16.0 * float(np.finfo(np.float64).eps)
-
-
-def _abs_max(values: np.ndarray) -> float:
-    """max |values|, as np.max(np.abs(values)) gives it (+0.0 for zeros of
-    either sign), without an array of absolute values."""
-    return max(float(values.max()), -float(values.min())) + 0.0
 
 
 @dataclass(frozen=True)

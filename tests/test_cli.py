@@ -613,6 +613,49 @@ class TestConfigValidation:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "in.csv"]
         assert (tmp_path / "in.csv").read_bytes() == before
 
+    def test_report_linked_to_the_field_to_be_written_exits_3_before_checks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a dangling symbolic link names the file that writing it creates
+        def unreachable(*args):
+            raise AssertionError("minimize must not run")
+
+        monkeypatch.setattr(cli, "minimize", unreachable)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body["output"] = {"field_csv": "f.csv", "report_json": "r.json"}
+        cfg.write_text(json.dumps(body))
+        (tmp_path / "r.json").symlink_to("f.csv")
+        assert main(["solve", str(cfg)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: output.field_csv and output.report_json name the same file r.json\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "r.json"]
+
+    def test_report_hard_linked_to_the_config_exits_3_before_checks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a hard link is another name for the config's own file, which no
+        # spelling of a path reveals; the config must survive unchanged
+        def unreachable(*args):
+            raise AssertionError("minimize must not run")
+
+        monkeypatch.setattr(cli, "minimize", unreachable)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        body = write_config(cfg, grid=dict(self.GRID_1D))
+        body["output"] = {"field_csv": "f.csv", "report_json": "r.json"}
+        cfg.write_text(json.dumps(body))
+        os.link(cfg, tmp_path / "r.json")
+        before = cfg.read_bytes()
+        assert main(["solve", str(cfg)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: config and output.report_json name the same file r.json\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "r.json"]
+        assert cfg.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["check", "solve"])
     @pytest.mark.parametrize("period", [0.0, -1.0])
     @pytest.mark.parametrize(
@@ -1034,6 +1077,34 @@ class TestSolveCommand:
             assert 0.0 < record["tilde_norm"] < math.inf
             assert record["shifts"] == [0] * body["grid"]["n"]
 
+    def test_report_written_where_the_squares_of_grad_f_overflow(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # grad F = 1e200 cos(u) is 1e200 at every node of the constant 0
+        # start, and no step is accepted: the squares of the residual
+        # overflow, and its L2 norm, 1e200 sqrt(2 pi), does not
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            grid={"p": 1, "n": 1, "extents": [TWO_PI], "nodes": [8]},
+            potential={"kind": "expr", "expr": "1 + 1e200*sin(x1)", "periods": [TWO_PI]},
+            init={"kind": "constant", "value": 0.0},
+            solver={"max_iters": 5},
+            output={"field_csv": "f.csv", "report_json": "r.json"},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--quiet", "solve", str(cfg)]) == 2
+        assert capsys.readouterr().err == "warning: hypothesis checks failed: positivity\n"
+        report = json.loads((tmp_path / "r.json").read_text())
+        norms = [r["residual_l2"] for r in report["iterations"]]
+        norms += [report["final"]["residual_l2"], report["certificate"]["residual_l2"]]
+        assert all(0.0 < norm < math.inf for norm in norms)
+        assert report["certificate"]["residual_l2"] == pytest.approx(
+            1e200 * math.sqrt(TWO_PI), rel=1e-14
+        )
+
     def test_pendulum_end_to_end(self, tmp_path):
         cfg = tmp_path / "pendulum.json"
         write_config(cfg)
@@ -1436,6 +1507,32 @@ class TestCheckCommand:
             "error: invalid linear potential: g_max must be finite and nonnegative, got inf\n"
         )
 
+    @pytest.mark.parametrize(
+        "potential, code",
+        [
+            ({"kind": "cosine", "amplitudes": [1e160], "periods": [TWO_PI]}, 0),
+            ({"kind": "quadratic", "center": [1e200, 0.0]}, 2),
+        ],
+        ids=["cosine", "quadratic"],
+    )
+    def test_potential_whose_squares_overflow_is_checked(
+        self, tmp_path, capsys, potential, code
+    ):
+        # the squares in g_max overflow, its value, 1e160 or 1e200, does
+        # not; the quadratic's F overflows at every sample, which fails
+        # positivity and grad_consistency, and no numpy warning escapes
+        cfg = tmp_path / "c.json"
+        n = len(potential.get("center", [0.0]))
+        write_config(
+            cfg, grid={"p": 1, "n": n, "extents": [1.0], "nodes": [8]}, potential=potential
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(cfg)]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "gradient_growth    pass  " in out
+
     @pytest.mark.parametrize("size", [1e160, 1e200])
     def test_linear_forcing_whose_squares_overflow_is_checked(self, tmp_path, capsys, size):
         # the squares of a +-1e160 forcing overflow, its norm 1e160 does not:
@@ -1614,15 +1711,41 @@ class TestOracleLinear:
             "error: right-hand side must have zero mean per component, got [1.]\n"
         )
 
-    @pytest.mark.parametrize(
-        "values", [(-1e307, 1e307), (5e306, 1e307)], ids=["zero-mean", "nonzero-mean"]
-    )
-    def test_rhs_with_overflowing_norm_exits_3(self, tmp_path, capsys, values):
-        # the squares in the L2 norm overflow; with an infinite norm the
-        # zero-mean test could not refuse the second rhs, of mean 7.5e306
+    def test_rhs_whose_squares_overflow_is_solved(self, tmp_path, capsys):
+        # the squares of +-1e307 overflow, its L2 norm 1e307 does not, so the
+        # zero-mean rhs is solved, with no numpy warning
         cfg = tmp_path / "c.json"
         write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]})
         spec = GridSpec((1.0,), (8,), n=1)
+        rhs = Field(spec, np.array([(-1e307, 1e307)] * 4).reshape(spec.shape))
+        rhs_path = tmp_path / "rhs.csv"
+        write_field_csv(rhs_path, rhs)
+        out = tmp_path / "u.csv"
+        argv = ["--quiet", "oracle-linear", str(rhs_path), str(cfg), "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        u, _ = read_field_csv(out, spec)
+        npt.assert_allclose(laplacian(u).values, rhs.values, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((5e306, 1e307), "must have zero mean per component, got [7.5e+306]"),
+            ((-1.5e308, 1.5e308), "must have a finite L2 norm, got inf"),
+            ((1.5e308, 1e308), "must have a finite L2 norm, got inf"),
+        ],
+        ids=["nonzero-mean", "zero-mean", "nonzero-mean-norm"],
+    )
+    def test_rhs_with_overflowing_norm_exits_3(self, tmp_path, capsys, values, message):
+        # the squares of each rhs overflow; the first one's norm does not,
+        # so the zero-mean test refuses its mean of 7.5e306, and the norms
+        # of the others, 3e308 and 2.5e308 over a domain of volume 4,
+        # overflow themselves
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"p": 1, "n": 1, "extents": [4.0], "nodes": [8]})
+        spec = GridSpec((4.0,), (8,), n=1)
         rhs_path = tmp_path / "rhs.csv"
         write_field_csv(rhs_path, Field(spec, np.array([values] * 4).reshape(spec.shape)))
         out = tmp_path / "u.csv"
@@ -1630,10 +1753,30 @@ class TestOracleLinear:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 3
-        assert capsys.readouterr().err == (
-            "error: right-hand side must have a finite L2 norm, got inf\n"
-        )
+        assert capsys.readouterr().err == f"error: right-hand side {message}\n"
         assert not out.exists()
+
+    def test_output_hard_linked_to_the_rhs_exits_3_before_reading(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args):
+            raise AssertionError("the right-hand side must not be read")
+
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]})
+        spec = GridSpec((1.0,), (8,), n=1)
+        t = node_coordinates(spec)[..., 0]
+        write_field_csv(tmp_path / "rhs.csv", Field(spec, np.sin(TWO_PI * t)))
+        os.link(tmp_path / "rhs.csv", tmp_path / "u.csv")
+        before = (tmp_path / "rhs.csv").read_bytes()
+        monkeypatch.setattr(cli, "read_field_csv", unreachable)
+        argv = ["--quiet", "oracle-linear", "rhs.csv", str(cfg), "--output", "u.csv"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "", "error: rhs_csv and --output name the same file u.csv\n"
+        )
+        assert (tmp_path / "rhs.csv").read_bytes() == before
 
     @pytest.mark.parametrize(
         "output, message",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +20,8 @@ from poisson_grad import (
 from poisson_grad.grid import (
     _difference,
     _laplacian,
+    _norm,
+    _row_norms,
     backward_diff,
     h1_riesz_map,
     laplacian_symbol,
@@ -186,6 +189,40 @@ class TestL2:
         spec = line(extent=1.0, nodes=64)
         u = sine_field(spec)
         assert l2_norm(u) ** 2 == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("shape", [(3, 1), (7, 2), (4, 3, 2), (64, 64, 2)])
+    def test_plain_formula_bits_where_no_square_overflows(self, shape, scale):
+        # both reductions of the one rule: a field's cell-weighted L2 norm, in
+        # _reduce's order, and the Euclidean norms of the rows, of a field's
+        # nodes and of one vector
+        rng = np.random.default_rng(len(shape))
+        spec = GridSpec((1.5,) * (len(shape) - 1), shape[:-1], n=shape[-1])
+        for _ in range(5):
+            a = scale * rng.standard_normal(shape)
+            plain = math.sqrt(spec.cell_volume * np.add.reduce(a * a, axis=None))
+            assert _norm(spec, a) == plain
+            for v in (a, a.reshape(-1)):
+                rows = np.sqrt(np.sum(v * v, axis=-1))
+                assert np.asarray(_row_norms(v)).tobytes() == rows.tobytes()
+
+    def test_scaled_where_the_squares_overflow(self):
+        spec = GridSpec((4.0,), (4,), n=2)
+        a = np.array([[3e200, -4e200], [1.0, 2.0], [0.0, -1e160], [1.5e308, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _row_norms(a)
+            field = _norm(spec, a[:3].copy())
+            buffer = a[:3].copy()
+            in_place = _norm(spec, buffer, out=buffer)
+        npt.assert_allclose(rows[0], 5e200, rtol=1e-15)
+        assert rows[1] == math.sqrt(5.0) and rows[2] == 1e160
+        assert rows[3] == math.inf  # the norm 2.1e308 overflows itself
+        npt.assert_allclose(field, 5e200, rtol=1e-15)
+        # in place, the entries summed are the squares, which overflowed
+        assert in_place == math.inf
+        assert _row_norms(np.array([1e300, math.inf])) == math.inf
+        assert math.isnan(_row_norms(np.array([1e300, math.nan])))
 
     def test_mismatched_grids_rejected(self):
         u = Field.zeros(line(nodes=4))

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -237,6 +238,21 @@ class TestDeclaredEnvelopes:
         report = check_gradient_growth(Sample(pot, BIG_SAMPLER))
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "build, g_max",
+        [
+            (lambda: CosineLattice([1e160], [TWO_PI]), 1e160),
+            (lambda: ShiftedQuadratic([1e200, 0.0]), 1e200),
+        ],
+        ids=["cosine", "quadratic"],
+    )
+    def test_envelope_where_the_squares_overflow(self, build, g_max):
+        # the squares of the rates and of the center overflow, their norms
+        # do not, and no overflow warning escapes the constructor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build().growth.g_max == g_max
+
     def test_linear_forcing_envelope(self):
         spec = GridSpec((1.0,), (16,), n=2)
         rng = np.random.default_rng(9)
@@ -280,7 +296,7 @@ class TestLinearForcing:
         assert pot.growth.g_max == float(np.sqrt(np.sum(f**2, axis=-1)).max())
 
     def test_growth_bound_where_the_squares_overflow(self):
-        # hypot's norm at the nodes whose squares overflow: 5e200 and 1e160
+        # the scaled norm at the nodes whose squares overflow: 5e200 and 1e160
         spec = GridSpec((1.0,), (3,), n=2)
         f = np.array([[1.0, 2.0], [3e200, -4e200], [0.0, -1e160]])
         npt.assert_allclose(LinearForcing(Field(spec, f)).growth.g_max, 5e200, rtol=1e-15)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -256,6 +259,21 @@ class TestWirtinger:
         values[(slice(None),) * axis + (slice(1, None, 2),)] = -4e307
         with fp_policy(), pytest.raises(ValueError, match="^field contains non-finite values$"):
             wirtinger_check(Field(spec, values))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_differences_whose_squares_overflow(self, p):
+        # the lowest mode at amplitude 1e200: the squares of the field and of
+        # its differences overflow, their norms do not, so both sides are
+        # finite and the mode still achieves equality
+        spec = GridSpec((1.0,) * p, (32,) * p, n=1)
+        t = node_coordinates(spec)[..., 0]
+        u = Field(spec, 1e200 * np.sin(TWO_PI * t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = wirtinger_check(u)
+        assert 1e199 < report.lhs < math.inf and 1e199 < report.rhs < math.inf
+        assert report.passed
+        assert report.lhs == pytest.approx(report.rhs, rel=1e-12)
 
     def test_constant_field(self):
         spec = GridSpec((1.0,), (16,), n=1)
