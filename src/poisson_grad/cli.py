@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .expr import ExprError, ExpressionPotential, line_col
 from .grid import Field, GridSpec, l2_norm, lattice_axes, mean
-from .grid import solve_linear_poisson
+from .grid import _abs_max, solve_linear_poisson
 from .potential import (
     CheckReport,
     CosineLattice,
@@ -192,6 +192,20 @@ def _only_kind_keys(section: str, body: dict, kind: str) -> None:
         raise ConfigError(f"config key {section}.{unread[0]} is not read by kind {kind!r}")
 
 
+@contextlib.contextmanager
+def _invalid(what: str, errors=ValueError):
+    """Re-raise the library's ``errors`` from the block as ConfigError("invalid
+    <what>: ..."); typed reads, whose ConfigError is a ValueError, stay out."""
+    try:
+        yield
+    except errors as err:
+        raise ConfigError(f"invalid {what}: {err}") from err
+
+
+def _unknown_kind(section: str, kind) -> ConfigError:
+    return ConfigError(f"{section}.kind must be {'|'.join(_KIND_KEYS[section])}, got {kind!r}")
+
+
 def _periods(pot: dict, spec: GridSpec, required: bool) -> list[float] | None:
     """potential.periods as grid.n floats; None when optional and absent."""
     if not required and pot.get("periods") is None:
@@ -214,18 +228,14 @@ def build_grid(cfg: dict) -> GridSpec:
     nodes = tuple(
         _number(k, f"grid.nodes[{a}]", integral=True) for a, k in enumerate(nodes)
     )
-    try:
+    with _invalid("grid"):
         return GridSpec(tuple(extents), nodes, n=n)
-    except ValueError as err:
-        raise ConfigError(f"invalid grid: {err}") from err
 
 
 def _growth_from(cfg_growth: dict) -> GrowthEnvelope:
     bounds = {k: _number(v, f"potential.growth.{k}") for k, v in cfg_growth.items()}
-    try:
+    with _invalid("potential.growth"):
         return GrowthEnvelope(**bounds)
-    except ValueError as err:
-        raise ConfigError(f"invalid potential.growth: {err}") from err
 
 
 def build_potential(cfg: dict, spec: GridSpec) -> Potential:
@@ -243,7 +253,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
         )
         floor = _number(pot.get("floor", 0.1), "potential.floor")
         modulation = _number(pot.get("modulation", 0.0), "potential.modulation")
-        try:
+        with _invalid("cosine potential"):
             built = CosineLattice(
                 amplitudes,
                 periods,
@@ -255,24 +265,18 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
                 mod_extent=spec.extents[axis % spec.p],
                 p=spec.p,
             )
-        except ValueError as err:
-            raise ConfigError(f"invalid cosine potential: {err}") from err
     elif kind == "quadratic":
         center = _floats(_need(pot, "center", "potential.center"), "potential.center", spec.n)
         floor = _number(pot.get("floor", 1.0), "potential.floor")
         # a periodicity *claim*, not a property: the checks falsify it
         periods = _periods(pot, spec, required=False)
-        try:
+        with _invalid("quadratic potential"):
             built = ShiftedQuadratic(center, floor=floor, p=spec.p, periods=periods)
-        except ValueError as err:
-            raise ConfigError(f"invalid quadratic potential: {err}") from err
     elif kind == "linear":
         path = _text(_need(pot, "forcing_csv", "potential.forcing_csv"), "potential.forcing_csv")
         forcing = _read_open_field(path, spec, "potential.forcing_csv")
-        try:
+        with _invalid("linear potential"):
             built = LinearForcing(forcing)
-        except ValueError as err:
-            raise ConfigError(f"invalid linear potential: {err}") from err
     elif kind == "expr":
         source = _text(_need(pot, "expr", "potential.expr"), "potential.expr")
         periods = _periods(pot, spec, required=False)
@@ -286,9 +290,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
             growth=None if growth is None else _growth_from(growth),
         )
     else:
-        raise ConfigError(
-            f"potential.kind must be cosine|quadratic|linear|expr, got {kind!r}"
-        )
+        raise _unknown_kind("potential", kind)
     _only_kind_keys("potential", pot, kind)
     return built
 
@@ -300,10 +302,8 @@ def build_solver_config(cfg: dict, seed_override: int | None) -> SolverConfig:
             s[key] = _number(s[key], f"solver.{key}", integral=key == "max_iters")
     if seed_override is not None:
         _seed(seed_override, "--seed")  # typed here, read by a random start
-    try:
+    with _invalid("solver config", (TypeError, ValueError)):
         return SolverConfig(**s)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid solver config: {err}") from err
 
 
 def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | None) -> Field:
@@ -328,7 +328,7 @@ def build_init(cfg: dict, spec: GridSpec, pot: Potential, seed_override: int | N
         path = _text(_need(init, "path", "init.path"), "init.path")
         start = _read_open_field(path, spec, "init.path")
     else:
-        raise ConfigError(f"init.kind must be constant|random|csv, got {kind!r}")
+        raise _unknown_kind("init", kind)
     _only_kind_keys("init", init, kind)
     return start
 
@@ -337,12 +337,8 @@ def build_sampler(cfg: dict, spec: GridSpec) -> SampleSpec:
     checks = cfg.get("checks", {})
     samples = _number(checks.get("samples", 1000), "checks.samples", integral=True)
     seed = _seed(checks.get("seed", 0), "checks.seed")
-    try:
+    with _invalid(f"sampling plan checks.samples = {samples!r}"):
         return SampleSpec(count=samples, seed=seed, t_extents=spec.extents)
-    except ValueError as err:
-        raise ConfigError(
-            f"invalid sampling plan checks.samples = {samples!r}: {err}"
-        ) from err
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +473,7 @@ def read_field_csv(path: str | Path, spec: GridSpec) -> tuple[Field | np.ndarray
     tol = 1e-9 * (1.0 + max(spec.extents))
     for a, axis in enumerate(lattice_axes(spec.spacings, shape)):
         along = axis.reshape((-1,) + (1,) * (spec.p - 1 - a))
-        if np.max(np.abs(coords[..., a] - along)) > tol:
+        if _abs_max(coords[..., a] - along) > tol:
             raise FormatError(
                 f"field CSV {path} node coordinates do not match the configured grid"
             )
@@ -837,12 +833,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ExprError as err:
-        source = _expr_source(args)
-        if source is not None:
-            line, col = line_col(source, err.pos)
-            print(f"expression error at line {line}, column {col}: {err.message}", file=sys.stderr)
-        else:
-            print(f"expression error: {err}", file=sys.stderr)
+        # every potential built from a config attaches its expression's text
+        line, col = line_col(err.source, err.pos)
+        print(f"expression error at line {line}, column {col}: {err.message}", file=sys.stderr)
         return EXIT_BAD_EXPR
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -852,16 +845,6 @@ def main(argv=None) -> int:
         # wrong periods declaration, or disagreeing residual assemblies
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-
-
-def _expr_source(args) -> str | None:
-    config = getattr(args, "config", None)
-    if config is None:
-        return None
-    try:
-        return json.loads(Path(config).read_text())["potential"]["expr"]
-    except Exception:
-        return None
 
 
 if __name__ == "__main__":  # pragma: no cover

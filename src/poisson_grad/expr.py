@@ -19,8 +19,8 @@ bound to a grid's nodes computes them once per solve, and one bound to a
 drawn sample once for all the sampled checks, which take F and grad F from
 one run at the draw and, at a point moved in x_i, re-run only the value
 program's steps that x_i reaches.
-Every failure mode is a positioned ExprError: lexical, syntactic, unknown
-identifier, or a numeric domain error pointing at the offending AST node.
+Every failure mode is an ExprError positioned in its source: lexical,
+syntactic, unknown identifier, or a numeric domain error at its AST node.
 """
 
 from __future__ import annotations
@@ -64,21 +64,25 @@ _VARIABLE = re.compile(r"[tx][1-9][0-9]*")
 
 
 class ExprError(ValueError):
-    """Expression failure with a byte offset into the source."""
+    """Expression failure at byte offset ``pos`` of ``source``, the text that
+    an ExpressionPotential attaches, built or bound; None until then."""
 
     def __init__(self, message: str, pos: int):
         self.message = message
         self.pos = pos
+        self.source: str | None = None
         super().__init__(f"{message} (offset {pos})")
 
 
 class EvalDomainError(ExprError):
-    """Numeric domain failure at an AST node; ``element`` is the flat index
-    of the first offending batch element, if the evaluation was batched."""
+    """Numeric domain failure at an AST node, raised by the failed check in
+    place with its mask ``bad``; the bound run that raised it sets
+    ``element``, the flat index of the first offending batch element."""
 
-    def __init__(self, message: str, pos: int, element: int | None = None):
+    def __init__(self, message: str, pos: int, bad):
         super().__init__(message, pos)
-        self.element = element
+        self.bad = bad
+        self.element: int | None = None
 
 
 def line_col(source: str, pos: int) -> tuple[int, int]:
@@ -307,28 +311,13 @@ _T, _X = 0, 1  # registers of t and x
 _ONE = np.float64(1.0)  # seed tangent of x_i
 
 
-class _Domain(Exception):
-    """A failed domain check; the bound run turns it into a located EvalDomainError."""
-
-    def __init__(self, bad, message: str, pos: int):
-        super().__init__(message)
-        self.bad = bad
-        self.message = message
-        self.pos = pos
-
-    def located(self, t: np.ndarray, x: np.ndarray) -> EvalDomainError:
-        batch = np.broadcast_shapes(t.shape[:-1], x.shape[:-1])
-        element = int(np.flatnonzero(np.broadcast_to(self.bad, batch))[0])
-        return EvalDomainError(self.message, self.pos, element)
-
-
 def _any(mask) -> bool:
     return mask if mask is True or mask is False else bool(mask.any())
 
 
 def _check(bad, message: str, pos: int) -> None:
     if _any(bad):
-        raise _Domain(bad, message, pos)
+        raise EvalDomainError(message, pos, bad)
 
 
 # steps: the leading arguments are fixed at compile time, the others are registers
@@ -342,7 +331,7 @@ def _exp(pos: int, a):
         value = np.exp(a)
     finite = np.isfinite(value)
     if not finite.all():
-        raise _Domain(~finite, "non-finite result", pos)
+        raise EvalDomainError("non-finite result", pos, ~finite)
     return value
 
 
@@ -580,12 +569,13 @@ class _Bound:
     folds it like a constant; a step that fails its domain check or raises a
     floating-point error is left in the program, with every step that uses
     it, so that it fails or warns at evaluation, in its place, where a
-    failed check raises an EvalDomainError at its element."""
+    failed check's EvalDomainError gets its element and ``source``."""
 
-    __slots__ = ("t", "registers", "steps", "value_steps", "outputs", "moved", "kept")
+    __slots__ = ("t", "source", "registers", "steps", "value_steps", "outputs", "moved", "kept")
 
     def __init__(self, registers, known, steps, value_regs, outputs, moved, kept, t):
         self.t = t = np.asarray(t, dtype=np.float64)
+        self.source = None
         r = registers.copy()
         r[_T] = t
         known = known.copy()
@@ -596,7 +586,7 @@ class _Bound:
                 if a in known and (b is None or b in known):
                     try:
                         value = call(r[a]) if b is None else call(r[a], r[b])
-                    except (_Domain, FloatingPointError):
+                    except (EvalDomainError, FloatingPointError):
                         pass
                     else:
                         if isinstance(value, np.ndarray):
@@ -616,15 +606,17 @@ class _Bound:
         x = np.asarray(x, dtype=np.float64)
         regs = (self.registers if registers is None else registers).copy()
         regs[_X] = x
-        try:
-            for call, a, b, out in steps:
-                regs[out] = call(regs[a]) if b is None else call(regs[a], regs[b])
-        except _Domain as err:
-            raise err.located(self.t, x) from None
-        value = regs[self.outputs[0]]
         batch = x.shape[:-1]
         if self.t.shape[:-1] != batch:
             batch = np.broadcast_shapes(self.t.shape[:-1], batch)
+        try:
+            for call, a, b, out in steps:
+                regs[out] = call(regs[a]) if b is None else call(regs[a], regs[b])
+        except EvalDomainError as err:
+            err.element = int(np.flatnonzero(np.broadcast_to(err.bad, batch))[0])
+            err.source = self.source
+            raise
+        value = regs[self.outputs[0]]
         if not (isinstance(value, np.ndarray) and value.shape == batch):
             value = np.broadcast_to(value, batch)
         return value, regs
@@ -762,8 +754,12 @@ class ExpressionPotential(Potential):
         growth: GrowthEnvelope | None = None,
     ):
         self.source = source
-        self.ast = parse(tokenize(source), p, n)
-        self.program = Program(self.ast, n)
+        try:
+            self.ast = parse(tokenize(source), p, n)
+            self.program = Program(self.ast, n)
+        except ExprError as err:
+            err.source = source
+            raise
         self.p = p
         self.n = n
         self.periods = declared_periods(periods, n)
@@ -778,4 +774,6 @@ class ExpressionPotential(Potential):
     def bind(self, t: np.ndarray) -> _Bound:
         """The program bound to ``t``, once: its steps that need no x run
         here (see ``_Bound``) for F, grad F and a drawn sample alike."""
-        return self.program.dual(t)
+        bound = self.program.dual(t)
+        bound.source = self.source
+        return bound

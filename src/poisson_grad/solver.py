@@ -66,6 +66,8 @@ _TOL_ACTION = 1e-16
 _INITIAL_STEP = 1.0
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
+# relative action change that a lattice shift may make (the gauge test)
+_GAUGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -230,17 +232,23 @@ def _canonical(
 ) -> tuple[np.ndarray, ActionValue, np.ndarray | None, float | None]:
     """Canonicalize an accepted point whose action is ``priced``, as
     ``canonicalize`` does with declared ``periods``; a shifted field is
-    priced again and must keep that action (gauge invariance)."""
+    priced again and must keep that action (gauge invariance).  A component
+    whose shift k P is a float more than ``_GAUGE_TOL`` of a period from the
+    next keeps its mean: floats that far out are that coarse, so neither the
+    shift nor F's periodicity in floats is exact to what the test allows."""
     if periods is None:
         return u, priced, None, None
     shifts = _lattice_shifts(u, act.spec, periods)
+    for i, (k, period) in enumerate(zip(shifts.tolist(), periods.tolist())):
+        if math.ulp(k * period) > _GAUGE_TOL * period:
+            shifts[i] = 0
     if not shifts.any():
         return u, priced, shifts, None
     shifted = u + shifts * periods
     _require_finite(shifted)
     repriced = act.value(shifted)
     dev = abs(repriced.total - priced.total)
-    if dev > 1e-12 * (1.0 + abs(priced.total)):
+    if dev > _GAUGE_TOL * (1.0 + abs(priced.total)):
         raise RuntimeError(
             f"lattice shift changed the action by {dev:.3e}; "
             "potential is not periodic with the declared periods"

@@ -140,7 +140,7 @@ def boundary_check(closed: np.ndarray, spec: GridSpec) -> BoundaryReport:
             f"closed grid shape {arr.shape} does not match expected "
             f"{closed_shape + (spec.n,)}"
         )
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(arr))))
+    tol = 1e-9 * (1.0 + float(_abs_max(arr)))
     axes = []
     passed = True
     for a in range(spec.p):
@@ -148,8 +148,8 @@ def boundary_check(closed: np.ndarray, spec: GridSpec) -> BoundaryReport:
         lo = np.take(arr, 0, axis=a)
         hi = np.take(arr, spec.nodes[a], axis=a)
         first = np.take(arr, 1, axis=a)
-        value_gap = float(np.max(np.abs(lo - hi)))
-        quotient_gap = float(np.max(np.abs((first - lo) / h - (first - hi) / h)))
+        value_gap = float(_abs_max(lo - hi))
+        quotient_gap = float(_abs_max((first - lo) / h - (first - hi) / h))
         axes.append(BoundaryAxis(a, value_gap, quotient_gap))
         passed = passed and value_gap <= tol and quotient_gap <= tol
     return BoundaryReport(axes=tuple(axes), threshold=tol, passed=passed)
@@ -184,7 +184,7 @@ def wirtinger_check(u: Field) -> WirtingerReport:
     constant = wirtinger_constant(u.spec)
     lhs = l2_norm(tilde)
     rhs = constant * stacked_diff_norm(tilde)
-    atol = wirtinger_floor(u.spec, float(np.max(np.abs(ubar))))
+    atol = wirtinger_floor(u.spec, float(_abs_max(ubar)))
     return WirtingerReport(
         lhs=lhs, rhs=rhs, constant=constant, passed=lhs <= rhs * (1.0 + 1e-12) + atol
     )

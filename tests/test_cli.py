@@ -273,6 +273,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "line 1, column 5" in err
 
+    def test_expression_error_in_a_config_on_a_pipe_is_located(self, tmp_path):
+        # the config is read once, from stdin; the position is found in the
+        # expression's own text
+        body = {
+            "grid": {"p": 1, "n": 1, "extents": [1.0], "nodes": [8]},
+            "potential": {"kind": "expr", "expr": "1 +\n y1"},
+        }
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "poisson_grad.cli", "check", "/dev/stdin"],
+            input=json.dumps(body),
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr == "expression error at line 2, column 2: unknown identifier 'y1'\n"
+
     def test_sum_too_long_to_compile_exits_4(self, tmp_path, capsys):
         # the parser reads a sum in a loop, but the compiler recurses once
         # per term; the root's position is the last "+"
@@ -424,6 +443,32 @@ class TestConfigValidation:
                 "solver.tol_residual is out of range: Infinity",
                 "solve",
             ),
+            # arrays of the wrong shape, values a library rejects, and kinds
+            # that do not exist
+            ("grid", {"extents": []}, "grid.extents must be a non-empty array of numbers", "check"),
+            ("grid", {"extents": 1.0}, "grid.extents must be a non-empty array of numbers", "check"),
+            ("grid", {"nodes": 16}, "grid.nodes must be an array of integers", "check"),
+            ("init", {"value": [0.6, 0.7]}, "init.value must be a scalar or length 1", "solve"),
+            (
+                "potential",
+                {"kind": "expr", "expr": "1", "growth": {"m": -1.0}},
+                "invalid potential.growth: m must be finite and nonnegative, got -1.0",
+                "check",
+            ),
+            (
+                "solver",
+                {"method": "lbfgs"},
+                "invalid solver config: method must be 'ncg', got 'lbfgs'",
+                "solve",
+            ),
+            ("solver", {"max_iters": 0}, "invalid solver config: max_iters must be >= 1", "solve"),
+            (
+                "potential",
+                {"kind": "sine"},
+                "potential.kind must be cosine|quadratic|linear|expr, got 'sine'",
+                "check",
+            ),
+            ("init", {"kind": "zeros"}, "init.kind must be constant|random|csv, got 'zeros'", "solve"),
         ],
     )
     def test_mistyped_number_exits_3_naming_key(
@@ -435,6 +480,21 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(body).replace("Infinity", "1e400"))
         assert main(["--quiet", command, str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "config root must be an object"),
+            ('{"grid": [1], "potential": {}}', "section 'grid' must be an object"),
+            ('{"potential": {"kind": "expr", "growth": 1.0}}', "potential.growth must be an object"),
+            ('{"grid": {"p": 1}}', "config section 'potential' is required"),
+        ],
+    )
+    def test_malformed_config_layout_exits_3(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["--quiet", "check", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "section, update, flag, key, command",
@@ -1175,6 +1235,18 @@ class TestSolveCommand:
         assert "error: lattice shift changed the action" in err
         assert "Traceback" not in err
 
+    def test_start_too_far_out_to_shift_is_no_periodicity_error(self, tmp_path, capsys):
+        # floats near 1e15 are 0.125 apart: no shift by whole periods 2 pi is
+        # exact there, so the start keeps its mean and the gauge test is not
+        # run on a rounded shift
+        cfg = tmp_path / "c.json"
+        write_config(cfg, init={"kind": "constant", "value": 1e15}, solver={"max_iters": 300})
+        assert main(["--quiet", "solve", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["iterations"][0]["shifts"] == [0]
+        assert report["iterations"][0]["mean"] == [1e15]
+
     def test_trial_outside_domain_backtracks(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(
@@ -1603,6 +1675,23 @@ class TestResidualCommand:
         write_field_csv(bad, Field.zeros(other))
         assert main(["--quiet", "residual", str(bad), str(cfg)]) == 3
 
+    @pytest.mark.parametrize("fault", ["missing", "directory", "columns"])
+    def test_unreadable_or_misshapen_field_csv_exits_3(self, tmp_path, capsys, fault):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [4]})
+        path = tmp_path / "u.csv"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "columns":
+            path.write_text("t1,u1\n" + "".join(f"{k / 4},0,0\n" for k in range(4)))
+        assert main(["residual", str(path), str(cfg)]) == 3
+        message = {
+            "missing": f"cannot read field CSV {path}: [Errno 2] No such file or directory: '{path}'",
+            "directory": f"cannot read field CSV {path}: [Errno 21] Is a directory: '{path}'",
+            "columns": f"field CSV {path} must have 2 columns",
+        }[fault]
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_gradient_overflow_exits_3(self, tmp_path, capsys):
         # grad F = 2e305 x1 overflows at the field's value 1e4; the
         # certificate's finite-value test refuses it at its first node, and
@@ -1754,6 +1843,25 @@ class TestOracleLinear:
             warnings.simplefilter("error")
             assert main(argv) == 3
         assert capsys.readouterr().err == f"error: right-hand side {message}\n"
+        assert not out.exists()
+
+    def test_rhs_whose_transform_overflows_exits_3(self, tmp_path, capsys):
+        # the norm of +-1.5e308 on 8 nodes of a unit interval, 1.5e308, is
+        # finite, and its Nyquist coefficient, 1.2e309, is not
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"p": 1, "n": 1, "extents": [1.0], "nodes": [8]})
+        spec = GridSpec((1.0,), (8,), n=1)
+        rhs_path = tmp_path / "rhs.csv"
+        write_field_csv(rhs_path, Field(spec, 1.5e308 * (-1.0) ** np.arange(8)))
+        out = tmp_path / "u.csv"
+        argv = ["--quiet", "oracle-linear", str(rhs_path), str(cfg), "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: right-hand side must have a finite DFT; its transform overflows\n",
+        )
         assert not out.exists()
 
     def test_output_hard_linked_to_the_rhs_exits_3_before_reading(

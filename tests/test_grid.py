@@ -405,6 +405,15 @@ class TestLinearPoisson:
         with pytest.raises(ValueError, match="zero mean"):
             solve_linear_poisson(Field.constant(line(nodes=8), 1.0))
 
+    def test_rhs_whose_transform_overflows_rejected_without_warning(self):
+        # the norm of +-1.5e308 on 8 nodes of a unit interval is 1.5e308, and
+        # its Nyquist coefficient, 8 * 1.5e308, overflows
+        f = Field(line(nodes=8), 1.5e308 * (-1.0) ** np.arange(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite DFT; its transform overflows"):
+                solve_linear_poisson(f)
+
     def test_symbol_nonpositive_with_zero_mode(self):
         lam = laplacian_symbol(GridSpec((1.0, 1.0), (8, 8)))
         assert lam[0, 0] == 0.0

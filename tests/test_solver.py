@@ -125,6 +125,16 @@ class TestCanonicalize:
         k = solver._lattice_shifts(u, spec, np.array([1.0, TWO_PI]))
         npt.assert_array_equal(k, [-u[0, 0], 0])
 
+    def test_component_of_floats_coarser_than_the_gauge_test_keeps_its_mean(self):
+        # floats near 1e15 are 0.125 apart, so a shift by whole periods 2 pi
+        # rounds by more than the gauge test allows; the other component,
+        # whose shift is exact, is shifted
+        spec = GridSpec((1.0,), (8,), n=2)
+        u = np.stack([np.full(spec.nodes, 1e15), np.full(spec.nodes, -0.5)], -1)
+        shifted, k = self.canonical(spec, u, [TWO_PI, 1.0])
+        npt.assert_array_equal(k, [0, 1])
+        npt.assert_array_equal(shifted, np.stack([u[..., 0], u[..., 1] + 1.0], -1))
+
     def test_missing_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
             canonicalize(Field.zeros(GridSpec((1.0,), (8,))), None)
