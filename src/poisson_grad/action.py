@@ -30,7 +30,9 @@ import numpy as np
 # forward_diff and laplacian are not called here; they stay bound in this
 # module because perfbench/spans.py traces them by these names
 from .grid import Field, GridSpec, forward_diff, l2_norm, laplacian, node_coordinates  # noqa: F401
-from .grid import _difference, _laplacian, _norm, _reduce, _require_finite, _row_norms
+from .grid import (
+    _component_sum, _difference, _laplacian, _norm, _reduce, _require_finite, _row_norms,
+)
 from .potential import GrowthEnvelope, Potential
 
 __all__ = [
@@ -108,12 +110,13 @@ class GridAction:
 
     def value(self, x: np.ndarray) -> ActionValue:
         nodes = self._located(self.potential.value, x)
-        kin_density = np.zeros(self.spec.nodes)
         d = np.empty(x.shape)
         for axis, h in enumerate(self.spec.spacings):
             _difference(x, axis, h, 1, d)
-            kin_density += np.add.reduce(np.multiply(d, d, d), axis=-1)
-        kinetic = self.spec.cell_volume * _reduce(0.5 * kin_density)
+            squares = _component_sum(np.multiply(d, d, d))
+            # the first axis's sum, of squares >= +0, is its sum from 0.0
+            kin_density = np.add(kin_density, squares, squares) if axis else squares
+        kinetic = self.spec.cell_volume * _reduce(np.multiply(kin_density, 0.5, kin_density))
         if not math.isfinite(kinetic):
             raise ValueError("field contains non-finite values")
         potential = self.spec.cell_volume * _reduce(nodes)
@@ -121,20 +124,27 @@ class GridAction:
             raise self._not_finite("F", nodes)
         return ActionValue(kinetic=kinetic, potential=potential)
 
-    def potential_gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad F(t, x) at the nodes, all finite."""
-        grad_f = self._located(self.potential.gradient, x)
+    def _finite_grad_f(self, grad_f: np.ndarray) -> np.ndarray:
         if not np.isfinite(grad_f).all():
             raise self._not_finite("grad F", grad_f)
         return grad_f
 
+    def potential_gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad F(t, x) at the nodes, all finite."""
+        return self._finite_grad_f(self._located(self.potential.gradient, x))
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """-laplacian(x) + grad F(t, x), a new array; with grad F finite, it
         is not finite where the Laplacian is not.  The Laplacian is finished,
-        and its working space freed, before grad F is evaluated."""
+        and its working space freed, before grad F is evaluated.  A grad F
+        that is not finite leaves the sum not finite, so grad F is tested
+        only where the sum is not finite."""
         lap = _laplacian(x, self.spec.spacings)
-        grad = np.subtract(self.potential_gradient(x), lap, out=lap)
-        _require_finite(grad)
+        grad_f = self._located(self.potential.gradient, x)
+        grad = np.subtract(grad_f, lap, out=lap)
+        if not np.isfinite(grad).all():
+            self._finite_grad_f(grad_f)
+            _require_finite(grad)
         return grad
 
 

@@ -10,10 +10,12 @@ take any base; every other exponent needs a positive base.
 Each AST compiles once into a straight-line program over numpy arrays that
 evaluates F and, forward-mode, the exact gradient grad_x F, over a whole
 grid batch; its steps for F alone, the value program, run where F alone is
-needed.  Only x-derivatives are propagated, one component at a time; t
-enters as a constant for each evaluation, and tangent components that are
-structurally zero (constants, t-only subtrees, components a subtree does
-not depend on) cost nothing.  The bound potential is the program bound to
+needed, and its steps for grad F alone, the gradient program, where grad F
+alone is, each with its domain checks in the full program's order.  Only
+x-derivatives are propagated, one component at a time; t enters as a
+constant for each evaluation, and tangent components that are structurally
+zero (constants, t-only subtrees, components a subtree does not depend on)
+cost nothing.  The bound potential is the program bound to
 t: the steps on constants and t alone run once, at binding, so a potential
 bound to a grid's nodes computes them once per solve, and one bound to a
 drawn sample once for all the sampled checks, which take F and grad F from
@@ -301,7 +303,8 @@ class Dual:
 # result of one step.  The program also carries each node's tangent, one
 # register per x-component, or None when that component is structurally
 # zero and so costs nothing; the steps F needs, with their checks, are the
-# value program.  Every value and tangent is computed by the same numpy
+# value program, and the steps the tangents need, with every check, the
+# gradient program.  Every value and tangent is computed by the same numpy
 # operations, in the same order, as a recursive evaluation of the tree
 # would; identical steps are emitted once, and the exact identities
 # 1 * s = s and -(-a) = a save a step.  Compiling runs no step: binding the
@@ -312,7 +315,8 @@ _ONE = np.float64(1.0)  # seed tangent of x_i
 
 
 def _any(mask) -> bool:
-    return mask if mask is True or mask is False else bool(mask.any())
+    # a check of a scalar, such as a constant divisor, costs no reduction
+    return bool(mask) if type(mask) in (bool, np.bool_) else bool(mask.any())
 
 
 def _check(bad, message: str, pos: int) -> None:
@@ -569,11 +573,15 @@ class _Bound:
     folds it like a constant; a step that fails its domain check or raises a
     floating-point error is left in the program, with every step that uses
     it, so that it fails or warns at evaluation, in its place, where a
-    failed check's EvalDomainError gets its element and ``source``."""
+    failed check's EvalDomainError gets its element and ``source``.  The
+    value program, F's steps with F's checks, and the gradient program,
+    grad F's steps with every check, are the program's remaining steps that
+    they hold, in their order."""
 
-    __slots__ = ("t", "source", "registers", "steps", "value_steps", "outputs", "moved", "kept")
+    __slots__ = ("t", "source", "registers", "steps", "value_steps", "gradient_steps",
+                 "outputs", "moved", "kept")
 
-    def __init__(self, registers, known, steps, value_regs, outputs, moved, kept, t):
+    def __init__(self, registers, known, steps, value_regs, gradient_regs, outputs, moved, kept, t):
         self.t = t = np.asarray(t, dtype=np.float64)
         self.source = None
         r = registers.copy()
@@ -598,11 +606,13 @@ class _Bound:
         self.registers, self.steps, self.outputs, self.moved, self.kept = (
             r, remaining, outputs, moved, kept
         )
-        self.value_steps = [step for step in remaining if step[3] in value_regs]
+        self.value_steps, self.gradient_steps = (
+            [step for step in remaining if step[3] in regs] for regs in (value_regs, gradient_regs)
+        )
 
     def run(self, steps: list, x, registers: list | None = None):
-        """F, broadcast to the batch shape of t and x, and the registers after
-        ``steps`` ran on a copy of ``registers`` (default: the bound ones)."""
+        """The batch shape of t and x, and the registers after ``steps`` ran
+        on a copy of ``registers`` (default: the bound ones)."""
         x = np.asarray(x, dtype=np.float64)
         regs = (self.registers if registers is None else registers).copy()
         regs[_X] = x
@@ -616,27 +626,32 @@ class _Bound:
             err.element = int(np.flatnonzero(np.broadcast_to(err.bad, batch))[0])
             err.source = self.source
             raise
+        return batch, regs
+
+    def result(self, batch: tuple, regs: list) -> np.ndarray:
+        """F from a run's registers, broadcast to its batch shape."""
         value = regs[self.outputs[0]]
         if not (isinstance(value, np.ndarray) and value.shape == batch):
             value = np.broadcast_to(value, batch)
-        return value, regs
+        return value
 
-    def partials(self, value: np.ndarray, regs: list) -> np.ndarray:
-        partials = np.zeros(value.shape + (len(self.outputs) - 1,))
+    def partials(self, batch: tuple, regs: list) -> np.ndarray:
+        """grad F from a run's registers, zeros where F does not depend on x."""
+        partials = np.zeros(batch + (len(self.outputs) - 1,))
         for i, d in enumerate(self.outputs[1:]):
             if d is not None:
                 partials[..., i] = regs[d]
         return partials
 
     def value(self, x) -> np.ndarray:
-        return self.run(self.value_steps, x)[0]
+        return self.result(*self.run(self.value_steps, x))
 
     def gradient(self, x) -> np.ndarray:
-        return self.partials(*self.run(self.steps, x))
+        return self.partials(*self.run(self.gradient_steps, x))
 
     def __call__(self, x) -> Dual:
-        value, regs = self.run(self.steps, x)
-        return Dual(value, self.partials(value, regs))
+        batch, regs = self.run(self.steps, x)
+        return Dual(self.result(batch, regs), self.partials(batch, regs))
 
     def sample(self, x):
         """F and grad F at ``x`` from one run, where F fails first, and the
@@ -644,19 +659,24 @@ class _Bound:
         re-runs only the value program's steps that x_i reaches and reads
         the other registers from this run: the bits and errors of a full run."""
         try:
-            value, regs = self.run(self.steps, x)
+            batch, regs = self.run(self.steps, x)
         except (EvalDomainError, FloatingPointError):
             self.value(x)
             raise
         kept = [v if r in self.kept else None for r, v in enumerate(regs)]
-        return value, self.partials(value, regs), lambda i, y: self.run(self.moved[i], y, kept)[0]
+
+        def moved(i, y):
+            return self.result(*self.run(self.moved[i], y, kept))
+
+        return self.result(batch, regs), self.partials(batch, regs), moved
 
 
 class Program:
     """An expression compiled once into a straight-line program for F and its
-    n partials; its steps for F, with their checks, are the value program.
+    n partials; its steps for F, with their checks, are the value program,
+    and its steps for the partials, with every check, the gradient program.
     ``dual(t)`` binds it to t (see ``_Bound``): a function of x returning a
-    Dual, whose ``value(x)`` runs the value program alone."""
+    Dual, whose ``value(x)`` and ``gradient(x)`` run those programs alone."""
 
     __slots__ = ("dual",)
 
@@ -669,6 +689,7 @@ class Program:
             raise ExprError("expression nested too deeply to compile", ast.pos) from None
         outputs = [value, *(tangent or [None] * n)]
         value_steps = builder.program([value], _VALUE_CHECKS)
+        gradient_steps = builder.program(outputs[1:], _DUAL_CHECKS)
         components = (builder.memo.get((_component, (i,), (_X,))) for i in range(n))
         moved = [_reach(value_steps, reg) for reg in components]
         kept = {value}  # the registers that a re-run reads and does not write
@@ -677,7 +698,7 @@ class Program:
         registers = [builder.known.get(r) for r in range(len(builder.steps))]
         self.dual = functools.partial(
             _Bound, registers, {_T, *builder.known}, builder.program(outputs, _DUAL_CHECKS),
-            {s[3] for s in value_steps}, outputs, moved, kept,
+            {s[3] for s in value_steps}, {s[3] for s in gradient_steps}, outputs, moved, kept,
         )
 
 

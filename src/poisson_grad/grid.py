@@ -6,11 +6,14 @@ N_alpha is identified with node 0, so every operator wraps indices modulo
 N_alpha and the periodic face conditions hold by construction instead of
 being enforced through ghost layers.
 
-All reductions run in a fixed lexicographic order (numpy's pairwise tree
-sum over C-contiguous data), which keeps norms and reports bit-stable
-across reruns of the same configuration.  Fields are immutable values and
-every operation is a pure function, so everything here can be shared and
-called across threads freely.
+All reductions run in a fixed order, which keeps norms and reports
+bit-stable across reruns of the same configuration: a sum over nodes is
+numpy's pairwise tree sum over C-contiguous data, and a sum along the short
+component axis is a left fold from +0.0, which is what numpy's reduce does
+along fewer than 8 entries and what ``_component_sum`` reproduces in column
+passes.  Fields are immutable values and every operation is a pure
+function, so everything here can be shared and called across threads
+freely.
 """
 
 from __future__ import annotations
@@ -47,6 +50,21 @@ def _reduce(values: np.ndarray) -> float:
     # Single choke point for summation order: lexicographic, pairwise.  The
     # ufunc's own reduce is what np.sum calls, minus its Python dispatch.
     return float(np.add.reduce(np.ascontiguousarray(values), axis=None, dtype=np.float64))
+
+
+def _component_sum(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=-1) bit for bit: below 8 entries along the last
+    axis, numpy's reduce is the left fold ((0.0 + a_0) + a_1) + ..., from
+    +0.0, so a row of -0.0 sums to +0.0; here it runs as one add per
+    column, where numpy's reduce pays per row.  From 8 entries up, numpy's
+    pairwise sum differs, and it is called."""
+    count = a.shape[-1]
+    if not 0 < count < 8:
+        return np.add.reduce(a, axis=-1)
+    total = a[..., 0] + 0.0
+    for i in range(1, count):
+        total += a[..., i]
+    return total
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
@@ -233,23 +251,36 @@ def _abs_max(values: np.ndarray, axis: int | None = None):
 def _norm(spec: GridSpec | None, a: np.ndarray, out: np.ndarray | None = None):
     """The one Euclidean norm: with a GridSpec, the L2 norm of node values
     ``a``, sqrt(cell volume * sum of squares in ``_reduce``'s order), a
-    float; with None (``_row_norms``), the norms of the rows of ``a``.  The
-    squares go to ``out``, if given.  Where a sum overflows while its entries
-    are finite, it is the same on the entries over their largest magnitude,
-    times it (Blue, ACM TOMS 4 (1978) 15-23): infinite only where the norm
-    overflows itself, the plain formula's bits where no square overflows,
-    and no warning.  With ``out`` = ``a``, which its squares replace, it stays inf."""
+    float; with None (``_row_norms``), the norms of the rows of ``a``, whose
+    squares ``_component_sum`` sums.  The squares go to ``out``, if given.
+    Where a sum overflows, or is below its entry count times 2^-1021, or its
+    weighted sum below 2^-1022, while its entries are finite and not all
+    zero, it is the same on the entries over their largest magnitude, times
+    it (Blue, ACM TOMS 4 (1978) 15-23).  A subnormal square is off by at most
+    2^-1075, so above that count they move a sum by at most 2^-54 of it.  So
+    the norm is infinite only where it overflows itself, has the plain
+    formula's bits where no square overflows or underflows, and raises no
+    warning.  With ``out`` = ``a``, which its squares replace, a norm that
+    needs its entries again reads inf."""
     field = spec is not None
     weight = spec.cell_volume if field else 1.0
+    small = (a.size if field else a.shape[-1]) * 2.0**-1021
     with np.errstate(over="ignore"):
         squares = np.multiply(a, a, out=out)
-        norm = np.sqrt(weight * (_reduce(squares) if field else np.add.reduce(squares, axis=-1)))
-        if not math.isfinite(norm if field else norm.max(initial=0.0)):  # one row per norm
+        sums = _reduce(squares) if field else _component_sum(squares)
+        norm = np.sqrt(weight * sums)
+        # a field is one row; the smallest sum and the largest norm decide
+        low, high = (sums, norm) if field else (sums.min(initial=math.inf), norm.max(initial=0.0))
+        if not (low >= small and weight * low >= 2.0**-1022 and math.isfinite(high)):
+            if out is a:
+                return math.inf
             rows = a.reshape(1, -1) if field else a.reshape(-1, a.shape[-1])
-            flat, scale = np.array(norm, ndmin=1).reshape(-1), _abs_max(rows, -1)
-            over = ~np.isfinite(flat) & np.isfinite(scale)
-            part = rows[over] / scale[over, np.newaxis]
-            flat[over] = scale[over] * np.sqrt(weight * np.add.reduce(part * part, axis=-1))
+            flat, plain = np.array(norm, ndmin=1).reshape(-1), np.array(sums, ndmin=1).reshape(-1)
+            scale = _abs_max(rows, -1)
+            exact = (plain >= small) & (weight * plain >= 2.0**-1022) & np.isfinite(flat)
+            redo = ~exact & np.isfinite(scale) & (scale > 0.0)
+            part = rows[redo] / scale[redo, np.newaxis]
+            flat[redo] = scale[redo] * np.sqrt(weight * _component_sum(part * part))
             norm = flat.reshape(np.shape(norm))
     return float(norm) if field else norm
 
@@ -423,8 +454,8 @@ def solve_linear_poisson(f: Field) -> Field:
     finite L2 norm (``_norm``'s, finite unless it overflows itself), a
     finite DFT, which can overflow where that norm does not, and, since no
     periodic solution exists otherwise, zero mean per component within
-    1e-10 times that norm; else a ValueError is raised, and numpy warns of
-    none.
+    1e-10 times that norm; else, or where the solution overflows, a
+    ValueError is raised, and numpy warns of none.
     """
     spec = f.spec
     norm = l2_norm(f)
@@ -444,4 +475,8 @@ def solve_linear_poisson(f: Field) -> Field:
         uhat[zero] = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return Field(spec, _spectral(f.values, spec.node_axes, divide))
+        solution = _spectral(f.values, spec.node_axes, divide)
+    try:
+        return Field(spec, solution)
+    except ValueError:  # the values are not finite: the shape is the spec's
+        raise ValueError("the zero-mean solution u of laplacian(u) = f overflows") from None

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Field, _row_norms, node_coordinates
+from .grid import Field, _component_sum, _row_norms, node_coordinates
 
 __all__ = [
     "GrowthEnvelope",
@@ -228,7 +228,7 @@ class CosineLattice(Potential):
 
     def _well(self, factor: np.ndarray, x) -> np.ndarray:
         terms = self.amplitudes * (1.0 - np.cos(2.0 * np.pi * np.asarray(x) / self.periods))
-        return self.floor + factor * np.add.reduce(terms, axis=-1)
+        return self.floor + factor * _component_sum(terms)
 
     def _slope(self, factor: np.ndarray, x) -> np.ndarray:
         return factor * (self._rates * np.sin(2.0 * np.pi * np.asarray(x) / self.periods))
@@ -265,7 +265,7 @@ class ShiftedQuadratic(Potential):
 
     def value(self, t, x):
         d = np.asarray(x) - self.center
-        return 0.5 * np.sum(d * d, axis=-1) + self.floor
+        return 0.5 * _component_sum(d * d) + self.floor
 
     def gradient(self, t, x):
         return np.asarray(x) - self.center
@@ -313,7 +313,7 @@ class LinearForcing(Potential):
 
     @staticmethod
     def _pairing(f: np.ndarray, x) -> np.ndarray:
-        return -np.add.reduce(f * np.asarray(x), axis=-1)
+        return -_component_sum(f * np.asarray(x))
 
     @staticmethod
     def _negated(f: np.ndarray, x) -> np.ndarray:

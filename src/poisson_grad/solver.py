@@ -147,10 +147,13 @@ def canonicalize(u: Field, periods) -> tuple[Field, np.ndarray]:
 
 
 def _lattice_shifts(values: np.ndarray, spec: GridSpec, periods: np.ndarray) -> np.ndarray:
-    # 0 where the mean lies 2^53 periods or more out: floats there are a
-    # period or more apart, so no shift puts it in the cell
-    shifts = -np.floor(_node_mean(values, spec) / periods)
-    return np.where(np.abs(shifts) < 2.0**53, shifts, 0.0).astype(np.int64)
+    """-floor(mean / P) per component, 0 where that is not finite or where
+    the mean lies 2^53 periods or more out: floats there are a period or
+    more apart, so no shift puts it in the cell.  A quotient of magnitude
+    2^52 or more is an integer, its own floor, so |quotient| < 2^53 tests
+    |floor| < 2^53, and math.floor runs on finite floats alone."""
+    quotients = (_node_mean(values, spec) / periods).tolist()
+    return np.array([-math.floor(q) if abs(q) < 2.0**53 else 0 for q in quotients], np.int64)
 
 
 def random_init(spec: GridSpec, periods=None, seed: int = 0) -> Field:
@@ -179,7 +182,9 @@ def _record(
 ) -> IterationRecord:
     ubar = _node_mean(u, spec)
     tilde = u - ubar
-    _require_finite(tilde)
+    tilde_norm = _norm(spec, tilde)
+    if not math.isfinite(tilde_norm):  # only then can tilde be
+        _require_finite(tilde)
     return IterationRecord(
         index=index,
         action_total=a.total,
@@ -187,12 +192,12 @@ def _record(
         action_potential=a.potential,
         residual_l2=residual,
         du_norm_sq=2.0 * a.kinetic,
-        mean=tuple(float(c) for c in ubar),
-        tilde_norm=_norm(spec, tilde),
+        mean=tuple(ubar.tolist()),
+        tilde_norm=tilde_norm,
         step=step,
-        shifts=None if shifts is None else tuple(int(k) for k in shifts),
+        shifts=None if shifts is None else tuple(shifts),
         gauge_dev=gauge_dev,
-        h1_mass=tuple(float(c) for c in mass),
+        h1_mass=tuple(mass.tolist()),
     )
 
 
@@ -213,18 +218,23 @@ def _secant_mass(
     where dG is the change of the L2 gradient over the step, since
     dG = -laplacian(s) + d(grad F) and <-laplacian(s), s> = sum |D s|^2.  A
     component that did not move, or whose quotient is not finite, keeps
-    its mass."""
+    its mass.  The sums are numpy's, over the nodes, of products in one
+    buffer; the quotient and the clip run per component on floats, the same
+    IEEE operations."""
     node_axes = spec.node_axes
     total = np.add.reduce
-    kinetic = sum(
-        total(np.multiply(d, d, out=d), axis=node_axes)
-        for d in (_difference(s, a, h, 1) for a, h in enumerate(spec.spacings))
-    )
-    moved = total(s * s, axis=node_axes)
-    still = moved == 0.0
-    curvature = (total(dgrad * s, axis=node_axes) - kinetic) / np.where(still, 1.0, moved)
-    keep = still | ~np.isfinite(curvature)
-    return np.where(keep, mass, np.maximum(1.0, curvature))
+    kinetic = [0.0] * spec.n
+    d = np.empty(s.shape)
+    for a, h in enumerate(spec.spacings):
+        _difference(s, a, h, 1, d)
+        kinetic = [k + v for k, v in zip(kinetic, total(np.multiply(d, d, d), node_axes).tolist())]
+    pairing = total(np.multiply(dgrad, s, d), node_axes).tolist()
+    moved = total(np.multiply(s, s, d), node_axes).tolist()
+    out = mass.tolist()
+    for i, (g, k, m) in enumerate(zip(pairing, kinetic, moved)):
+        if m != 0.0 and math.isfinite(q := (g - k) / m):
+            out[i] = max(1.0, q)
+    return np.array(out)
 
 
 def _canonical(
@@ -238,13 +248,13 @@ def _canonical(
     shift nor F's periodicity in floats is exact to what the test allows."""
     if periods is None:
         return u, priced, None, None
-    shifts = _lattice_shifts(u, act.spec, periods)
-    for i, (k, period) in enumerate(zip(shifts.tolist(), periods.tolist())):
-        if math.ulp(k * period) > _GAUGE_TOL * period:
-            shifts[i] = 0
-    if not shifts.any():
+    shifts = [
+        0 if math.ulp(k * period) > _GAUGE_TOL * period else k
+        for k, period in zip(_lattice_shifts(u, act.spec, periods).tolist(), periods.tolist())
+    ]
+    if not any(shifts):
         return u, priced, shifts, None
-    shifted = u + shifts * periods
+    shifted = u + np.multiply(shifts, periods)
     _require_finite(shifted)
     repriced = act.value(shifted)
     dev = abs(repriced.total - priced.total)
@@ -331,7 +341,7 @@ def minimize(
             grad_z = _inner(spec, grad, z)
             if direction is not None:
                 beta = max(0.0, _inner(spec, grad, z - z_prev) / grad_z_prev)
-                cand_dir = -z + beta * direction
+                cand_dir = beta * direction - z  # -z + beta d, bit for bit
                 slope = _inner(spec, grad, cand_dir)
                 if slope >= 0.0:  # not a descent direction: restart steepest
                     cand_dir = -z
@@ -361,7 +371,8 @@ def minimize(
             direction = cand_dir
             a_val = a_new
             grad_new = act.gradient(u)
-            mass = _secant_mass(spec, mass, grad_new - grad, step * cand_dir)
+            # dG goes to the spent gradient, and the step is formed afresh
+            mass = _secant_mass(spec, mass, np.subtract(grad_new, grad, grad), step * cand_dir)
             grad = grad_new
             residual = _norm(spec, grad)
             report.iterations.append(

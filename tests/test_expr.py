@@ -492,6 +492,42 @@ class TestCompiledSteps:
             bound.sample(x)
 
 
+class TestGradientProgram:
+    """``_Bound.gradient`` runs the dual program's steps for grad F and every
+    check, in their order: the partials of a full run, bit for bit, and
+    the same EvalDomainError where a check fails."""
+
+    WELL = "0.1 + (1 - cos(x1)) + 0.5*(1 - cos(2*pi*x2/3)) + 0.2*sin(2*pi*t1)*sin(x1)"
+
+    def test_value_only_steps_are_left_out(self):
+        bound = ExpressionPotential(self.WELL, 1, 2).bind(np.linspace(0.0, 1.0, 12)[:, None])
+        assert set(bound.gradient_steps) < set(bound.steps)
+        assert [s for s in bound.steps if s in bound.gradient_steps] == bound.gradient_steps
+        x = np.random.default_rng(4).uniform(-8.0, 8.0, (12, 2))
+        assert bound.gradient(x).tobytes() == bound(x).partials.tobytes()
+
+    @pytest.mark.parametrize(
+        "source, bad, message",
+        [
+            ("x2 * sqrt(x1 - 1)", 0.5, "sqrt of a negative value"),
+            ("x1*x2 + x2 / (x1 - 2)", 2.0, "division by zero"),
+            ("x2^2 + exp(100 * x1)", 8.0, "non-finite result"),
+            ("x2 + x1^-2", 0.0, "zero base with a negative exponent"),
+        ],
+    )
+    def test_errors_of_a_full_run(self, source, bad, message):
+        bound = ExpressionPotential(source, 1, 2).bind(np.zeros((4, 1)))
+        x = np.array([[3.0, 1.0], [3.0, 2.0], [bad, 3.0], [bad, 4.0]])
+        errors = []
+        for run in (bound, bound.gradient):
+            with pytest.raises(EvalDomainError, match=message) as err:
+                run(x)
+            errors.append((str(err.value), err.value.pos, err.value.element))
+        assert errors[0] == errors[1] and errors[0][2] == 2
+        x[2:, 0] = 3.0
+        assert bound.gradient(x).tobytes() == bound(x).partials.tobytes()
+
+
 class TestOnGrid:
     """ExpressionPotential.bind at the node coordinates, whose program runs
     its t-only steps once, and a sample of it at one base draw, whose F at a

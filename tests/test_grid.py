@@ -18,6 +18,7 @@ from poisson_grad import (
     split_mean,
 )
 from poisson_grad.grid import (
+    _component_sum,
     _difference,
     _laplacian,
     _norm,
@@ -224,11 +225,70 @@ class TestL2:
         assert _row_norms(np.array([1e300, math.inf])) == math.inf
         assert math.isnan(_row_norms(np.array([1e300, math.nan])))
 
+    @pytest.mark.parametrize("value", [1e-200, 1e-160, 5e-324])
+    @pytest.mark.parametrize("nodes", [(8,), (4, 6)])
+    def test_scaled_where_the_squares_underflow(self, nodes, value):
+        # the squares of 1e-200 underflow to 0, those of 1e-160 and of the
+        # smallest subnormal round to subnormals; the norm is the constant's
+        # times the square root of the volume, 1 * 1 or 1 * 1.5
+        spec = GridSpec((1.0, 1.5)[: len(nodes)], nodes, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = l2_norm(Field.constant(spec, value))
+            rows = _row_norms(np.array([[value, value], [value, 0.0], [3 * value, 4 * value]]))
+        assert norm == pytest.approx(value * math.sqrt(spec.volume), rel=1e-15, abs=0.0)
+        if value > 1e-300:
+            npt.assert_allclose(rows, [math.sqrt(2.0) * value, value, 5.0 * value], rtol=1e-15)
+        else:  # 3 and 4 times the smallest subnormal are exact, their norm rounds to 5
+            npt.assert_array_equal(rows, [value, value, 5.0 * value])
+
+    def test_small_side_keeps_zero_rows_and_the_in_place_signal(self):
+        spec = GridSpec((1.0,), (4,), n=2)
+        a = np.array([[0.0, -0.0], [1e-200, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        npt.assert_array_equal(_row_norms(a), [0.0, 1e-200, 0.0, 1.0])
+        assert _norm(spec, np.zeros(spec.shape)) == 0.0
+        # whose entries the squares replace, a norm that needs them reads inf
+        buffer = np.full(spec.shape, 1e-200)
+        assert _norm(spec, buffer, out=buffer) == math.inf
+        # a weighted sum that is subnormal while the sum is not: volume 1e-300
+        small = GridSpec((1e-300,), (4,), n=1)
+        assert l2_norm(Field.constant(small, 1e-10)) == pytest.approx(1e-160, rel=1e-15, abs=0.0)
+
     def test_mismatched_grids_rejected(self):
         u = Field.zeros(line(nodes=4))
         v = Field.zeros(line(nodes=8))
         with pytest.raises(ValueError, match="different grids"):
             l2_inner(u, v)
+
+
+class TestComponentSum:
+    """The fold along the last axis against numpy's reduce, bit for bit."""
+
+    SPECIAL = (-0.0, 0.0, math.inf, -math.inf, math.nan)
+
+    @pytest.mark.parametrize("count", range(1, 13))
+    @pytest.mark.parametrize(
+        "prefix", [(), (1,), (12,), (2000,), (24, 24), (5, 6, 7), (256, 256)]
+    )
+    def test_bits_of_numpy_reduce(self, prefix, count):
+        rng = np.random.default_rng([count, len(prefix)])
+        a = rng.standard_normal(prefix + (count,)) * 10.0 ** rng.integers(-5, 5, prefix + (count,))
+        # columns of signed zeros, infinities and NaN, and a row of -0.0
+        for j in range(count):
+            if rng.random() < 0.4:
+                a[..., j] = rng.choice(self.SPECIAL, prefix)
+        if prefix:
+            a[(0,) * len(prefix)] = -0.0
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.add.reduce(a, axis=-1)
+            got = _component_sum(a)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
+        for count in range(1, 8):
+            total = _component_sum(np.full((3, count), -0.0))
+            assert not np.signbit(total).any()
 
 
 class TestForwardDiff:
@@ -412,6 +472,16 @@ class TestLinearPoisson:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite DFT; its transform overflows"):
+                solve_linear_poisson(f)
+
+    def test_solution_that_overflows_is_named_without_warning(self):
+        # +-1e300 on 8 nodes of an interval of length 1e6: the rhs, its norm
+        # and its transform are finite, and the Nyquist mode over its
+        # eigenvalue, -2.56e-10, is not
+        f = Field(line(extent=1e6, nodes=8), 1e300 * (-1.0) ** np.arange(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the zero-mean solution u of laplacian"):
                 solve_linear_poisson(f)
 
     def test_symbol_nonpositive_with_zero_mode(self):

@@ -275,6 +275,21 @@ class TestWirtinger:
         assert report.passed
         assert report.lhs == pytest.approx(report.rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_differences_whose_squares_underflow(self, p):
+        # the lowest mode at amplitude 1e-200: the squares of the field and
+        # of its differences underflow to 0, their norms do not, so neither
+        # side reads 0 and the mode still achieves equality
+        spec = GridSpec((1.0,) * p, (32,) * p, n=1)
+        t = node_coordinates(spec)[..., 0]
+        u = Field(spec, 1e-200 * np.sin(TWO_PI * t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = wirtinger_check(u)
+        assert report.lhs == pytest.approx(1e-200 * math.sqrt(0.5), rel=1e-12, abs=0.0)
+        assert report.passed
+        assert report.lhs == pytest.approx(report.rhs, rel=1e-12, abs=0.0)
+
     def test_constant_field(self):
         spec = GridSpec((1.0,), (16,), n=1)
         report = wirtinger_check(Field.constant(spec, 3.0))
